@@ -12,12 +12,14 @@ with the same keys as the long flags; explicit flags win on conflict.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SimulationError
+from .linalg import STRUCT_TOL
 from .protocols import (
     MODES,
     PROTOCOLS,
@@ -178,6 +180,11 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 def _validated(cfg: RunConfig) -> RunConfig:
+    if not (math.isfinite(cfg.tolerance) and 0.0 <= cfg.tolerance < 1.0):
+        raise ConfigError(f"tolerance must be finite and in [0, 1), got {cfg.tolerance}")
+    for name in ("theta_min", "theta_max"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name.replace('_', '-')} must be finite")
     if cfg.command == "verify":
         if cfg.trials < 100:
             raise ConfigError("verify needs trials >= 100 for the sampled oracle gate")
@@ -199,6 +206,9 @@ def _validated(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"lambda has {len(cfg.lambdas)} entries but d = {cfg.d}")
     if cfg.protocol == "probabilistic" and cfg.d != 2:
         raise ConfigError("the probabilistic baseline needs d = 2")
+    if cfg.protocol == "probabilistic" and cfg.lambdas is not None \
+            and abs(cfg.lambdas[0]) > abs(cfg.lambdas[1]) + STRUCT_TOL:
+        raise ConfigError("the probabilistic baseline needs |alpha| <= |beta| in lambda")
     if cfg.protocol == "nguyen" and cfg.d != 2:
         raise ConfigError("the nguyen baseline needs d = 2")
     if cfg.mode == "literal" and cfg.d != 2:

@@ -9,18 +9,24 @@ bases of the ancilla-assisted deterministic qubit baseline.
 Every constructor returns an immutable :class:`GateMatrix` whose
 unitarity defect is computed once at build time.  All constructors except
 :func:`encoding_unitary_literal` produce gates with defect <= 1e-10.
+
+Permutations and diagonals (identity, shift, clock, controlled shifts,
+negation) are built as index maps in O(d^2): output amplitude i is
+``phases[i] * input[src[i]]``.  Their dense matrix is materialized only
+when asked for.  Every other gate is dense, built by :func:`make_gate`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidState, NonUnitaryGate
-from .linalg import STRUCT_TOL, as_cvec, complete_to_unitary, dagger, unitarity_defect
+from .errors import CapacityExceeded, InvalidState, NonUnitaryGate
+from .linalg import MAX_DIM, STRUCT_TOL, as_cvec, complete_to_unitary, dagger, unitarity_defect
 
 # A gate is applied in strict mode only if its defect stays below this.
 UNITARY_TOL = 1e-8
@@ -28,17 +34,21 @@ UNITARY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class GateMatrix:
-    """Dense gate acting on one or more named subsystems.
+    """Gate acting on one or more named subsystems.
 
     ``dims`` holds the per-subsystem dimensions in application order;
-    ``defect`` caches the unitarity defect measured at construction.
+    ``defect`` caches the unitarity defect measured at construction.  A
+    dense gate stores ``dense``; an index-map gate stores the gather
+    indices ``src`` and, unless all are 1, the ``phases``.
     """
 
-    matrix: np.ndarray = field(repr=False)
     dims: tuple[int, ...]
     name: str
     defect: float
     literal: bool = False
+    dense: np.ndarray | None = field(default=None, repr=False)
+    src: np.ndarray | None = field(default=None, repr=False)
+    phases: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def arity(self) -> int:
@@ -46,10 +56,26 @@ class GateMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return math.prod(self.dims)
 
-    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        return self.defect <= tol
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense matrix; built on first use for an index-map gate.
+
+        Raises CapacityExceeded, before allocating, when the matrix would
+        hold more than MAX_DIM entries.
+        """
+        if self.src is None:
+            return self.dense
+        n = self.dim
+        if n * n > MAX_DIM:
+            raise CapacityExceeded(
+                f"dense {self.name} would hold {n * n} entries; cap is {MAX_DIM}"
+            )
+        m = np.zeros((n, n), dtype=complex)
+        m[np.arange(n), self.src] = 1.0 if self.phases is None else self.phases
+        m.flags.writeable = False
+        return m
 
     def daggered(self) -> "GateMatrix":
         return make_gate(dagger(self.matrix), self.dims, f"{self.name}^dag")
@@ -58,7 +84,7 @@ class GateMatrix:
 def make_gate(
     matrix: np.ndarray, dims: Sequence[int], name: str, literal: bool = False
 ) -> GateMatrix:
-    """Freeze a matrix into a GateMatrix, recording its unitarity defect."""
+    """Freeze a matrix into a dense GateMatrix, recording its unitarity defect."""
     m = np.asarray(matrix, dtype=complex)
     dims = tuple(int(d) for d in dims)
     expected = int(np.prod(dims))
@@ -66,12 +92,45 @@ def make_gate(
         raise InvalidState(f"gate {name}: matrix shape {m.shape} != product of dims {dims}")
     m = m.copy()
     m.flags.writeable = False
-    return GateMatrix(matrix=m, dims=dims, name=name, defect=unitarity_defect(m), literal=literal)
+    return GateMatrix(dims=dims, name=name, defect=unitarity_defect(m), literal=literal, dense=m)
+
+
+def index_gate(
+    src: Sequence[int] | np.ndarray,
+    dims: Sequence[int],
+    name: str,
+    phases: Sequence[complex] | np.ndarray | None = None,
+) -> GateMatrix:
+    """Freeze a gather map into an index-map GateMatrix.
+
+    The gate sends amplitude ``src[i]`` to ``i`` and multiplies it by
+    ``phases[i]``: a monomial matrix M with M[i, src[i]] = phases[i].
+    ``src`` must be a bijection.  Then M^dag M = diag(|phases|^2) up to
+    a permutation, so the defect is computed exactly in O(n) as
+    sqrt(sum (|phase|^2 - 1)^2), which is 0 for a pure permutation.
+    """
+    dims = tuple(int(d) for d in dims)
+    n = math.prod(dims)
+    idx = np.asarray(src)
+    if n < 1 or idx.shape != (n,) or not np.issubdtype(idx.dtype, np.integer):
+        raise InvalidState(f"gate {name}: src must hold {n} integer indices for dims {dims}")
+    idx = idx.astype(np.intp)
+    if idx.min() < 0 or idx.max() >= n or np.any(np.bincount(idx, minlength=n) != 1):
+        raise InvalidState(f"gate {name}: src is not a bijection of range({n})")
+    idx.flags.writeable = False
+    defect = 0.0
+    if phases is not None:
+        phases = as_cvec(phases).copy()
+        if phases.size != n:
+            raise InvalidState(f"gate {name}: {phases.size} phases for {n} indices")
+        phases.flags.writeable = False
+        defect = float(np.linalg.norm(np.abs(phases) ** 2 - 1.0))
+    return GateMatrix(dims=dims, name=name, defect=defect, src=idx, phases=phases)
 
 
 @functools.lru_cache(maxsize=None)
 def identity(d: int) -> GateMatrix:
-    return make_gate(np.eye(d, dtype=complex), (d,), f"I{d}")
+    return index_gate(np.arange(d), (d,), f"I{d}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,10 +138,7 @@ def pauli_x(d: int) -> GateMatrix:
     """Cyclic shift |j> -> |j+1 mod d>; the Pauli X at d=2."""
     if d < 2:
         raise InvalidState("pauli_x needs d >= 2")
-    m = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        m[(j + 1) % d, j] = 1.0
-    return make_gate(m, (d,), f"X{d}")
+    return index_gate((np.arange(d) - 1) % d, (d,), f"X{d}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,15 +147,7 @@ def pauli_z(d: int) -> GateMatrix:
     if d < 2:
         raise InvalidState("pauli_z needs d >= 2")
     omega = np.exp(2j * np.pi / d)
-    return make_gate(np.diag(omega ** np.arange(d)), (d,), f"Z{d}")
-
-
-def shift_power(d: int, k: int) -> np.ndarray:
-    """Permutation matrix for |j> -> |j+k mod d>."""
-    m = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        m[(j + k) % d, j] = 1.0
-    return m
+    return index_gate(np.arange(d), (d,), f"Z{d}", phases=omega ** np.arange(d))
 
 
 def controlled_shift(d: int, table: Sequence[int], name: str | None = None) -> GateMatrix:
@@ -107,11 +155,10 @@ def controlled_shift(d: int, table: Sequence[int], name: str | None = None) -> G
     table = tuple(int(k) for k in table)
     if len(table) != d or any(not 0 <= k < d for k in table):
         raise InvalidState(f"shift table must hold d={d} entries in [0, d)")
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        block = shift_power(d, table[i])
-        m[i * d : (i + 1) * d, i * d : (i + 1) * d] = block
-    return make_gate(m, (d, d), name or f"CSHIFT{d}{table}")
+    i = np.arange(d)[:, None]
+    j = np.arange(d)[None, :]
+    src = i * d + (j - np.array(table)[:, None]) % d
+    return index_gate(src.reshape(-1), (d, d), name or f"CSHIFT{d}{table}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,10 +223,7 @@ def negation_shift(d: int, m: int) -> GateMatrix:
     """Self-inverse permutation |l> -> |m - l mod d>.  I at (2,0), X at (2,1)."""
     if not 0 <= m < d:
         raise InvalidState(f"negation_shift needs 0 <= m < d, got m={m}, d={d}")
-    mat = np.zeros((d, d), dtype=complex)
-    for l in range(d):
-        mat[(m - l) % d, l] = 1.0
-    return make_gate(mat, (d,), f"N[{m}]")
+    return index_gate((m - np.arange(d)) % d, (d,), f"N[{m}]")
 
 
 def correction_unitary(u: GateMatrix, m: int) -> GateMatrix:
@@ -187,6 +231,8 @@ def correction_unitary(u: GateMatrix, m: int) -> GateMatrix:
 
     Pi_0m transposes basis states 0 and m.  V_m maps the raw branch state
     b_m = sum_n U[n, m] |m - n mod d> to U|0>, the encoded target, exactly.
+    Both permutations act as column gathers, V_m = (U[:, pi_m] U^dag)[:, m - n
+    mod d], which leaves one d^3 product.
     """
     if u.arity != 1:
         raise InvalidState("correction_unitary expects a single-subsystem encoder")
@@ -195,10 +241,9 @@ def correction_unitary(u: GateMatrix, m: int) -> GateMatrix:
     d = u.dim
     if not 0 <= m < d:
         raise InvalidState(f"correction_unitary needs 0 <= m < d, got m={m}")
-    swap = np.eye(d, dtype=complex)
-    if m != 0:
-        swap[[0, m]] = swap[[m, 0]]
-    v = u.matrix @ swap @ dagger(u.matrix) @ negation_shift(d, m).matrix
+    swap = np.arange(d)
+    swap[[0, m]] = swap[[m, 0]]
+    v = (u.matrix[:, swap] @ dagger(u.matrix))[:, (m - np.arange(d)) % d]
     return make_gate(v, (d,), f"V[{m}]")
 
 

@@ -364,9 +364,8 @@ def _deterministic_table(channel: ChannelSpec, target: TargetState, mode: str) -
         a, c = outcome
         if a != c:
             raise SimulationError(f"nonzero off-diagonal branch {outcome}; p={p}")
-        _, collapsed = log.reg.project(["A", "C"], outcome)
         _desc, corr = _deterministic_correction(enc, mode, a)
-        bob = corr.matrix @ _bob_conditional(collapsed, _basis_vec(d, a), _basis_vec(d, c))
+        bob = corr.matrix @ _bob_conditional(log.reg, _basis_vec(d, a), _basis_vec(d, c))
         rows.append(OutcomeRow(outcome, p, bob, fidelity_pure(bob, target.vector())))
     space = tuple((a, c) for a in range(d) for c in range(d))
     return OutcomeTable("deterministic", mode, channel, target, tuple(rows), space)

@@ -9,6 +9,7 @@ only through an explicitly passed numpy Generator.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -146,6 +147,8 @@ class StateRegister:
     ) -> "StateRegister":
         """Apply ``gate`` to the named subsystems, identity elsewhere.
 
+        A dense gate is a matrix product over the target subspace; an
+        index-map gate is a row gather on it, times its phases if any.
         In strict mode a gate whose cached defect exceeds the unitarity
         tolerance is rejected; audit callers pass strict=False and deal
         with the norm themselves.
@@ -168,7 +171,13 @@ class StateRegister:
         perm = axes + rest
         psi = self.amplitudes.reshape(self.dims).transpose(perm)
         shape = psi.shape
-        psi = gate.matrix @ psi.reshape(gate.dim, -1)
+        psi = psi.reshape(gate.dim, -1)
+        if gate.src is None:
+            psi = gate.matrix @ psi
+        else:
+            psi = psi[gate.src]
+            if gate.phases is not None:
+                psi *= gate.phases[:, None]
         psi = psi.reshape(shape).transpose(np.argsort(perm)).reshape(-1)
         return StateRegister(self.dims, psi, self.labels, check_norm=strict)
 
@@ -187,12 +196,8 @@ class StateRegister:
         keep = tuple(i for i in range(len(self.dims)) if i not in axes)
         marg = weights.sum(axis=keep) if keep else weights
         marg = marg.transpose(np.argsort(np.argsort(axes)))  # order as requested
-        target_dims = [self.dims[a] for a in axes]
-        flat = marg.reshape(-1)
-        outcomes = [
-            tuple(int(v) for v in np.unravel_index(k, target_dims)) for k in range(flat.size)
-        ]
-        return [(o, float(p)) for o, p in zip(outcomes, flat)]
+        outcomes = itertools.product(*(range(self.dims[a]) for a in axes))
+        return list(zip(outcomes, marg.reshape(-1).tolist()))
 
     def project(
         self, targets: Sequence[str], outcome: Sequence[int]

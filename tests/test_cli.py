@@ -248,3 +248,29 @@ def test_missing_subcommand(capsys):
     code, _out, err = run_cli(capsys)
     assert code == 1
     assert "subcommand" in err
+
+
+def test_probabilistic_alpha_above_beta_is_config_error(capsys):
+    code, _out, err = run_cli(capsys, "run", "--protocol", "probabilistic",
+                              "--lambda", "0.8,0:0.6,0", "--target", "0.6,0:0,0.8")
+    assert code == 1
+    assert "alpha" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "1", "1.5"])
+def test_bad_tolerance_is_config_error(capsys, value):
+    code, _out, err = run_cli(capsys, "run", "--protocol", "deterministic",
+                              "--lambda", "0.6,0:0.8,0", "--target", "0.6,0:0,0.8",
+                              f"--tolerance={value}")
+    assert code == 1
+    assert "tolerance" in err
+
+
+@pytest.mark.parametrize("flag", ["--theta-min", "--theta-max"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_theta_is_config_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, "sweep", "--protocol", "deterministic",
+                             "--target", "0.6,0:0,0.8", "--trials", "10", f"{flag}={value}")
+    assert code == 1
+    assert flag.lstrip("-") in err
+    assert out == ""

@@ -10,6 +10,8 @@ from rspsim.gates import (
     cu_concentration,
     encoding_unitary,
     encoding_unitary_literal,
+    identity,
+    index_gate,
     make_gate,
     negation_shift,
     nguyen_bases,
@@ -270,3 +272,40 @@ def test_every_constructor_unitary_except_literal():
     ]
     for g in gates:
         assert g.defect <= 1e-10, g.name
+
+
+def test_index_gate_rejects_non_bijection():
+    with pytest.raises(InvalidState):
+        index_gate([0, 0, 2], (3,), "dup")
+    with pytest.raises(InvalidState):
+        index_gate([0, 1, 3], (3,), "out of range")
+    with pytest.raises(InvalidState):
+        index_gate([-1, 0, 1], (3,), "negative")
+    with pytest.raises(InvalidState):
+        index_gate([0, 1], (3,), "short")
+    with pytest.raises(InvalidState):
+        index_gate([0.0, 1.0, 2.0], (3,), "float")
+    with pytest.raises(InvalidState):
+        index_gate([1, 0], (2,), "phases", phases=[1.0])
+
+
+def test_index_gate_phase_defect_matches_dense():
+    rng = np.random.default_rng(23)
+    for d in (2, 3, 5):
+        src = rng.permutation(d * d)
+        angles = rng.uniform(-np.pi, np.pi, size=d * d)
+        phases = rng.uniform(0.5, 1.5, size=d * d) * np.exp(1j * angles)
+        g = index_gate(src, (d, d), "scaled", phases=phases)
+        assert g.defect > 1e-3
+        assert abs(g.defect - unitarity_defect(g.matrix)) <= 1e-12
+        unit = index_gate(src, (d, d), "unit", phases=np.exp(1j * angles))
+        assert unit.defect <= 1e-14
+        assert unitarity_defect(unit.matrix) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_permutation_gates_have_exact_zero_defect(d):
+    for g in (identity(d), pauli_x(d), cadd(d), csub(d), negation_shift(d, d - 1)):
+        assert g.src is not None and g.phases is None
+        assert g.defect == 0.0
+        assert unitarity_defect(g.matrix) == 0.0

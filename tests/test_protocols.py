@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import rspsim.gates
 from rspsim.errors import InvalidState, Unsupported
 from rspsim.protocols import (
     ChannelSpec,
@@ -314,3 +317,23 @@ def test_success_probability_single_row():
 def test_run_protocol_rejects_unknown():
     with pytest.raises(InvalidState):
         run_protocol("teleport", None, TargetState.of((1.0, 0.0)))
+
+
+def test_deterministic_table_d48_stays_small():
+    """A cold d=48 table never materializes a d^2 x d^2 gate or d collapsed copies."""
+    rng = np.random.default_rng(48)
+    channel, target = random_positive_channel(48, rng), random_target(48, rng)
+    for value in vars(rspsim.gates).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    tracemalloc.start()
+    try:
+        table = exact_outcome_table("deterministic", channel, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert sorted(r.outcome for r in table.rows) == [(m, m) for m in range(48)]
+    for row in table.rows:
+        assert abs(row.probability - abs(channel.lambdas[row.outcome[0]]) ** 2) <= 1e-12
+        assert row.fidelity >= 1.0 - 1e-10

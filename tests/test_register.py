@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,16 @@ from rspsim.errors import (
     NonUnitaryGate,
     ShapeError,
 )
-from rspsim.gates import cadd, cu_concentration, make_gate, pauli_x
+from rspsim.gates import (
+    cadd,
+    controlled_shift,
+    csub,
+    cu_concentration,
+    make_gate,
+    negation_shift,
+    pauli_x,
+    pauli_z,
+)
 from rspsim.protocols import ChannelSpec
 from rspsim.register import (
     StateRegister,
@@ -281,3 +292,48 @@ def test_derive_rng_reproducible_and_order_free():
     c = derive_rng(5, 4).normal(size=4)
     np.testing.assert_array_equal(a, b)
     assert np.any(a != c)
+
+
+def random_register(dims, labels, rng):
+    v = rng.normal(size=int(np.prod(dims))) + 1j * rng.normal(size=int(np.prod(dims)))
+    return StateRegister(dims, v / np.linalg.norm(v), labels)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_index_gate_apply_matches_dense(d):
+    rng = np.random.default_rng(300 + d)
+    table = tuple(int(k) for k in rng.integers(0, d, size=d))
+    one = [pauli_x(d), pauli_z(d), negation_shift(d, int(rng.integers(0, d)))]
+    two = [cadd(d), csub(d), controlled_shift(d, table)]
+    cases = [(g, t) for g in one for t in (("A",), ("B",), ("C",))]
+    cases += [(g, t) for g in two for t in (("A", "B"), ("B", "A"), ("A", "C"), ("C", "A"))]
+    for gate, targets in cases:
+        assert gate.src is not None, gate.name
+        dense = make_gate(gate.matrix, gate.dims, gate.name)
+        assert dense.src is None
+        for _ in range(2):
+            reg = random_register((d, d, d), ("A", "B", "C"), rng)
+            np.testing.assert_allclose(
+                reg.apply(gate, targets).amplitudes,
+                reg.apply(dense, targets).amplitudes,
+                rtol=0, atol=1e-14, err_msg=f"{gate.name} on {targets}",
+            )
+
+
+def test_index_gate_applies_past_the_dense_cap():
+    rng = np.random.default_rng(101)
+    reg = random_register((101, 101), ("A", "B"), rng)
+    cadd.cache_clear()
+    tracemalloc.start()
+    try:
+        gate = cadd(101)
+        out = reg.apply(gate, ["A", "B"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    psi, got = reg.amplitudes.reshape(101, 101), out.amplitudes.reshape(101, 101)
+    for i in (0, 1, 57, 100):
+        np.testing.assert_array_equal(got[i], np.roll(psi[i], i))
+    with pytest.raises(CapacityExceeded):
+        gate.matrix
