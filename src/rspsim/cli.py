@@ -220,6 +220,10 @@ def _validated(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"{cfg.command} parametrizes qubit channels; needs d = 2")
     if cfg.command == "sweep" and cfg.trials < 1:
         raise ConfigError("sweep needs trials >= 1")
+    if cfg.command == "sweep" and cfg.points < 1:
+        raise ConfigError("sweep needs points >= 1")
+    if cfg.command == "sweep" and cfg.theta_max < cfg.theta_min:
+        raise ConfigError("theta-max must not be below theta-min")
     if cfg.command == "tomo" and cfg.shots < 3:
         raise ConfigError("tomo needs shots >= 3")
     return cfg

@@ -81,7 +81,7 @@ def complete_to_unitary(col0: Sequence[complex] | np.ndarray, tol: float = STRUC
     if abs(norm - 1.0) > tol:
         raise InvalidState(f"column must be normalized, |norm - 1| = {abs(norm - 1.0):.3e}")
     d = v.size
-    phase = v[0] / abs(v[0]) if abs(v[0]) > 0 else 1.0 + 0.0j
+    phase = np.exp(1j * np.angle(v[0]))  # 1 at v[0] = 0; no division, so subnormals are safe
     w = v.copy()
     w[0] += phase  # w0 = phase * (|col0[0]| + 1), never cancels
     u = np.eye(d, dtype=complex) - (2.0 / np.vdot(w, w).real) * np.outer(w, w.conj())

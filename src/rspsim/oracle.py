@@ -329,11 +329,7 @@ def compare_exact(
 
 def transcript_outcome(transcript: Transcript) -> Outcome:
     """Classical outcome label of one run, matching the branch distributions."""
-    if transcript.protocol == "deterministic":
-        return transcript.messages[0].outcome
-    if transcript.protocol == "probabilistic":
-        return transcript.messages[0].outcome
-    return (transcript.messages[0].outcome[0], transcript.messages[1].outcome[0])
+    return transcript.outcome
 
 
 def compare_sampled(

@@ -26,15 +26,18 @@ Encoding modes for the deterministic protocol:
   flagged in the transcript, the pre-measurement norm is recorded, and
   the receiver applies identity or sigma_z exactly as prescribed.
 
-Each run returns an immutable :class:`Transcript`; each configuration can
-also be enumerated exactly, branch by branch, into an
-:class:`OutcomeTable` with no randomness involved.
+Each protocol is written once, as a step list over the subsystems A, B
+and C.  One interpreter walks it along every branch into an exact
+:class:`OutcomeTable`, or along one sampled path into the immutable
+:class:`Transcript` of a run.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import itertools
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,15 +52,16 @@ from .gates import (
     encoding_unitary,
     encoding_unitary_literal,
     identity,
-    make_gate,
     nguyen_bases,
     pauli_z,
 )
-from .linalg import STRUCT_TOL, as_cvec, dagger, fidelity_pure, transport_unitary
+from .linalg import STRUCT_TOL, as_cvec, fidelity_pure, transport_unitary
 from .register import (
     PROB_FLOOR,
     MeasurementRecord,
     StateRegister,
+    _basis_gates,
+    _draw,
     basis_register,
     channel_register,
 )
@@ -167,7 +171,7 @@ class ClassicalMessage:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Ordered record of one protocol run."""
+    """Ordered record of one protocol run; ``outcome`` is its exact-table row label."""
 
     protocol: str
     mode: str | None
@@ -176,6 +180,7 @@ class Transcript:
     steps: tuple[GateStep, ...]
     measurements: tuple[MeasurementRecord, ...]
     messages: tuple[ClassicalMessage, ...]
+    outcome: tuple[int, ...]
     correction: str
     correction_matrix: np.ndarray | None = field(repr=False)
     bob_state: np.ndarray = field(repr=False)
@@ -197,6 +202,7 @@ class OutcomeRow:
     probability: float
     bob_state: np.ndarray = field(repr=False)
     fidelity: float
+    corrected: bool  # False where the protocol declares the branch failed
 
 
 @dataclass(frozen=True)
@@ -222,416 +228,250 @@ class OutcomeTable:
 
 
 def success_probability(table: OutcomeTable, tol: float = SUCCESS_TOL) -> float:
-    """Total probability of branches whose fidelity reaches 1 - tol."""
-    return float(sum(r.probability for r in table.rows if r.fidelity >= 1.0 - tol))
+    """Total probability of corrected branches whose fidelity reaches 1 - tol."""
+    return float(sum(r.probability for r in table.rows if r.corrected and r.fidelity >= 1.0 - tol))
 
 
 # ---------------------------------------------------------------------------
-# shared machinery
+# protocols as step lists: gates, then one measurement or one receive leaf.
+# A measurement's ``then(outcome)`` returns the steps that follow; unless
+# ``labelled``, its outcome stays out of the table's row label.  A leaf
+# corrects B's state (given A and C on the given states) with
+# ``correct(bob) -> (description, matrix)``; None declares the branch failed.
 
 
-class _StepLog:
-    """Accumulates gate applications against a mutable register slot."""
-
-    def __init__(self, reg: StateRegister):
-        self.reg = reg
-        self.steps: list[GateStep] = []
-
-    def apply(self, gate: GateMatrix, targets: Sequence[str], strict: bool = True) -> None:
-        self.reg = self.reg.apply(gate, targets, strict=strict)
-        self.steps.append(
-            GateStep(gate.name, tuple(targets), gate.defect, gate.defect > UNITARY_TOL)
-        )
+class _Gate(NamedTuple):
+    gate: GateMatrix
+    targets: tuple[str, ...]
+    strict: bool = True
 
 
-def _project_in_basis(
-    reg: StateRegister, label: str, basis: np.ndarray, k: int
-) -> tuple[float, StateRegister | None]:
-    """Exact probability and collapsed register for outcome |basis col k>."""
-    d = reg.dims[reg.axis(label)]
-    rotated = reg.apply(make_gate(dagger(basis), (d,), "basis^dag"), [label])
-    p, collapsed = rotated.project([label], (k,))
-    if collapsed is None:
-        return p, None
-    return p, collapsed.apply(make_gate(basis, (d,), "basis"), [label])
+class _Measure(NamedTuple):
+    targets: tuple[str, ...]  # a single target when measured in ``basis``'s columns
+    then: Callable[[tuple[int, ...]], list]
+    basis: np.ndarray | None = None
+    labelled: bool = True
 
 
-def _bob_conditional(reg: StateRegister, a_state: np.ndarray, c_state: np.ndarray) -> np.ndarray:
-    """B amplitudes, phase included, given A and C collapsed onto the given states."""
-    bob = reg.contract({"A": a_state, "C": c_state})
-    n = np.linalg.norm(bob)
-    if n < PROB_FLOOR:
-        raise SimulationError("conditional state has no amplitude mass")
-    return bob / n
+class _Receive(NamedTuple):
+    a_state: np.ndarray
+    c_state: np.ndarray
+    correct: Callable[[np.ndarray], tuple[str, np.ndarray]] | None
 
 
-def _basis_vec(d: int, k: int) -> np.ndarray:
-    v = np.zeros(d, dtype=complex)
-    v[k] = 1.0
-    return v
-
-
-# ---------------------------------------------------------------------------
-# deterministic protocol
-
-
-def _deterministic_encoder(target: TargetState, mode: str) -> GateMatrix:
-    if mode == "repaired":
-        return encoding_unitary(target.amplitudes)
-    if mode == "literal":
-        if target.d != 2:
-            raise Unsupported("literal mode is defined only for d = 2")
-        c = target.canonical()
-        return encoding_unitary_literal(c[0].real, abs(c[1]), float(np.angle(c[1])))
-    raise InvalidState(f"unknown mode {mode!r}; expected one of {MODES}")
-
-
-def _deterministic_evolve(
-    channel: ChannelSpec, target: TargetState, mode: str
-) -> tuple[_StepLog, GateMatrix, float | None]:
-    """Run the gate sequence up to (not including) the measurements."""
+def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -> list:
     if channel.d != target.d:
         raise InvalidState(f"channel d={channel.d} does not match target d={target.d}")
     d = channel.d
-    enc = _deterministic_encoder(target, mode)
-    log = _StepLog(channel_register(channel).tensor(basis_register((d,), (0,), labels=("C",))))
-    log.apply(cadd(d), ("A", "C"))
-    raw_norm = None
-    if mode == "literal":
-        log.apply(enc, ("A",), strict=False)
-        raw_norm = log.reg.norm
-        if abs(raw_norm - 1.0) > STRUCT_TOL:
-            log.reg = log.reg.normalized()
-    else:
-        log.apply(enc, ("A",))
-    log.apply(csub(d), ("A", "B"))
-    log.apply(cadd(d), ("B", "A"))
-    return log, enc, raw_norm
-
-
-def _deterministic_correction(enc: GateMatrix, mode: str, m: int) -> tuple[str, GateMatrix]:
     if mode == "repaired":
-        return f"V[{m}] (encoder-derived, target-dependent)", correction_unitary(enc, m)
-    if m == 0:
-        return "identity", identity(2)
-    return "sigma_z", pauli_z(2)
+        enc = encoding_unitary(target.amplitudes)
+    elif mode == "literal":
+        if d != 2:
+            raise Unsupported("literal mode is defined only for d = 2")
+        c = target.canonical()
+        enc = encoding_unitary_literal(c[0].real, abs(c[1]), float(np.angle(c[1])))
+    else:
+        raise InvalidState(f"unknown mode {mode!r}; expected one of {MODES}")
 
-
-def run_deterministic_rsp(
-    channel: ChannelSpec,
-    target: TargetState,
-    mode: str = "repaired",
-    rng: np.random.Generator | None = None,
-    success_tol: float = SUCCESS_TOL,
-) -> Transcript:
-    """One sampled run of the coefficient-independent protocol."""
-    rng = rng if rng is not None else np.random.default_rng()
-    log, enc, raw_norm = _deterministic_evolve(channel, target, mode)
-    rec_a, reg = log.reg.measure(["A"], rng)
-    rec_c, reg = reg.measure(["C"], rng)
-    a, c = rec_a.outcome[0], rec_c.outcome[0]
-    if a != c:
-        raise SimulationError(f"measured A={a}, C={c}; branch structure is corrupted")
-    descriptor, corr = _deterministic_correction(enc, mode, a)
-    bob = _bob_conditional(reg, _basis_vec(channel.d, a), _basis_vec(channel.d, c))
-    bob_final = corr.matrix @ bob
-    fid = fidelity_pure(bob_final, target.vector())
-    return Transcript(
-        protocol="deterministic",
-        mode=mode,
-        channel=channel,
-        target=target,
-        steps=tuple(log.steps),
-        measurements=(rec_a, rec_c),
-        messages=(ClassicalMessage(("A", "C"), (a, c)),),
-        correction=descriptor,
-        correction_matrix=corr.matrix,
-        bob_state=bob_final,
-        fidelity=fid,
-        success=fid >= 1.0 - success_tol,
-        success_tol=success_tol,
-        raw_norm=raw_norm,
-    )
-
-
-def _deterministic_table(channel: ChannelSpec, target: TargetState, mode: str) -> OutcomeTable:
-    log, enc, _raw = _deterministic_evolve(channel, target, mode)
-    d = channel.d
-    rows = []
-    for outcome, p in log.reg.born_probabilities(["A", "C"]):
-        if p < PROB_FLOOR:
-            continue
+    def receive(outcome):
         a, c = outcome
         if a != c:
-            raise SimulationError(f"nonzero off-diagonal branch {outcome}; p={p}")
-        _desc, corr = _deterministic_correction(enc, mode, a)
-        bob = corr.matrix @ _bob_conditional(log.reg, _basis_vec(d, a), _basis_vec(d, c))
-        rows.append(OutcomeRow(outcome, p, bob, fidelity_pure(bob, target.vector())))
-    space = tuple((a, c) for a in range(d) for c in range(d))
-    return OutcomeTable("deterministic", mode, channel, target, tuple(rows), space)
+            raise SimulationError(f"branch A={a}, C={c} has weight; branch structure is corrupted")
+        if mode == "repaired":
+            fix = (f"V[{a}] (encoder-derived, target-dependent)", correction_unitary(enc, a).matrix)
+        else:
+            fix = ("identity", identity(2).matrix) if a == 0 else ("sigma_z", pauli_z(2).matrix)
+        e_a = np.zeros(d, dtype=complex)
+        e_a[a] = 1.0
+        return [_Receive(e_a, e_a, lambda _bob: fix)]
+
+    return [_Gate(cadd(d), ("A", "C")), _Gate(enc, ("A",), strict=mode == "repaired"),
+            _Gate(csub(d), ("A", "B")), _Gate(cadd(d), ("B", "A")), _Measure(("A", "C"), receive)]
 
 
-# ---------------------------------------------------------------------------
-# ancilla-assisted deterministic baseline (maximal channel)
+def _nguyen_stage(target: TargetState, labelled: bool) -> list:
+    """Measure A in the mu basis, phase C on mu outcome 0, measure C in nu, correct B."""
+    mu, nu, phase = nguyen_bases(*target.qubit_params())
+
+    def receive(i, j):
+        return [_Receive(mu[:, i], nu[:, j], lambda bob: (
+            f"transport[mu{i},nu{j}]", transport_unitary(bob, target.vector())))]
+
+    def after_mu(out_mu):
+        measure_nu = _Measure(("C",), lambda out_nu: receive(out_mu[0], out_nu[0]), nu, labelled)
+        return [_Gate(phase, ("C",)), measure_nu] if out_mu == (0,) else [measure_nu]
+
+    return [_Measure(("A",), after_mu, mu, labelled)]
 
 
-def _nguyen_setup(target: TargetState) -> tuple[np.ndarray, np.ndarray, GateMatrix]:
-    a, b, gamma = target.qubit_params()
-    return nguyen_bases(a, b, gamma)
-
-
-def _nguyen_correction(bob_raw: np.ndarray, target: TargetState, i: int, j: int) -> tuple[str, np.ndarray]:
-    v = transport_unitary(bob_raw, target.vector())
-    return f"transport[mu{i},nu{j}]", v
-
-
-def _run_nguyen_stage(
-    log: _StepLog, target: TargetState, rng: np.random.Generator
-) -> tuple[list[MeasurementRecord], tuple[int, int], np.ndarray]:
-    """Measure A in the mu basis, conditionally phase C, measure C in nu.
-
-    The register in ``log`` must already hold the three-party entangled
-    state.  Returns the records, the outcome pair, and the receiver's raw
-    conditional state.
-    """
-    mu, nu, phase = _nguyen_setup(target)
-    rec_mu, reg = log.reg.measure_in_basis("A", mu, rng)
-    log.reg = reg
-    i = rec_mu.outcome[0]
-    if i == 0:
-        log.apply(phase, ("C",))
-    rec_nu, reg = log.reg.measure_in_basis("C", nu, rng)
-    log.reg = reg
-    j = rec_nu.outcome[0]
-    bob = _bob_conditional(log.reg, mu[:, i], nu[:, j])
-    return [rec_mu, rec_nu], (i, j), bob
-
-
-def run_nguyen_rsp(
-    target: TargetState,
-    rng: np.random.Generator | None = None,
-    success_tol: float = SUCCESS_TOL,
-) -> Transcript:
-    """One sampled run of the baseline over the maximal qubit channel."""
-    rng = rng if rng is not None else np.random.default_rng()
-    if target.d != 2:
-        raise InvalidState("this baseline prepares qubit targets only")
-    channel = ChannelSpec.maximal(2)
-    log = _StepLog(channel_register(channel).tensor(basis_register((2,), (0,), labels=("C",))))
-    log.apply(cadd(2), ("A", "C"))
-    records, (i, j), bob = _run_nguyen_stage(log, target, rng)
-    descriptor, v = _nguyen_correction(bob, target, i, j)
-    bob_final = v @ bob
-    fid = fidelity_pure(bob_final, target.vector())
-    return Transcript(
-        protocol="nguyen",
-        mode=None,
-        channel=channel,
-        target=target,
-        steps=tuple(log.steps),
-        measurements=tuple(records),
-        messages=(ClassicalMessage(("A",), (i,)), ClassicalMessage(("C",), (j,))),
-        correction=descriptor,
-        correction_matrix=v,
-        bob_state=bob_final,
-        fidelity=fid,
-        success=fid >= 1.0 - success_tol,
-        success_tol=success_tol,
-    )
-
-
-def _enumerate_nguyen_stage(
-    reg: StateRegister, target: TargetState
-) -> list[tuple[tuple[int, int], float, np.ndarray, float]]:
-    """All four (mu, nu) branches of the staged measurement, exactly."""
-    mu, nu, phase = _nguyen_setup(target)
-    out = []
-    for i in range(2):
-        p_i, reg_i = _project_in_basis(reg, "A", mu, i)
-        if reg_i is None:
-            continue
-        if i == 0:
-            reg_i = reg_i.apply(phase, ["C"])
-        for j in range(2):
-            p_j, reg_j = _project_in_basis(reg_i, "C", nu, j)
-            if reg_j is None:
-                continue
-            bob = _bob_conditional(reg_j, mu[:, i], nu[:, j])
-            _desc, v = _nguyen_correction(bob, target, i, j)
-            corrected = v @ bob
-            out.append(((i, j), p_i * p_j, corrected, fidelity_pure(corrected, target.vector())))
-    return out
-
-
-def _nguyen_table(target: TargetState) -> OutcomeTable:
-    if target.d != 2:
-        raise InvalidState("this baseline prepares qubit targets only")
-    channel = ChannelSpec.maximal(2)
-    reg = channel_register(channel).tensor(basis_register((2,), (0,), labels=("C",)))
-    reg = reg.apply(cadd(2), ["A", "C"])
-    rows = [
-        OutcomeRow(outcome, p, bob, fid)
-        for outcome, p, bob, fid in _enumerate_nguyen_stage(reg, target)
-        if p >= PROB_FLOOR
-    ]
-    space = tuple((i, j) for i in range(2) for j in range(2))
-    return OutcomeTable("nguyen", None, channel, target, tuple(rows), space)
-
-
-# ---------------------------------------------------------------------------
-# probabilistic baseline (partial channel, concentration then completion)
-
-
-def _check_probabilistic(channel: ChannelSpec, target: TargetState) -> tuple[float, float]:
+def _probabilistic_steps(channel: ChannelSpec, target: TargetState) -> list:
+    """Concentrate, then measure C: 1 abandons the run, 0 completes it in unlabelled steps."""
     if channel.d != 2 or target.d != 2:
         raise InvalidState("the probabilistic baseline is defined for d = 2")
     alpha, beta = abs(channel.lambdas[0]), abs(channel.lambdas[1])
     if alpha > beta + STRUCT_TOL:
         raise InvalidState("the probabilistic baseline needs |alpha| <= |beta|")
-    return alpha, beta
-
-
-def _probabilistic_concentrate(channel: ChannelSpec, alpha: float, beta: float) -> _StepLog:
-    """Gate sequence up to the ancilla measurement.
-
-    alpha = 0 is a degenerate always-fail channel: the controlled-U is
-    never constructed (its ratio is ill-posed there) and the remaining
-    gates reduce to the first CNOT.
-    """
-    log = _StepLog(channel_register(channel).tensor(basis_register((2,), (0,), labels=("C",))))
-    log.apply(cadd(2), ("A", "C"))
-    if alpha > 0.0:
+    steps = [_Gate(cadd(2), ("A", "C"))]
+    if alpha > 0.0:  # alpha = 0 always fails, and its controlled-U ratio is ill-posed
         scale = float(np.hypot(alpha, beta))  # absorb channel-norm roundoff
-        log.apply(cu_concentration(alpha / scale, beta / scale), ("A", "C"))
-        log.apply(cadd(2), ("A", "C"))
-    return log
+        cu = cu_concentration(alpha / scale, beta / scale)
+        steps += [_Gate(cu, ("A", "C")), _Gate(cadd(2), ("A", "C"))]
+
+    def after_ancilla(outcome):
+        if outcome == (1,):
+            one = np.array([0.0, 1.0], dtype=complex)
+            return [_Receive(one, one, None)]
+        return [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(target, labelled=False)]
+
+    return steps + [_Measure(("C",), after_ancilla)]
 
 
-def run_probabilistic_rsp(
-    channel: ChannelSpec,
-    target: TargetState,
-    rng: np.random.Generator | None = None,
-    success_tol: float = SUCCESS_TOL,
-) -> Transcript:
-    """One sampled run of the concentration baseline.
-
-    Ancilla outcome 0 (probability 2 alpha^2) concentrates the channel to
-    a maximal one and the run finishes with the ancilla-assisted
-    subroutine; outcome 1 marks the run failed, recording the fidelity of
-    the receiver's abandoned state.
-    """
-    rng = rng if rng is not None else np.random.default_rng()
-    alpha, beta = _check_probabilistic(channel, target)
-    log = _probabilistic_concentrate(channel, alpha, beta)
-    rec_c, reg = log.reg.measure(["C"], rng)
-    log.reg = reg
-    c = rec_c.outcome[0]
-    measurements = [rec_c]
-    messages = [ClassicalMessage(("C",), (c,))]
-    if c == 1:
-        bob = _bob_conditional(log.reg, _basis_vec(2, 1), _basis_vec(2, 1))
-        fid = fidelity_pure(bob, target.vector())
-        return Transcript(
-            protocol="probabilistic",
-            mode=None,
-            channel=channel,
-            target=target,
-            steps=tuple(log.steps),
-            measurements=tuple(measurements),
-            messages=tuple(messages),
-            correction="none (failure branch)",
-            correction_matrix=None,
-            bob_state=bob,
-            fidelity=fid,
-            success=False,
-            success_tol=success_tol,
-        )
-    log.apply(cadd(2), ("A", "C"))
-    records, (i, j), bob = _run_nguyen_stage(log, target, rng)
-    measurements += records
-    messages += [ClassicalMessage(("A",), (i,)), ClassicalMessage(("C",), (j,))]
-    descriptor, v = _nguyen_correction(bob, target, i, j)
-    bob_final = v @ bob
-    fid = fidelity_pure(bob_final, target.vector())
-    return Transcript(
-        protocol="probabilistic",
-        mode=None,
-        channel=channel,
-        target=target,
-        steps=tuple(log.steps),
-        measurements=tuple(measurements),
-        messages=tuple(messages),
-        correction=descriptor,
-        correction_matrix=v,
-        bob_state=bob_final,
-        fidelity=fid,
-        success=fid >= 1.0 - success_tol,
-        success_tol=success_tol,
-    )
+def _plan(protocol: str, channel: ChannelSpec | None, target: TargetState, mode: str) -> tuple:
+    """Mode, channel and step list of a configuration."""
+    if protocol == "nguyen":
+        if target.d != 2:
+            raise InvalidState("this baseline prepares qubit targets only")
+        channel, mode = ChannelSpec.maximal(2), None
+        steps = [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(target, labelled=True)]
+    elif protocol not in PROTOCOLS:
+        raise InvalidState(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+    elif channel is None:
+        raise InvalidState(f"the {protocol} protocol needs a channel")
+    elif protocol == "deterministic":
+        steps = _deterministic_steps(channel, target, mode)
+    else:
+        mode, steps = None, _probabilistic_steps(channel, target)
+    return mode, channel, steps
 
 
-def _probabilistic_table(channel: ChannelSpec, target: TargetState) -> OutcomeTable:
-    alpha, beta = _check_probabilistic(channel, target)
-    log = _probabilistic_concentrate(channel, alpha, beta)
-    rows = []
-    p_fail, collapsed_fail = log.reg.project(["C"], (1,))
-    if collapsed_fail is not None:
-        bob = _bob_conditional(collapsed_fail, _basis_vec(2, 1), _basis_vec(2, 1))
-        rows.append(OutcomeRow((1,), p_fail, bob, fidelity_pure(bob, target.vector())))
-    p_ok, collapsed_ok = log.reg.project(["C"], (0,))
-    if collapsed_ok is not None:
-        reg = collapsed_ok.apply(cadd(2), ["A", "C"])
-        branches = _enumerate_nguyen_stage(reg, target)
-        sub_total = sum(p for _, p, _, _ in branches)
-        if abs(sub_total - 1.0) > 1e-12:
-            raise SimulationError(f"completion branches sum to {sub_total}, not 1")
-        fid = min(f for _, _, _, f in branches)
-        bob = branches[0][2]
-        rows.append(OutcomeRow((0,), p_ok, bob, fid))
-    rows.sort(key=lambda r: r.outcome)
-    return OutcomeTable("probabilistic", None, channel, target, tuple(rows), ((0,), (1,)))
+def _start(channel: ChannelSpec) -> StateRegister:  # the channel on A and B, ancilla C in |0>
+    return channel_register(channel).tensor(basis_register((channel.d,), (0,), labels=("C",)))
 
 
 # ---------------------------------------------------------------------------
+# interpreter
 
 
-def exact_outcome_table(
-    protocol: str,
-    channel: ChannelSpec | None,
-    target: TargetState,
-    mode: str = "repaired",
-) -> OutcomeTable:
-    """Enumerate every measurement branch of a configuration exactly."""
-    if protocol == "deterministic":
-        if channel is None:
-            raise InvalidState("the deterministic protocol needs a channel")
-        return _deterministic_table(channel, target, mode)
-    if protocol == "probabilistic":
-        if channel is None:
-            raise InvalidState("the probabilistic baseline needs a channel")
-        return _probabilistic_table(channel, target)
-    if protocol == "nguyen":
-        return _nguyen_table(target)
-    raise InvalidState(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+class _Path(NamedTuple):
+    """One path from the root: what it accumulated, then what the receiver got."""
+
+    label: tuple[int, ...] = ()
+    p: float = 1.0  # product of every measurement probability on the path
+    steps: tuple[GateStep, ...] = ()
+    records: tuple[MeasurementRecord, ...] = ()
+    raw_norm: float | None = None
+    correction: str = ""
+    correction_matrix: np.ndarray | None = None
+    bob: np.ndarray | None = None
+    fidelity: float = 0.0
+    corrected: bool = False
 
 
-def run_protocol(
-    protocol: str,
-    channel: ChannelSpec | None,
-    target: TargetState,
-    mode: str = "repaired",
-    rng: np.random.Generator | None = None,
-    success_tol: float = SUCCESS_TOL,
-) -> Transcript:
-    """Dispatch one sampled run of any protocol."""
-    if protocol == "deterministic":
-        if channel is None:
-            raise InvalidState("the deterministic protocol needs a channel")
-        return run_deterministic_rsp(channel, target, mode, rng, success_tol)
-    if protocol == "probabilistic":
-        if channel is None:
-            raise InvalidState("the probabilistic baseline needs a channel")
-        return run_probabilistic_rsp(channel, target, rng, success_tol)
-    if protocol == "nguyen":
-        return run_nguyen_rsp(target, rng, success_tol)
-    raise InvalidState(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+def _walk(target: np.ndarray, reg: StateRegister, steps: list, path: _Path,
+          rng: np.random.Generator | None) -> Iterator[_Path]:
+    """Paths through ``steps``: every branch with p >= PROB_FLOOR, or one drawn with ``rng``.
+
+    A leaf right after a measurement contracts the pre-measurement register,
+    never a collapsed copy.  Unlabelled branches must sum to 1.
+    """
+    *gates, last = steps
+    for g in gates:
+        reg = reg.apply(g.gate, g.targets, strict=g.strict)
+        step = GateStep(g.gate.name, g.targets, g.gate.defect, g.gate.defect > UNITARY_TOL)
+        path = path._replace(steps=path.steps + (step,))
+        if not g.strict:
+            path = path._replace(raw_norm=reg.norm)
+            if abs(path.raw_norm - 1.0) > STRUCT_TOL:
+                reg = reg.normalized()
+    if isinstance(last, _Receive):
+        bob = reg.contract({"A": last.a_state, "C": last.c_state})
+        n = np.linalg.norm(bob)
+        if n < PROB_FLOOR:
+            raise SimulationError("conditional state has no amplitude mass")
+        bob = bob / n
+        desc, matrix = last.correct(bob) if last.correct else ("none (failure branch)", None)
+        final = bob if matrix is None else matrix @ bob
+        fid = fidelity_pure(final, target)
+        yield path._replace(correction=desc, correction_matrix=matrix, bob=final, fidelity=fid,
+                            corrected=matrix is not None)
+        return
+    measured, back = reg, None
+    if last.basis is not None:
+        rot, back = _basis_gates(last.basis, reg.dims[reg.axis(last.targets[0])])
+        measured = reg.apply(rot, last.targets)
+    dist = measured.born_probabilities(last.targets)
+    if rng is None:
+        picks = [k for k, (_, p) in enumerate(dist) if p >= PROB_FLOOR]
+        total = 1.0 if last.labelled else sum(dist[k][1] for k in picks)
+        if abs(total - 1.0) > 1e-12:
+            raise SimulationError(f"unlabelled branches of {last.targets} sum to {total}, not 1")
+    else:
+        picks = [_draw([p for _, p in dist], rng)]
+    for k in picks:
+        outcome, p = dist[k]
+        nxt = last.then(outcome)
+        branch = reg
+        if not isinstance(nxt[0], _Receive):
+            branch = measured.project(last.targets, outcome)[1]
+            if back is not None:
+                branch = branch.apply(back, last.targets)
+        yield from _walk(target, branch, nxt, path._replace(
+            label=path.label + outcome if last.labelled else path.label,
+            p=path.p * p,
+            records=path.records + (MeasurementRecord(last.targets, outcome, p),),
+        ), rng)
+
+
+def exact_outcome_table(protocol: str, channel: ChannelSpec | None, target: TargetState,
+                        mode: str = "repaired") -> OutcomeTable:
+    """Every branch, exactly; paths sharing a label fold into one row (summed p, min fidelity)."""
+    mode, channel, steps = _plan(protocol, channel, target, mode)
+    groups: dict[tuple[int, ...], list[_Path]] = {}
+    for path in _walk(target.vector(), _start(channel), steps, _Path(), None):
+        groups.setdefault(path.label, []).append(path)
+    rows = tuple(
+        OutcomeRow(label, sum(q.p for q in paths), paths[0].bob,
+                   min(q.fidelity for q in paths), all(q.corrected for q in paths))
+        for label, paths in groups.items()
+    )
+    pairs = tuple(itertools.product(range(channel.d), repeat=2))
+    space = ((0,), (1,)) if protocol == "probabilistic" else pairs
+    return OutcomeTable(protocol, mode, channel, target, rows, space)
+
+
+def run_protocol(protocol: str, channel: ChannelSpec | None, target: TargetState,
+                 mode: str = "repaired", rng: np.random.Generator | None = None,
+                 success_tol: float = SUCCESS_TOL) -> Transcript:
+    """One sampled run of any protocol, with one draw per measurement."""
+    mode, channel, steps = _plan(protocol, channel, target, mode)
+    rng = rng if rng is not None else np.random.default_rng()
+    (path,) = _walk(target.vector(), _start(channel), steps, _Path(), rng)
+    return Transcript(
+        protocol=protocol, mode=mode, channel=channel, target=target,
+        steps=path.steps, measurements=path.records,
+        messages=tuple(ClassicalMessage(r.subsystems, r.outcome) for r in path.records),
+        outcome=path.label, correction=path.correction,
+        correction_matrix=path.correction_matrix, bob_state=path.bob, fidelity=path.fidelity,
+        success=path.corrected and path.fidelity >= 1.0 - success_tol,
+        success_tol=success_tol, raw_norm=path.raw_norm,
+    )
+
+
+def run_deterministic_rsp(channel: ChannelSpec, target: TargetState, mode: str = "repaired",
+                          rng: np.random.Generator | None = None,
+                          success_tol: float = SUCCESS_TOL) -> Transcript:
+    """One sampled run of the coefficient-independent protocol."""
+    return run_protocol("deterministic", channel, target, mode, rng, success_tol)
+
+
+def run_nguyen_rsp(target: TargetState, rng: np.random.Generator | None = None,
+                   success_tol: float = SUCCESS_TOL) -> Transcript:
+    """One sampled run of the baseline over the maximal qubit channel."""
+    return run_protocol("nguyen", None, target, rng=rng, success_tol=success_tol)
+
+
+def run_probabilistic_rsp(channel: ChannelSpec, target: TargetState,
+                          rng: np.random.Generator | None = None,
+                          success_tol: float = SUCCESS_TOL) -> Transcript:
+    """One sampled run of the concentration baseline; ancilla outcome 1 fails the run."""
+    return run_protocol("probabilistic", channel, target, rng=rng, success_tol=success_tol)

@@ -41,6 +41,29 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def _draw(probs: Sequence[float], rng: np.random.Generator) -> int:
+    """Index of one outcome drawn from Born probabilities.
+
+    Probabilities below the floor are truncated to zero first, so
+    roundoff can never realize an impossible branch.
+    """
+    p = np.array(probs)
+    p[p < PROB_FLOOR] = 0.0
+    total = p.sum()
+    if total < 1e-12:
+        raise DegenerateState("register has no measurable probability mass")
+    return int(rng.choice(len(p), p=p / total))
+
+
+def _basis_gates(basis: np.ndarray, d: int) -> tuple[GateMatrix, GateMatrix]:
+    """basis^dag, which rotates column k onto |k>, and basis, which rotates back."""
+    b = np.asarray(basis, dtype=complex)
+    rot = make_gate(dagger(b), (d,), "basis^dag")
+    if rot.defect > UNITARY_TOL:
+        raise NonUnitaryGate(f"measurement basis defect {rot.defect:.3e}")
+    return rot, make_gate(b, (d,), "basis")
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One projective measurement: which subsystems, which outcome, its Born probability."""
@@ -236,13 +259,7 @@ class StateRegister:
         sampling so roundoff can never realize an impossible branch.
         """
         dist = self.born_probabilities(targets)
-        probs = np.array([p for _, p in dist])
-        probs[probs < PROB_FLOOR] = 0.0
-        total = probs.sum()
-        if total < 1e-12:
-            raise DegenerateState("register has no measurable probability mass")
-        k = int(rng.choice(len(probs), p=probs / total))
-        outcome, exact_p = dist[k]
+        outcome, exact_p = dist[_draw([p for _, p in dist], rng)]
         _, collapsed = self.project(targets, outcome)
         record = MeasurementRecord(tuple(targets), outcome, exact_p)
         return record, collapsed
@@ -256,15 +273,9 @@ class StateRegister:
         with basis^dag, measuring computationally, and rotating the
         collapsed branch back so the register keeps the physical state.
         """
-        d = self.dims[self.axis(target)]
-        b = np.asarray(basis, dtype=complex)
-        rot = make_gate(dagger(b), (d,), "basis^dag")
-        if rot.defect > UNITARY_TOL:
-            raise NonUnitaryGate(f"measurement basis defect {rot.defect:.3e}")
-        rotated = self.apply(rot, [target])
-        record, collapsed = rotated.measure([target], rng)
-        back = collapsed.apply(make_gate(b, (d,), "basis"), [target])
-        return record, back
+        rot, back = _basis_gates(basis, self.dims[self.axis(target)])
+        record, collapsed = self.apply(rot, [target]).measure([target], rng)
+        return record, collapsed.apply(back, [target])
 
     # -- reductions --------------------------------------------------------
 

@@ -105,10 +105,13 @@ def sweep_rows(
             table = exact_outcome_table(protocol, channel, target, mode)
             probs = np.array([r.probability for r in table.rows])
             fids = np.array([r.fidelity for r in table.rows])
+            ok_rows = np.array(
+                [r.corrected and r.fidelity >= 1.0 - success_tol for r in table.rows]
+            )
             cum = np.cumsum(probs)
             u = trial_uniforms(seed, k, trials) * cum[-1]
             picks = np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
-            ok = fids[picks] >= 1.0 - success_tol
+            ok = ok_rows[picks]
             successes = int(ok.sum())
             rows.append(
                 SweepRow(

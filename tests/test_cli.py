@@ -274,3 +274,21 @@ def test_non_finite_theta_is_config_error(capsys, flag, value):
     assert code == 1
     assert flag.lstrip("-") in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "grid, field",
+    [
+        (("--theta-min=1", "--theta-max=0"), "theta-max"),
+        (("--theta-min=0.5", "--theta-max=0.25", "--points=3"), "theta-max"),
+        (("--points=0",), "points"),
+        (("--points=-4",), "points"),
+    ],
+)
+def test_bad_sweep_grid_is_config_error(capsys, grid, field):
+    code, out, err = run_cli(capsys, "sweep", "--protocol", "probabilistic",
+                             "--target", "0.6,0:0,0.8", "--trials", "10", *grid)
+    assert code == 1
+    assert field in err
+    assert "invariant failure" not in err
+    assert out == ""

@@ -173,3 +173,15 @@ def test_transport_unitary_random_d4():
         assert unitarity_defect(v) <= 1e-10
         np.testing.assert_allclose(v @ frm, to, atol=1e-12)
         assert abs(fidelity_pure(v @ frm, to) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 2.2e-309, -1e-310j])
+def test_complete_to_unitary_subnormal_first_entry(tiny):
+    v = np.array([tiny, 0.0, 1.0], dtype=complex)
+    u = complete_to_unitary(v)
+    assert np.all(np.isfinite(u))
+    np.testing.assert_array_equal(u[:, 0], v)
+    assert unitarity_defect(u) <= 1e-12
+    t = np.array([1.0, 2.2e-309], dtype=complex)
+    np.testing.assert_allclose(transport_unitary(t, np.array([0.6, 0.8j])) @ t, [0.6, 0.8j],
+                               atol=1e-12)

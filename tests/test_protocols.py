@@ -337,3 +337,36 @@ def test_deterministic_table_d48_stays_small():
     for row in table.rows:
         assert abs(row.probability - abs(channel.lambdas[row.outcome[0]]) ** 2) <= 1e-12
         assert row.fidelity >= 1.0 - 1e-10
+
+
+# -- failure branches ---------------------------------------------------------
+
+
+def test_failure_branch_is_not_a_success_even_at_fidelity_one():
+    # The abandoned state |1> equals this target, yet the branch still failed.
+    theta = np.pi / 8
+    channel, target = ChannelSpec.from_theta(theta), TargetState.of((0.0, 1.0))
+    table = exact_outcome_table("probabilistic", channel, target)
+    rows = {r.outcome: r for r in table.rows}
+    assert rows[(1,)].fidelity >= 1 - 1e-12
+    assert not rows[(1,)].corrected and rows[(0,)].corrected
+    assert abs(success_probability(table) - 2 * np.sin(theta) ** 2) <= 1e-12
+    for seed in range(20):
+        tr = run_probabilistic_rsp(channel, target, derive_rng(seed))
+        assert tr.success == (tr.outcome == (0,))
+
+
+def test_transcript_outcome_is_its_table_label():
+    channel = ChannelSpec.of((0.6, 0.8))
+    target = TargetState.of((0.6, 0.8j))
+    for protocol, width in (("deterministic", 2), ("probabilistic", 1), ("nguyen", 2)):
+        tr = run_protocol(protocol, channel, target, rng=derive_rng(5))
+        assert len(tr.outcome) == width
+        assert tr.outcome in exact_outcome_table(protocol, channel, target).outcome_space
+
+
+def test_deterministic_run_measures_a_and_c_jointly():
+    tr = run_deterministic_rsp(ChannelSpec.of((0.6, 0.8)), TargetState.of((0.6, 0.8j)),
+                               rng=derive_rng(4))
+    assert [rec.subsystems for rec in tr.measurements] == [("A", "C")]
+    assert tr.messages[0].outcome == tr.outcome == tr.measurements[0].outcome

@@ -93,3 +93,13 @@ def test_sweep_guards():
         theta_grid(0.0, 1.0, 0)
     with pytest.raises(InvalidState):
         sweep_rows(["probabilistic"], TargetState.of((1.0, 0, 0)), GRID, trials=5, seed=0)
+
+
+def test_probabilistic_sweep_does_not_count_the_failure_branch():
+    # The abandoned state |1> matches this target: fidelity 1 on a failed branch.
+    target = TargetState.of((0.0, 1.0))
+    rows = sweep_rows(["probabilistic"], target, GRID, trials=2000, seed=5)
+    for row in rows:
+        p = 2 * np.sin(row.theta) ** 2
+        assert abs(row.exact_prob - p) <= 1e-12
+        assert abs(row.est_prob - p) <= 4 * np.sqrt(p * (1 - p) / row.trials) + 1e-12
