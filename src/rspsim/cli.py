@@ -261,7 +261,7 @@ def render_transcript(tr: Transcript) -> str:
 
 
 def _summary_line(tr: Transcript, seed: int) -> str:
-    outcome = ",".join(str(i) for m in tr.messages for i in m.outcome)
+    outcome = ",".join(str(i) for i in tr.outcome)
     return (
         f"RESULT protocol={tr.protocol} mode={tr.mode or '-'} d={tr.target.d} "
         f"outcome=({outcome}) fidelity={tr.fidelity:.12g} "
@@ -315,7 +315,7 @@ def cmd_tomo(cfg: RunConfig) -> int:
     fid = fidelity_mixed(rho, target.vector())
     dist = trace_distance(rho, exact_rho)
     rx, ry, rz = exact_bloch(bob)
-    print(f"deterministic run outcome: {tuple(i for m in tr.messages for i in m.outcome)}")
+    print(f"deterministic run outcome: {tr.outcome}")
     print(f"exact bloch vector:     ({rx:+.6f}, {ry:+.6f}, {rz:+.6f})")
     print(f"estimated bloch vector: ({est.rx:+.6f}, {est.ry:+.6f}, {est.rz:+.6f})")
     print(f"shots: {cfg.shots} (per axis {est.shots_per_axis})")

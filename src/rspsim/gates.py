@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,25 +226,36 @@ def negation_shift(d: int, m: int) -> GateMatrix:
     return index_gate((m - np.arange(d)) % d, (d,), f"N[{m}]")
 
 
-def correction_unitary(u: GateMatrix, m: int) -> GateMatrix:
-    """Receiver correction V_m = U Pi_0m U^dag N_m for branch outcome m.
+def correction_chain(u: GateMatrix) -> Callable[[int, np.ndarray], np.ndarray]:
+    """Receiver corrections V_m = U Pi_0m U^dag N_m of encoder U, kept as factors.
 
-    Pi_0m transposes basis states 0 and m.  V_m maps the raw branch state
-    b_m = sum_n U[n, m] |m - n mod d> to U|0>, the encoded target, exactly.
-    Both permutations act as column gathers, V_m = (U[:, pi_m] U^dag)[:, m - n
-    mod d], which leaves one d^3 product.
+    Returns ``fix`` with ``fix(m, b)`` = V_m b, the factors applied right to
+    left along axis 0 of ``b``: the negation gather N_m (|l> -> |m - l mod
+    d>), U^dag, the swap Pi_0m of entries 0 and m, then U.  That is O(d^2)
+    per column.  V_m maps the raw branch state b_m = sum_n U[n, m]
+    |m - n mod d> to U|0>, the encoded target, exactly.  The encoder is
+    checked and U^dag formed once, here.
     """
     if u.arity != 1:
         raise InvalidState("correction_unitary expects a single-subsystem encoder")
     if u.defect > UNITARY_TOL:
         raise NonUnitaryGate(f"encoder defect {u.defect:.3e} exceeds {UNITARY_TOL:.0e}")
-    d = u.dim
-    if not 0 <= m < d:
-        raise InvalidState(f"correction_unitary needs 0 <= m < d, got m={m}")
-    swap = np.arange(d)
-    swap[[0, m]] = swap[[m, 0]]
-    v = (u.matrix[:, swap] @ dagger(u.matrix))[:, (m - np.arange(d)) % d]
-    return make_gate(v, (d,), f"V[{m}]")
+    d, enc = u.dim, u.matrix
+    enc_dag = dagger(enc)
+
+    def fix(m: int, b: np.ndarray) -> np.ndarray:
+        if not 0 <= m < d:
+            raise InvalidState(f"correction V_m needs 0 <= m < d, got m={m}")
+        y = enc_dag @ b[(m - np.arange(d)) % d]
+        y[[0, m]] = y[[m, 0]]
+        return enc @ y
+
+    return fix
+
+
+def correction_unitary(u: GateMatrix, m: int) -> GateMatrix:
+    """Dense receiver correction V_m for branch outcome m: the chain applied to I."""
+    return make_gate(correction_chain(u)(m, np.eye(u.dim, dtype=complex)), (u.dim,), f"V[{m}]")
 
 
 def nguyen_bases(a: float, b: float, gamma: float) -> tuple[np.ndarray, np.ndarray, GateMatrix]:

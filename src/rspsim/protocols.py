@@ -46,6 +46,7 @@ from .gates import (
     UNITARY_TOL,
     GateMatrix,
     cadd,
+    correction_chain,
     correction_unitary,
     csub,
     cu_concentration,
@@ -236,8 +237,10 @@ def success_probability(table: OutcomeTable, tol: float = SUCCESS_TOL) -> float:
 # protocols as step lists: gates, then one measurement or one receive leaf.
 # A measurement's ``then(outcome)`` returns the steps that follow; unless
 # ``labelled``, its outcome stays out of the table's row label.  A leaf
-# corrects B's state (given A and C on the given states) with
-# ``correct(bob) -> (description, matrix)``; None declares the branch failed.
+# corrects B's state (given A and C on the given states; an int k is |k>)
+# with ``correct(bob) -> (description, corrected state, dense matrix)``, the
+# matrix as a zero-argument callable that only a transcript calls.  None
+# declares the branch failed.
 
 
 class _Gate(NamedTuple):
@@ -254,9 +257,14 @@ class _Measure(NamedTuple):
 
 
 class _Receive(NamedTuple):
-    a_state: np.ndarray
-    c_state: np.ndarray
-    correct: Callable[[np.ndarray], tuple[str, np.ndarray]] | None
+    a_state: np.ndarray | int
+    c_state: np.ndarray | int
+    correct: Callable[[np.ndarray], tuple[str, np.ndarray, Callable[[], np.ndarray]]] | None
+
+
+def _by_matrix(desc: str, matrix: np.ndarray, bob: np.ndarray) -> tuple:
+    """A correction given by its dense matrix."""
+    return desc, matrix @ bob, lambda: matrix
 
 
 def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -> list:
@@ -273,17 +281,18 @@ def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -
     else:
         raise InvalidState(f"unknown mode {mode!r}; expected one of {MODES}")
 
+    chain = correction_chain(enc) if mode == "repaired" else None
+
     def receive(outcome):
         a, c = outcome
         if a != c:
             raise SimulationError(f"branch A={a}, C={c} has weight; branch structure is corrupted")
-        if mode == "repaired":
-            fix = (f"V[{a}] (encoder-derived, target-dependent)", correction_unitary(enc, a).matrix)
-        else:
-            fix = ("identity", identity(2).matrix) if a == 0 else ("sigma_z", pauli_z(2).matrix)
-        e_a = np.zeros(d, dtype=complex)
-        e_a[a] = 1.0
-        return [_Receive(e_a, e_a, lambda _bob: fix)]
+        if chain is not None:
+            return [_Receive(a, a, lambda bob: (
+                f"V[{a}] (encoder-derived, target-dependent)", chain(a, bob),
+                lambda: correction_unitary(enc, a).matrix))]
+        desc, fix = ("identity", identity(2)) if a == 0 else ("sigma_z", pauli_z(2))
+        return [_Receive(a, a, lambda bob: _by_matrix(desc, fix.matrix, bob))]
 
     return [_Gate(cadd(d), ("A", "C")), _Gate(enc, ("A",), strict=mode == "repaired"),
             _Gate(csub(d), ("A", "B")), _Gate(cadd(d), ("B", "A")), _Measure(("A", "C"), receive)]
@@ -294,8 +303,8 @@ def _nguyen_stage(target: TargetState, labelled: bool) -> list:
     mu, nu, phase = nguyen_bases(*target.qubit_params())
 
     def receive(i, j):
-        return [_Receive(mu[:, i], nu[:, j], lambda bob: (
-            f"transport[mu{i},nu{j}]", transport_unitary(bob, target.vector())))]
+        return [_Receive(mu[:, i], nu[:, j], lambda bob: _by_matrix(
+            f"transport[mu{i},nu{j}]", transport_unitary(bob, target.vector()), bob))]
 
     def after_mu(out_mu):
         measure_nu = _Measure(("C",), lambda out_nu: receive(out_mu[0], out_nu[0]), nu, labelled)
@@ -319,8 +328,7 @@ def _probabilistic_steps(channel: ChannelSpec, target: TargetState) -> list:
 
     def after_ancilla(outcome):
         if outcome == (1,):
-            one = np.array([0.0, 1.0], dtype=complex)
-            return [_Receive(one, one, None)]
+            return [_Receive(1, 1, None)]
         return [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(target, labelled=False)]
 
     return steps + [_Measure(("C",), after_ancilla)]
@@ -389,11 +397,13 @@ def _walk(target: np.ndarray, reg: StateRegister, steps: list, path: _Path,
         if n < PROB_FLOOR:
             raise SimulationError("conditional state has no amplitude mass")
         bob = bob / n
-        desc, matrix = last.correct(bob) if last.correct else ("none (failure branch)", None)
-        final = bob if matrix is None else matrix @ bob
-        fid = fidelity_pure(final, target)
-        yield path._replace(correction=desc, correction_matrix=matrix, bob=final, fidelity=fid,
-                            corrected=matrix is not None)
+        desc, final, matrix = "none (failure branch)", bob, None
+        if last.correct is not None:
+            desc, final, dense = last.correct(bob)
+            matrix = dense() if rng is not None else None  # only a transcript shows it
+        yield path._replace(correction=desc, correction_matrix=matrix, bob=final,
+                            fidelity=fidelity_pure(final, target),
+                            corrected=last.correct is not None)
         return
     measured, back = reg, None
     if last.basis is not None:

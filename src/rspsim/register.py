@@ -295,20 +295,28 @@ class StateRegister:
         rho /= np.trace(rho).real  # absorb residual register-norm roundoff
         return DensityMatrix.build(rho)
 
-    def contract(self, states: dict[str, np.ndarray]) -> np.ndarray:
+    def contract(self, states: dict[str, np.ndarray | int]) -> np.ndarray:
         """Overlap <phi_s| on the given subsystems; amplitudes of the rest.
 
-        Not normalized; useful for extracting an exact conditional state,
-        phase included, after basis measurements.
+        An ``int`` k stands for the basis state |k> and is taken as a slice,
+        not a contraction.  Not normalized; useful for extracting an exact
+        conditional state, phase included, after basis measurements.
         """
         psi = self.amplitudes.reshape(self.dims)
         for label in sorted(states, key=self.axis, reverse=True):
-            vec = as_cvec(states[label])
-            axis = self.axis(label)
+            state, axis = states[label], self.axis(label)
+            if isinstance(state, (int, np.integer)):
+                if not 0 <= state < self.dims[axis]:
+                    raise IndexOutOfRange(
+                        f"basis index {state} out of range for dim {self.dims[axis]}"
+                    )
+                psi = psi[(slice(None),) * axis + (int(state),)]
+                continue
+            vec = as_cvec(state)
             if vec.size != self.dims[axis]:
                 raise ShapeError(f"contract vector for {label} has wrong dimension")
             psi = np.tensordot(vec.conj(), psi, axes=([0], [axis]))
-        return psi.reshape(-1)
+        return psi.reshape(-1).copy()
 
 
 def basis_register(

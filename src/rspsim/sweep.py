@@ -1,12 +1,13 @@
 """Deterministic Monte Carlo sweeps over the channel angle grid.
 
 Each grid point parametrizes a qubit channel by alpha = sin(theta),
-beta = cos(theta).  The branch outcomes and per-branch fidelities of a
-point are enumerated exactly once; each trial then draws its branch from
-that exact distribution with a uniform derived by hashing (seed, point,
-trial).  All of a protocol's randomness lives in its measurements, so
-this is distribution-identical to re-running the full evolution per
-trial while staying schedule-independent and byte-reproducible.  The
+beta = cos(theta).  The branch outcomes and per-branch fidelities of each
+distinct (protocol, channel) are enumerated exactly once per sweep; each
+trial then draws its branch from that exact distribution with a uniform
+derived by hashing (seed, point, trial), in blocks of a fixed size.  All
+of a protocol's randomness lives in its measurements, so this is
+distribution-identical to re-running the full evolution per trial while
+staying schedule-independent and byte-reproducible.  The
 full per-run sampling path is validated separately by the oracle's
 sampled comparison.
 """
@@ -22,10 +23,15 @@ from .errors import InvalidState
 from .protocols import (
     SUCCESS_TOL,
     ChannelSpec,
+    OutcomeTable,
     TargetState,
     exact_outcome_table,
     success_probability,
 )
+
+# Trials are drawn in blocks of this many, so a sweep's memory does not grow
+# with --trials; the uniforms are hashed per trial, so blocking changes no draw.
+_TRIAL_BLOCK = 1 << 16
 
 CSV_COLUMNS = (
     "theta", "alpha", "beta", "protocol", "mode", "d", "trials",
@@ -60,13 +66,17 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def trial_uniforms(seed: int, point_index: int, trials: int) -> np.ndarray:
-    """One uniform in [0, 1) per trial, hashed from (seed, point, trial)."""
+def trial_uniforms(seed: int, point_index: int, trials: int, first: int = 0) -> np.ndarray:
+    """One uniform in [0, 1) per trial, hashed from (seed, point, trial).
+
+    Covers trials ``first`` .. ``first + trials - 1`` of the point, so a run
+    cut into blocks draws the same uniforms as one call over all of them.
+    """
     golden = np.uint64(0x9E3779B97F4A7C15)
     seed_arr = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     point_arr = np.array([(int(point_index) + 1) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     base = _mix64(_mix64(seed_arr) + golden * point_arr)
-    idx = np.arange(1, trials + 1, dtype=np.uint64)
+    idx = np.arange(first + 1, first + trials + 1, dtype=np.uint64)
     words = _mix64(base + golden * idx)
     return (words >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
@@ -93,26 +103,35 @@ def sweep_rows(
         raise InvalidState("sweeps parametrize qubit channels; the target must have d = 2")
     if trials < 1:
         raise InvalidState("sweeps need trials >= 1")
+    tables: dict[tuple[str, ChannelSpec], OutcomeTable] = {}  # each distinct table built once
     rows = []
-    for protocol in protocols:
-        for k, theta in enumerate(grid):
+    for k, theta in enumerate(grid):
+        samplers = []
+        for protocol in protocols:
             if protocol == "nguyen":
                 channel = ChannelSpec.maximal(2)
                 alpha = beta = float(1.0 / np.sqrt(2.0))
             else:
                 channel = ChannelSpec.from_theta(float(theta))
                 alpha, beta = float(np.sin(theta)), float(np.cos(theta))
-            table = exact_outcome_table(protocol, channel, target, mode)
-            probs = np.array([r.probability for r in table.rows])
-            fids = np.array([r.fidelity for r in table.rows])
+            if (protocol, channel) not in tables:
+                tables[protocol, channel] = exact_outcome_table(protocol, channel, target, mode)
+            table = tables[protocol, channel]
+            cum = np.cumsum([r.probability for r in table.rows])
             ok_rows = np.array(
                 [r.corrected and r.fidelity >= 1.0 - success_tol for r in table.rows]
             )
-            cum = np.cumsum(probs)
-            u = trial_uniforms(seed, k, trials) * cum[-1]
-            picks = np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
-            ok = ok_rows[picks]
-            successes = int(ok.sum())
+            fids = np.array([r.fidelity for r in table.rows])
+            samplers.append((protocol, alpha, beta, table, cum, ok_rows, fids))
+        successes = [0] * len(samplers)
+        fid_sums = [0.0] * len(samplers)
+        for first in range(0, trials, _TRIAL_BLOCK):
+            u = trial_uniforms(seed, k, min(_TRIAL_BLOCK, trials - first), first)
+            for i, (*_, cum, ok_rows, fids) in enumerate(samplers):
+                picks = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
+                successes[i] += int(ok_rows[picks].sum())
+                fid_sums[i] += float(fids[picks].sum())
+        for (protocol, alpha, beta, table, *_), ok, fid_sum in zip(samplers, successes, fid_sums):
             rows.append(
                 SweepRow(
                     theta=float(theta),
@@ -122,10 +141,10 @@ def sweep_rows(
                     mode=mode if protocol == "deterministic" else "-",
                     d=2,
                     trials=trials,
-                    successes=successes,
-                    est_prob=successes / trials,
+                    successes=ok,
+                    est_prob=ok / trials,
                     exact_prob=success_probability(table, success_tol),
-                    mean_fidelity=float(fids[picks].mean()),
+                    mean_fidelity=fid_sum / trials,
                     seed=seed,
                 )
             )

@@ -103,6 +103,15 @@ def test_probabilistic_success_rate_over_seeds(capsys):
     assert abs(successes - trials * 0.5) <= 4 * sigma
 
 
+def test_run_summary_prints_the_table_label(capsys):
+    """A completed probabilistic run is labelled by its ancilla outcome alone."""
+    code, out, _ = run_cli(capsys, "run", "--protocol", "probabilistic",
+                           "--lambda", "0.6,0:0.8,0", "--target", "0.6,0:0,0.8", "--seed", "1")
+    assert code == 0
+    result = out.strip().splitlines()[-1]
+    assert "outcome=(0) " in result and "success=true" in result
+
+
 def test_nguyen_run(capsys):
     code, out, _ = run_cli(capsys, "run", "--protocol", "nguyen",
                            "--target", "0.6,0:0,0.8", "--seed", "3")

@@ -5,6 +5,7 @@ from rspsim.errors import InvalidState, NonUnitaryGate
 from rspsim.gates import (
     cadd,
     controlled_shift,
+    correction_chain,
     correction_unitary,
     csub,
     cu_concentration,
@@ -230,6 +231,29 @@ def test_correction_rejects_non_unitary_encoder():
     lit = encoding_unitary_literal(1 / np.sqrt(2), 1 / np.sqrt(2), np.pi / 2)
     with pytest.raises(NonUnitaryGate):
         correction_unitary(lit, 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_correction_chain_matches_dense_correction(d):
+    rng = np.random.default_rng(200 + d)
+    u = make_gate(random_unitary(d, rng), (d,), "R")
+    fix = correction_chain(u)
+    for m in range(d):
+        dense = correction_unitary(u, m).matrix
+        for k in range(d):
+            e_k = np.zeros(d, dtype=complex)
+            e_k[k] = 1.0
+            assert np.max(np.abs(fix(m, e_k) - dense[:, k])) <= 1e-12
+
+
+def test_correction_chain_checks_encoder_and_branch():
+    lit = encoding_unitary_literal(1 / np.sqrt(2), 1 / np.sqrt(2), np.pi / 2)
+    with pytest.raises(NonUnitaryGate):
+        correction_chain(lit)
+    fix = correction_chain(encoding_unitary(np.array([0.6, 0.8])))
+    for m in (-1, 2):
+        with pytest.raises(InvalidState):
+            fix(m, np.array([1.0, 0.0], dtype=complex))
 
 
 def test_nguyen_bases_trivial_projectors():

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import rspsim.gates
+import rspsim.linalg
+import rspsim.protocols
+import rspsim.register
 from rspsim.errors import InvalidState, Unsupported
 from rspsim.protocols import (
     ChannelSpec,
@@ -337,6 +340,68 @@ def test_deterministic_table_d48_stays_small():
     for row in table.rows:
         assert abs(row.probability - abs(channel.lambdas[row.outcome[0]]) ** 2) <= 1e-12
         assert row.fidelity >= 1.0 - 1e-10
+
+
+def _count_defect_checks(monkeypatch):
+    """Count linalg.unitarity_defect calls made through any rspsim module."""
+    calls = []
+    original = rspsim.linalg.unitarity_defect
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    for module in (rspsim.linalg, rspsim.gates, rspsim.register, rspsim.protocols):
+        if getattr(module, "unitarity_defect", None) is original:
+            monkeypatch.setattr(module, "unitarity_defect", counted)
+    return calls
+
+
+def test_warm_deterministic_table_checks_unitarity_at_most_once(monkeypatch):
+    rng = np.random.default_rng(32)
+    channel, target = random_positive_channel(32, rng), random_target(32, rng)
+    exact_outcome_table("deterministic", channel, target)
+    calls = _count_defect_checks(monkeypatch)
+    table = exact_outcome_table("deterministic", channel, target)
+    assert len(calls) <= 1
+    assert len(table.rows) == 32 and min(r.fidelity for r in table.rows) >= 1.0 - 1e-10
+
+
+def test_deterministic_row_fidelity_sees_a_wrong_correction(monkeypatch):
+    """Swapping entries 0 and m + 1 instead of 0 and m in V_m must show in the rows."""
+    rng = np.random.default_rng(8)
+    channel, target = random_positive_channel(8, rng), random_target(8, rng)
+    rows = exact_outcome_table("deterministic", channel, target).rows
+    assert min(r.fidelity for r in rows) >= 1.0 - 1e-10
+
+    def off_by_one_chain(u):
+        enc = u.matrix
+        d = u.dim
+
+        def fix(m, b):
+            y = enc.conj().T @ b[(m - np.arange(d)) % d]
+            j = (m + 1) % d
+            y[[0, j]] = y[[j, 0]]
+            return enc @ y
+
+        return fix
+
+    monkeypatch.setattr(rspsim.protocols, "correction_chain", off_by_one_chain)
+    rows = exact_outcome_table("deterministic", channel, target).rows
+    assert min(r.fidelity for r in rows) < 1.0 - 1e-3
+
+
+def test_deterministic_run_reports_the_dense_correction():
+    rng = np.random.default_rng(5)
+    channel, target = random_positive_channel(5, rng), random_target(5, rng)
+    enc = rspsim.gates.encoding_unitary(target.amplitudes)
+    for seed in range(10):
+        tr = run_deterministic_rsp(channel, target, rng=derive_rng(seed))
+        a = tr.outcome[0]
+        np.testing.assert_allclose(
+            tr.correction_matrix, rspsim.gates.correction_unitary(enc, a).matrix, atol=1e-15
+        )
+        assert tr.success and tr.fidelity >= 1.0 - 1e-10
 
 
 # -- failure branches ---------------------------------------------------------

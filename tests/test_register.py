@@ -337,3 +337,40 @@ def test_index_gate_applies_past_the_dense_cap():
         np.testing.assert_array_equal(got[i], np.roll(psi[i], i))
     with pytest.raises(CapacityExceeded):
         gate.matrix
+
+
+def test_contract_with_basis_index_equals_one_hot():
+    rng = np.random.default_rng(31)
+    dims, labels = (2, 3, 4), ("A", "B", "C")
+    amps = rng.normal(size=24) + 1j * rng.normal(size=24)
+    reg = StateRegister(dims, amps / np.linalg.norm(amps), labels)
+
+    def one_hot(d, k):
+        v = np.zeros(d, dtype=complex)
+        v[k] = 1.0
+        return v
+
+    for label, d in zip(labels, dims):
+        for k in range(d):
+            np.testing.assert_array_equal(
+                reg.contract({label: k}), reg.contract({label: one_hot(d, k)})
+            )
+    for a in range(2):
+        for c in range(4):
+            vec = rng.normal(size=3) + 1j * rng.normal(size=3)
+            np.testing.assert_allclose(
+                reg.contract({"A": a, "B": vec, "C": c}),
+                reg.contract({"A": one_hot(2, a), "B": vec, "C": one_hot(4, c)}),
+                atol=1e-15,
+            )
+            np.testing.assert_array_equal(
+                reg.contract({"A": a, "C": c}),
+                reg.contract({"A": one_hot(2, a), "C": one_hot(4, c)}),
+            )
+
+
+def test_contract_with_basis_index_out_of_range():
+    reg = basis_register((2, 3), (1, 2), ("A", "B"))
+    for label, k in (("A", 2), ("B", 3), ("A", -1)):
+        with pytest.raises(IndexOutOfRange):
+            reg.contract({label: k})

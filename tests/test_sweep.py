@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import rspsim.sweep
 
 from rspsim.errors import InvalidState
 from rspsim.protocols import TargetState
@@ -103,3 +107,47 @@ def test_probabilistic_sweep_does_not_count_the_failure_branch():
         p = 2 * np.sin(row.theta) ** 2
         assert abs(row.exact_prob - p) <= 1e-12
         assert abs(row.est_prob - p) <= 4 * np.sqrt(p * (1 - p) / row.trials) + 1e-12
+
+
+def test_trial_uniforms_block_matches_the_whole_run():
+    np.testing.assert_array_equal(trial_uniforms(1, 2, 50, first=30), trial_uniforms(1, 2, 80)[30:])
+
+
+def test_sweep_builds_each_distinct_table_once(monkeypatch):
+    builds = []
+    original = rspsim.sweep.exact_outcome_table
+
+    def counted(protocol, channel, target, mode):
+        builds.append((protocol, channel))
+        return original(protocol, channel, target, mode)
+
+    monkeypatch.setattr(rspsim.sweep, "exact_outcome_table", counted)
+    n = 6
+    rows = sweep_rows(["deterministic", "probabilistic", "nguyen"], TARGET,
+                      theta_grid(0.1, 0.7, n), trials=200, seed=3)
+    assert len(rows) == 3 * n
+    assert len(builds) == len(set(builds)) == 2 * n + 1
+
+
+def test_sweep_in_blocks_matches_one_block(monkeypatch):
+    protocols = ["deterministic", "probabilistic", "nguyen"]
+    grid = theta_grid(0.0, np.pi / 4, 5)
+    whole = sweep_rows(protocols, TARGET, grid, trials=100, seed=9)
+    monkeypatch.setattr(rspsim.sweep, "_TRIAL_BLOCK", 7)
+    blocked = sweep_rows(protocols, TARGET, grid, trials=100, seed=9)
+    for a, b in zip(whole, blocked, strict=True):
+        assert (a.protocol, a.theta, a.successes) == (b.protocol, b.theta, b.successes)
+        assert a.est_prob == b.est_prob and a.exact_prob == b.exact_prob
+        assert abs(a.mean_fidelity - b.mean_fidelity) <= 1e-15
+
+
+def test_sweep_memory_does_not_grow_with_trials():
+    grid = theta_grid(np.pi / 6, np.pi / 6, 1)
+    tracemalloc.start()
+    try:
+        (row,) = sweep_rows(["probabilistic"], TARGET, grid, trials=10**6, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert row.trials == 10**6 and abs(row.est_prob - 0.5) <= 4 * np.sqrt(0.25 / 10**6)
