@@ -6,7 +6,7 @@ internal invariant failure, 3 reserved.
 
 Complex lists are colon-separated entries, each "re" or "re,im", e.g.
 ``--lambda 0.6,0:0.8,0``.  A config file holds flat ``key = value`` lines
-with the same keys as the long flags; explicit flags win on conflict.
+whose keys are the subcommand's long flags; explicit flags win on conflict.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .linalg import STRUCT_TOL
+from .linalg import MAX_DIM, STRUCT_TOL
 from .protocols import (
     MODES,
     PROTOCOLS,
@@ -38,7 +38,10 @@ from .tomography import (
     sample_pauli_expectations,
     trace_distance,
 )
-from .verify import format_report, run_suite
+from .verify import SUITES, format_report, run_suite
+
+# A sweep holds one row and up to three exact tables per grid point.
+MAX_POINTS = 10_000
 
 
 class ConfigError(Exception):
@@ -93,46 +96,54 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Every option, declared once.  Defaults live in RunConfig, so argparse leaves
+# an unset option at None.
+_OPTIONS = {
+    "protocol": {"choices": PROTOCOLS},
+    "mode": {"choices": MODES},
+    "d": {"type": int},
+    "lambda": {"dest": "lambdas", "metavar": "LIST",
+               "type": lambda text: parse_complex_list(text, "lambda")},
+    "target": {"metavar": "LIST", "type": lambda text: parse_complex_list(text, "target")},
+    "trials": {"type": int},
+    "shots": {"type": int},
+    "seed": {"type": int},
+    "theta-min": {"type": float},
+    "theta-max": {"type": float},
+    "points": {"type": int},
+    "out": {},
+    "tolerance": {"type": float},
+    "config": {},
+}
+
+# Each subcommand's help line and the options it reads, and no others.
+_COMMANDS = {
+    "run": ("execute one protocol instance",
+            ("protocol", "mode", "d", "lambda", "target", "seed", "tolerance", "config")),
+    "sweep": ("reproduce the success-probability curves",
+              ("protocol", "mode", "d", "target", "trials", "seed", "theta-min", "theta-max",
+               "points", "out", "tolerance", "config")),
+    "verify": ("run the invariant and oracle suites", ("seed", "trials", "config")),
+    "tomo": ("tomograph the receiver state of one deterministic run",
+             ("mode", "d", "lambda", "target", "shots", "seed", "config")),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="rspsim", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
-        p.add_argument("--protocol", choices=PROTOCOLS)
-        p.add_argument("--mode", choices=MODES)
-        p.add_argument("--d", type=int)
-        p.add_argument("--lambda", dest="lambdas", metavar="LIST")
-        p.add_argument("--target", metavar="LIST")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--shots", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--theta-min", dest="theta_min", type=float)
-        p.add_argument("--theta-max", dest="theta_max", type=float)
-        p.add_argument("--points", type=int)
-        p.add_argument("--out")
-        p.add_argument("--config")
-        p.add_argument("--tolerance", type=float)
-
-    add_common(sub.add_parser("run", help="execute one protocol instance"))
-    add_common(sub.add_parser("sweep", help="reproduce the success-probability curves"))
-    p_verify = sub.add_parser("verify", help="run the invariant and oracle suites")
-    p_verify.add_argument("suite", nargs="?", default="all",
-                          choices=("all", "gates", "protocols", "oracle", "tomo"))
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--trials", type=int, help="Monte Carlo trials for the oracle gate")
-    p_verify.add_argument("--config")
-    add_common(sub.add_parser("tomo", help="tomograph the receiver state of one run"))
+    for command, (help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "verify":
+            p.add_argument("suite", nargs="?", choices=("all", *SUITES))
+        for name in names:
+            p.add_argument(f"--{name}", **_OPTIONS[name])
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    keymap = {
-        "protocol": "protocol", "mode": "mode", "d": "d", "lambda": "lambdas",
-        "target": "target", "trials": "trials", "shots": "shots", "seed": "seed",
-        "theta-min": "theta_min", "theta-max": "theta_max", "points": "points",
-        "out": "out", "tolerance": "tolerance", "suite": "suite",
-    }
-    values: dict[str, str] = {}
+def _config_args(path: str, command: str) -> list[str]:
+    """A config file's ``key = value`` lines as ``--key=value`` arguments of ``command``."""
+    args = []
     try:
         with open(path, encoding="utf-8") as fh:
             for ln, raw in enumerate(fh, start=1):
@@ -142,41 +153,25 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{ln}: expected 'key = value', got {raw.strip()!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in keymap:
-                    raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-                values[keymap[key]] = value
+                if key == "config" or key not in _COMMANDS[command][1]:
+                    raise ConfigError(f"{path}:{ln}: unknown key {key!r} for {command}")
+                args.append(f"--{key}={value}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return values
-
-
-_CASTS = {
-    "d": int, "trials": int, "shots": int, "seed": int, "points": int,
-    "theta_min": float, "theta_max": float, "tolerance": float,
-}
+    return args
 
 
 def parse_config(argv: list[str]) -> RunConfig:
-    """Merge flags over config-file values over defaults; validate."""
+    """Parse config-file values, then flags (the last value wins), over RunConfig's defaults."""
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.command is None:
         raise ConfigError("missing subcommand; expected run, sweep, verify or tomo")
-    cfg = RunConfig(command=ns.command)
-    file_values = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
-    for name, raw in file_values.items():
-        setattr(cfg, name, _CASTS[name](raw) if name in _CASTS else raw)
-    for name in vars(ns):
-        if name in ("command", "config"):
-            continue
-        value = getattr(ns, name)
-        if value is not None:
-            setattr(cfg, name, value)
-    if isinstance(cfg.lambdas, str):
-        cfg.lambdas = parse_complex_list(cfg.lambdas, "lambda")
-    if isinstance(cfg.target, str):
-        cfg.target = parse_complex_list(cfg.target, "target")
-    return _validated(cfg)
+    if ns.config:
+        i = argv.index(ns.command) + 1
+        ns = parser.parse_args(argv[:i] + _config_args(ns.config, ns.command) + argv[i:])
+    given = {k: v for k, v in vars(ns).items() if v is not None and k != "config"}
+    return _validated(RunConfig(**given))
 
 
 def _validated(cfg: RunConfig) -> RunConfig:
@@ -189,10 +184,8 @@ def _validated(cfg: RunConfig) -> RunConfig:
         if cfg.trials < 100:
             raise ConfigError("verify needs trials >= 100 for the sampled oracle gate")
         return cfg
-    if cfg.protocol is None and cfg.command in ("run", "sweep"):
+    if cfg.protocol is None and cfg.command != "tomo":
         raise ConfigError("missing required field: protocol")
-    if cfg.command == "tomo" and cfg.protocol is None:
-        cfg.protocol = "deterministic"
     if cfg.target is None:
         raise ConfigError("missing required field: target")
     cfg.target = _renormalized(cfg.target, "target")
@@ -204,6 +197,8 @@ def _validated(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"target has {len(cfg.target)} entries but d = {cfg.d}")
     if cfg.lambdas is not None and len(cfg.lambdas) != cfg.d:
         raise ConfigError(f"lambda has {len(cfg.lambdas)} entries but d = {cfg.d}")
+    if cfg.d < 2 or cfg.d**3 > MAX_DIM:
+        raise ConfigError(f"d = {cfg.d} is out of range; needs d >= 2 and d^3 <= {MAX_DIM}")
     if cfg.protocol == "probabilistic" and cfg.d != 2:
         raise ConfigError("the probabilistic baseline needs d = 2")
     if cfg.protocol == "probabilistic" and cfg.lambdas is not None \
@@ -220,8 +215,8 @@ def _validated(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"{cfg.command} parametrizes qubit channels; needs d = 2")
     if cfg.command == "sweep" and cfg.trials < 1:
         raise ConfigError("sweep needs trials >= 1")
-    if cfg.command == "sweep" and cfg.points < 1:
-        raise ConfigError("sweep needs points >= 1")
+    if cfg.command == "sweep" and not 1 <= cfg.points <= MAX_POINTS:
+        raise ConfigError(f"sweep needs 1 <= points <= {MAX_POINTS}")
     if cfg.command == "sweep" and cfg.theta_max < cfg.theta_min:
         raise ConfigError("theta-max must not be below theta-min")
     if cfg.command == "tomo" and cfg.shots < 3:
@@ -282,6 +277,10 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     grid = theta_grid(cfg.theta_min, cfg.theta_max, cfg.points)
+    if cfg.protocol == "probabilistic" and any(
+            abs(np.sin(t)) > abs(np.cos(t)) + STRUCT_TOL for t in grid.tolist()):
+        raise ConfigError("the probabilistic baseline needs |sin theta| <= |cos theta| "
+                          "at every grid point from theta-min to theta-max")
     rows = sweep_rows(
         [cfg.protocol], TargetState.of(cfg.target), grid,
         cfg.trials, cfg.seed, cfg.mode, cfg.tolerance,
@@ -306,8 +305,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_tomo(cfg: RunConfig) -> int:
     channel = ChannelSpec.of(cfg.lambdas) if cfg.lambdas is not None else ChannelSpec.maximal(2)
     target = TargetState.of(cfg.target)
-    tr = run_protocol("deterministic", channel, target, cfg.mode, derive_rng(cfg.seed),
-                      cfg.tolerance)
+    tr = run_protocol("deterministic", channel, target, cfg.mode, derive_rng(cfg.seed))
     bob = StateRegister((2,), tr.bob_state)
     est = sample_pauli_expectations(bob, cfg.shots, derive_rng(cfg.seed, 1))
     rho = reconstruct_qubit(est)

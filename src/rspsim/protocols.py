@@ -47,7 +47,6 @@ from .gates import (
     GateMatrix,
     cadd,
     correction_chain,
-    correction_unitary,
     csub,
     cu_concentration,
     encoding_unitary,
@@ -183,7 +182,6 @@ class Transcript:
     messages: tuple[ClassicalMessage, ...]
     outcome: tuple[int, ...]
     correction: str
-    correction_matrix: np.ndarray | None = field(repr=False)
     bob_state: np.ndarray = field(repr=False)
     fidelity: float
     success: bool
@@ -221,12 +219,6 @@ class OutcomeTable:
     rows: tuple[OutcomeRow, ...]
     outcome_space: tuple[tuple[int, ...], ...]
 
-    def probability_of(self, outcome: tuple[int, ...]) -> float:
-        for row in self.rows:
-            if row.outcome == outcome:
-                return row.probability
-        return 0.0
-
 
 def success_probability(table: OutcomeTable, tol: float = SUCCESS_TOL) -> float:
     """Total probability of corrected branches whose fidelity reaches 1 - tol."""
@@ -238,9 +230,8 @@ def success_probability(table: OutcomeTable, tol: float = SUCCESS_TOL) -> float:
 # A measurement's ``then(outcome)`` returns the steps that follow; unless
 # ``labelled``, its outcome stays out of the table's row label.  A leaf
 # corrects B's state (given A and C on the given states; an int k is |k>)
-# with ``correct(bob) -> (description, corrected state, dense matrix)``, the
-# matrix as a zero-argument callable that only a transcript calls.  None
-# declares the branch failed.
+# with ``correct(bob) -> (description, corrected state)``.  None declares the
+# branch failed.
 
 
 class _Gate(NamedTuple):
@@ -259,12 +250,7 @@ class _Measure(NamedTuple):
 class _Receive(NamedTuple):
     a_state: np.ndarray | int
     c_state: np.ndarray | int
-    correct: Callable[[np.ndarray], tuple[str, np.ndarray, Callable[[], np.ndarray]]] | None
-
-
-def _by_matrix(desc: str, matrix: np.ndarray, bob: np.ndarray) -> tuple:
-    """A correction given by its dense matrix."""
-    return desc, matrix @ bob, lambda: matrix
+    correct: Callable[[np.ndarray], tuple[str, np.ndarray]] | None
 
 
 def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -> list:
@@ -289,10 +275,9 @@ def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -
             raise SimulationError(f"branch A={a}, C={c} has weight; branch structure is corrupted")
         if chain is not None:
             return [_Receive(a, a, lambda bob: (
-                f"V[{a}] (encoder-derived, target-dependent)", chain(a, bob),
-                lambda: correction_unitary(enc, a).matrix))]
+                f"V[{a}] (encoder-derived, target-dependent)", chain(a, bob)))]
         desc, fix = ("identity", identity(2)) if a == 0 else ("sigma_z", pauli_z(2))
-        return [_Receive(a, a, lambda bob: _by_matrix(desc, fix.matrix, bob))]
+        return [_Receive(a, a, lambda bob: (desc, fix.matrix @ bob))]
 
     return [_Gate(cadd(d), ("A", "C")), _Gate(enc, ("A",), strict=mode == "repaired"),
             _Gate(csub(d), ("A", "B")), _Gate(cadd(d), ("B", "A")), _Measure(("A", "C"), receive)]
@@ -303,8 +288,8 @@ def _nguyen_stage(target: TargetState, labelled: bool) -> list:
     mu, nu, phase = nguyen_bases(*target.qubit_params())
 
     def receive(i, j):
-        return [_Receive(mu[:, i], nu[:, j], lambda bob: _by_matrix(
-            f"transport[mu{i},nu{j}]", transport_unitary(bob, target.vector()), bob))]
+        return [_Receive(mu[:, i], nu[:, j], lambda bob: (
+            f"transport[mu{i},nu{j}]", transport_unitary(bob, target.vector()) @ bob))]
 
     def after_mu(out_mu):
         measure_nu = _Measure(("C",), lambda out_nu: receive(out_mu[0], out_nu[0]), nu, labelled)
@@ -369,7 +354,6 @@ class _Path(NamedTuple):
     records: tuple[MeasurementRecord, ...] = ()
     raw_norm: float | None = None
     correction: str = ""
-    correction_matrix: np.ndarray | None = None
     bob: np.ndarray | None = None
     fidelity: float = 0.0
     corrected: bool = False
@@ -397,11 +381,10 @@ def _walk(target: np.ndarray, reg: StateRegister, steps: list, path: _Path,
         if n < PROB_FLOOR:
             raise SimulationError("conditional state has no amplitude mass")
         bob = bob / n
-        desc, final, matrix = "none (failure branch)", bob, None
+        desc, final = "none (failure branch)", bob
         if last.correct is not None:
-            desc, final, dense = last.correct(bob)
-            matrix = dense() if rng is not None else None  # only a transcript shows it
-        yield path._replace(correction=desc, correction_matrix=matrix, bob=final,
+            desc, final = last.correct(bob)
+        yield path._replace(correction=desc, bob=final,
                             fidelity=fidelity_pure(final, target),
                             corrected=last.correct is not None)
         return
@@ -460,8 +443,8 @@ def run_protocol(protocol: str, channel: ChannelSpec | None, target: TargetState
         protocol=protocol, mode=mode, channel=channel, target=target,
         steps=path.steps, measurements=path.records,
         messages=tuple(ClassicalMessage(r.subsystems, r.outcome) for r in path.records),
-        outcome=path.label, correction=path.correction,
-        correction_matrix=path.correction_matrix, bob_state=path.bob, fidelity=path.fidelity,
+        outcome=path.label, correction=path.correction, bob_state=path.bob,
+        fidelity=path.fidelity,
         success=path.corrected and path.fidelity >= 1.0 - success_tol,
         success_tol=success_tol, raw_norm=path.raw_norm,
     )

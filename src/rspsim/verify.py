@@ -23,6 +23,9 @@ from .register import StateRegister, basis_register, channel_register, derive_rn
 
 SUITES = ("gates", "protocols", "oracle", "tomo")
 
+# Random configurations per protocol case in the fast-vs-naive oracle check.
+_CONFIGS_PER_CASE = 30
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -221,12 +224,12 @@ def _check_literal_flag(seed: int) -> CheckResult:
     )
 
 
-def _check_oracle_exact(seed: int, configs_per_case: int = 30) -> CheckResult:
+def _check_oracle_exact(seed: int) -> CheckResult:
     rng = derive_rng(seed, 301)
     worst = 0.0
     cases = 0
     for d in (2, 3, 4):
-        for _ in range(configs_per_case):
+        for _ in range(_CONFIGS_PER_CASE):
             channel = _random_channel(d, rng, positive=True)
             target = _random_target(d, rng)
             table = exact_outcome_table("deterministic", channel, target)
@@ -236,7 +239,7 @@ def _check_oracle_exact(seed: int, configs_per_case: int = 30) -> CheckResult:
             )
             worst = max(worst, rep.max_stat)
             cases += 1
-    for _ in range(configs_per_case):
+    for _ in range(_CONFIGS_PER_CASE):
         alpha = float(rng.uniform(0.05, 1.0 / np.sqrt(2.0)))
         channel = ChannelSpec.of((alpha, np.sqrt(1.0 - alpha * alpha)))
         target = _random_target(2, rng)
@@ -246,7 +249,7 @@ def _check_oracle_exact(seed: int, configs_per_case: int = 30) -> CheckResult:
         )
         worst = max(worst, rep.max_stat)
         cases += 1
-    for _ in range(configs_per_case):
+    for _ in range(_CONFIGS_PER_CASE):
         target = _random_target(2, rng)
         rep = oracle.compare_exact(
             oracle.table_distribution(exact_outcome_table("nguyen", None, target)),
@@ -364,9 +367,7 @@ _SUITE_CHECKS = {
 }
 
 
-def run_suite(
-    suite: str, seed: int = 0, oracle_trials: int = 10_000, oracle_configs: int = 30
-) -> list[CheckResult]:
+def run_suite(suite: str, seed: int = 0, oracle_trials: int = 10_000) -> list[CheckResult]:
     """Run one named suite, or all of them."""
     if suite == "all":
         names = SUITES
@@ -377,9 +378,7 @@ def run_suite(
     results = []
     for name in names:
         for check in _SUITE_CHECKS[name]:
-            if check is _check_oracle_exact:
-                results.append(check(seed, configs_per_case=oracle_configs))
-            elif check is _check_oracle_sampled:
+            if check is _check_oracle_sampled:
                 results.append(check(seed, trials=oracle_trials))
             else:
                 results.append(check(seed))

@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -292,6 +295,8 @@ def test_non_finite_theta_is_config_error(capsys, flag, value):
         (("--theta-min=0.5", "--theta-max=0.25", "--points=3"), "theta-max"),
         (("--points=0",), "points"),
         (("--points=-4",), "points"),
+        (("--points=100000000000",), "points"),
+        (("--theta-max=1.0",), "theta-max"),
     ],
 )
 def test_bad_sweep_grid_is_config_error(capsys, grid, field):
@@ -301,3 +306,81 @@ def test_bad_sweep_grid_is_config_error(capsys, grid, field):
     assert field in err
     assert "invariant failure" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("d", [1, 102])
+def test_register_dimension_out_of_range_is_config_error(capsys, d):
+    amps = ":".join([f"{1 / np.sqrt(d):.17g}"] * d)
+    code, out, err = run_cli(capsys, "run", "--protocol", "deterministic",
+                             "--lambda", amps, "--target", amps)
+    assert code == 1
+    assert f"d = {d}" in err
+    assert out == ""
+
+
+_VALID = {
+    "run": ("run", "--protocol", "nguyen", "--target", "1:0"),
+    "sweep": ("sweep", "--protocol", "deterministic", "--target", "1:0",
+              "--trials", "10", "--points", "2"),
+    "tomo": ("tomo", "--target", "1:0", "--shots", "30"),
+}
+_DROPPED = {
+    "run": {"--trials": "10", "--shots": "30", "--theta-min": "0", "--theta-max": "0.5",
+            "--points": "3", "--out": "unused.csv"},
+    "sweep": {"--lambda": "0.6:0.8", "--shots": "30"},
+    "tomo": {"--protocol": "nguyen", "--trials": "10", "--theta-min": "0",
+             "--theta-max": "0.5", "--points": "3", "--out": "unused.csv",
+             "--tolerance": "0.1"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in _DROPPED.items() for f in flags]
+)
+def test_subcommand_rejects_options_it_does_not_read(capsys, command, flag):
+    code, out, err = run_cli(capsys, *_VALID[command], flag, _DROPPED[command][flag])
+    assert code == 1
+    assert "unrecognized" in err and flag in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("run", "--target", "1:0", "--lambda", "0.6:0.8"), "mode = bogus"),
+        (("run", "--target", "1:0", "--lambda", "0.6:0.8"), "protocol = bogus"),
+        (("sweep", "--protocol", "deterministic", "--target", "1:0"), "trials = abc"),
+        (("run", "--protocol", "nguyen", "--target", "1:0"), "d = 2.5"),
+        (("verify", "--trials", "100"), "suite = tomo"),
+    ],
+)
+def test_bad_config_file_value_is_config_error(tmp_path, capsys, argv, line):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(line + "\n")
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, "--config", str(cfg_file), *rest)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert line.split(" = ")[0] in err
+    assert out == ""
+
+
+def test_flag_beats_config_file_for_lists_and_scalars(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("protocol = deterministic\nlambda = 0.8:0.6\ntolerance = 0.25\n")
+    argv = ["run", "--config", str(cfg_file), "--target", "1:0"]
+    cfg = parse_config(argv)
+    assert (cfg.lambdas, cfg.tolerance) == ((0.8, 0.6), 0.25)
+    cfg = parse_config(argv + ["--lambda", "0.6:0.8", "--tolerance", "0.5"])
+    assert (cfg.lambdas, cfg.tolerance) == ((0.6, 0.8), 0.5)
+
+
+def test_readme_examples_parse():
+    """Every ``rspsim ...`` line of README's sh blocks, continuations joined, parses."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = "\n".join(b.split("```", 1)[0] for b in text.split("```sh\n")[1:])
+    lines = blocks.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(ln) for ln in lines if ln.startswith("rspsim ")]
+    assert [argv[1] for argv in commands] == ["run", "sweep", "sweep", "verify", "tomo"]
+    for argv in commands:
+        parse_config(argv[1:])

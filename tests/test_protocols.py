@@ -394,14 +394,25 @@ def test_deterministic_row_fidelity_sees_a_wrong_correction(monkeypatch):
 def test_deterministic_run_reports_the_dense_correction():
     rng = np.random.default_rng(5)
     channel, target = random_positive_channel(5, rng), random_target(5, rng)
-    enc = rspsim.gates.encoding_unitary(target.amplitudes)
     for seed in range(10):
         tr = run_deterministic_rsp(channel, target, rng=derive_rng(seed))
-        a = tr.outcome[0]
-        np.testing.assert_allclose(
-            tr.correction_matrix, rspsim.gates.correction_unitary(enc, a).matrix, atol=1e-15
-        )
         assert tr.success and tr.fidelity >= 1.0 - 1e-10
+
+
+def test_deterministic_runs_build_no_dense_correction(monkeypatch):
+    calls = []
+    dense = rspsim.gates.correction_unitary
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dense(*args, **kwargs)
+
+    monkeypatch.setattr(rspsim.gates, "correction_unitary", counted)
+    monkeypatch.setattr(rspsim.protocols, "correction_unitary", counted, raising=False)
+    channel, target = ChannelSpec.of((0.6, 0.8)), TargetState.of((0.6, 0.8j))
+    for seed in range(50):
+        assert run_deterministic_rsp(channel, target, rng=derive_rng(seed)).success
+    assert calls == []
 
 
 # -- failure branches ---------------------------------------------------------
