@@ -171,6 +171,11 @@ def parse_config(argv: list[str]) -> RunConfig:
         i = argv.index(ns.command) + 1
         ns = parser.parse_args(argv[:i] + _config_args(ns.config, ns.command) + argv[i:])
     given = {k: v for k, v in vars(ns).items() if v is not None and k != "config"}
+    protocol = given.get("protocol")
+    if protocol == "nguyen" and "lambdas" in given:
+        raise ConfigError("lambda does not apply to nguyen, which always uses the maximal channel")
+    if protocol in ("probabilistic", "nguyen") and "mode" in given:
+        raise ConfigError(f"mode applies only to the deterministic protocol, not {protocol}")
     return _validated(RunConfig(**given))
 
 

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidState, SimulationError, Unsupported
+from .errors import CapacityExceeded, InvalidState, SimulationError, Unsupported
 from .gates import (
     UNITARY_TOL,
     GateMatrix,
@@ -55,15 +55,13 @@ from .gates import (
     nguyen_bases,
     pauli_z,
 )
-from .linalg import STRUCT_TOL, as_cvec, fidelity_pure, transport_unitary
+from .linalg import MAX_DIM, STRUCT_TOL, as_cvec, fidelity_pure, transport_unitary
 from .register import (
     PROB_FLOOR,
     MeasurementRecord,
     StateRegister,
     _basis_gates,
     _draw,
-    basis_register,
-    channel_register,
 )
 
 PROTOCOLS = ("deterministic", "probabilistic", "nguyen")
@@ -241,9 +239,9 @@ class _Gate(NamedTuple):
 
 
 class _Measure(NamedTuple):
-    targets: tuple[str, ...]  # a single target when measured in ``basis``'s columns
+    targets: tuple[str, ...]  # a single target when measured in a basis
     then: Callable[[tuple[int, ...]], list]
-    basis: np.ndarray | None = None
+    basis: tuple[GateMatrix, GateMatrix] | None = None  # (basis^dag, basis), see _basis_gates
     labelled: bool = True
 
 
@@ -286,16 +284,18 @@ def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -
 def _nguyen_stage(target: TargetState, labelled: bool) -> list:
     """Measure A in the mu basis, phase C on mu outcome 0, measure C in nu, correct B."""
     mu, nu, phase = nguyen_bases(*target.qubit_params())
+    mu_gates, nu_gates = _basis_gates(mu, 2), _basis_gates(nu, 2)
 
     def receive(i, j):
         return [_Receive(mu[:, i], nu[:, j], lambda bob: (
             f"transport[mu{i},nu{j}]", transport_unitary(bob, target.vector()) @ bob))]
 
     def after_mu(out_mu):
-        measure_nu = _Measure(("C",), lambda out_nu: receive(out_mu[0], out_nu[0]), nu, labelled)
+        measure_nu = _Measure(("C",), lambda out_nu: receive(out_mu[0], out_nu[0]),
+                              nu_gates, labelled)
         return [_Gate(phase, ("C",)), measure_nu] if out_mu == (0,) else [measure_nu]
 
-    return [_Measure(("A",), after_mu, mu, labelled)]
+    return [_Measure(("A",), after_mu, mu_gates, labelled)]
 
 
 def _probabilistic_steps(channel: ChannelSpec, target: TargetState) -> list:
@@ -337,8 +337,14 @@ def _plan(protocol: str, channel: ChannelSpec | None, target: TargetState, mode:
     return mode, channel, steps
 
 
-def _start(channel: ChannelSpec) -> StateRegister:  # the channel on A and B, ancilla C in |0>
-    return channel_register(channel).tensor(basis_register((channel.d,), (0,), labels=("C",)))
+def _start(channel: ChannelSpec) -> StateRegister:
+    """The channel on A and B, ancilla C in |0>: lambda_m at |m, m, 0>."""
+    d = channel.d
+    if d**3 > MAX_DIM:  # before allocating
+        raise CapacityExceeded(f"register dimension {d**3} exceeds cap {MAX_DIM}")
+    amps = np.zeros(d**3, dtype=complex)
+    amps[np.arange(d) * (d * d + d)] = channel.lambdas
+    return StateRegister((d, d, d), amps, ("A", "B", "C"))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +396,7 @@ def _walk(target: np.ndarray, reg: StateRegister, steps: list, path: _Path,
         return
     measured, back = reg, None
     if last.basis is not None:
-        rot, back = _basis_gates(last.basis, reg.dims[reg.axis(last.targets[0])])
+        rot, back = last.basis
         measured = reg.apply(rot, last.targets)
     dist = measured.born_probabilities(last.targets)
     if rng is None:

@@ -34,8 +34,7 @@ PROB_FLOOR = 1e-15
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """Generator seeded by hashing (master_seed, *path).
 
-    Trials seeded this way are reproducible regardless of execution order,
-    which keeps parallel sweeps deterministic.
+    Trials seeded this way are reproducible regardless of execution order.
     """
     entropy = (int(master_seed),) + tuple(int(p) for p in path)
     return np.random.default_rng(np.random.SeedSequence(entropy))
@@ -56,12 +55,18 @@ def _draw(probs: Sequence[float], rng: np.random.Generator) -> int:
 
 
 def _basis_gates(basis: np.ndarray, d: int) -> tuple[GateMatrix, GateMatrix]:
-    """basis^dag, which rotates column k onto |k>, and basis, which rotates back."""
-    b = np.asarray(basis, dtype=complex)
+    """basis^dag, which rotates column k onto |k>, and basis, which rotates back.
+
+    Only basis^dag's defect is measured.  The back-rotation shares it: for a
+    square B, B^dag B and B B^dag have the same eigenvalues, so
+    ||B^dag B - I||_F = ||B B^dag - I||_F.
+    """
+    b = np.array(basis, dtype=complex)
     rot = make_gate(dagger(b), (d,), "basis^dag")
     if rot.defect > UNITARY_TOL:
         raise NonUnitaryGate(f"measurement basis defect {rot.defect:.3e}")
-    return rot, make_gate(b, (d,), "basis")
+    b.flags.writeable = False
+    return rot, GateMatrix(dims=rot.dims, name="basis", defect=rot.defect, dense=b)
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,25 @@ class StateRegister:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "amplitudes", amps)
 
+    def _derived(self, amps: np.ndarray, check_norm: bool = True) -> "StateRegister":
+        """Register over this one's subsystems holding ``amps``, computed from it.
+
+        ``amps`` must be a fresh complex vector of this register's size that
+        no one else holds; it is frozen in place, not copied.  This register
+        already guarantees dims, cap, shape and labels, so only finiteness
+        and (with ``check_norm``) the norm are checked here.
+        """
+        if not np.all(np.isfinite(amps)):
+            raise InvalidState("vector entries must be finite")
+        if check_norm and abs(np.linalg.norm(amps) - 1.0) > STRUCT_TOL:
+            raise InvalidState(f"register norm {np.linalg.norm(amps)} is not 1")
+        amps.flags.writeable = False
+        reg = object.__new__(StateRegister)
+        object.__setattr__(reg, "dims", self.dims)
+        object.__setattr__(reg, "labels", self.labels)
+        object.__setattr__(reg, "amplitudes", amps)
+        return reg
+
     def __setattr__(self, name, value):
         raise AttributeError("StateRegister is immutable")
 
@@ -145,7 +169,7 @@ class StateRegister:
         n = self.norm
         if n < PROB_FLOOR:
             raise DegenerateState("cannot normalize a register with no amplitude mass")
-        return StateRegister(self.dims, self.amplitudes / n, self.labels)
+        return self._derived(self.amplitudes / n)
 
     def axis(self, label: str) -> int:
         try:
@@ -201,8 +225,11 @@ class StateRegister:
             psi = psi[gate.src]
             if gate.phases is not None:
                 psi *= gate.phases[:, None]
-        psi = psi.reshape(shape).transpose(np.argsort(perm)).reshape(-1)
-        return StateRegister(self.dims, psi, self.labels, check_norm=strict)
+        # Written straight into the result's own layout: the register keeps
+        # this array, so no transposed temporary and no defensive copy.
+        out = np.empty(self.amplitudes.size, dtype=complex)
+        out.reshape(self.dims).transpose(perm)[...] = psi.reshape(shape)
+        return self._derived(out, check_norm=strict)
 
     # -- measurement -----------------------------------------------------
 
@@ -247,7 +274,7 @@ class StateRegister:
             return p, None
         collapsed = np.zeros_like(psi)
         collapsed[tuple(sel)] = branch / np.sqrt(p)
-        return p, StateRegister(self.dims, collapsed.reshape(-1), self.labels)
+        return p, self._derived(collapsed.reshape(-1))
 
     def measure(
         self, targets: Sequence[str], rng: np.random.Generator

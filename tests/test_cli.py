@@ -384,3 +384,43 @@ def test_readme_examples_parse():
     assert [argv[1] for argv in commands] == ["run", "sweep", "sweep", "verify", "tomo"]
     for argv in commands:
         parse_config(argv[1:])
+
+
+_SWEEP = ("--target", "1:0", "--trials", "10", "--points", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, line, field",
+    [
+        (("run", "--protocol", "nguyen", "--target", "1:0", "--lambda", "0.6:0.8"), None,
+         "lambda"),
+        (("run", "--protocol", "nguyen", "--target", "1:0"), "lambda = 0.6:0.8", "lambda"),
+        (("run", "--protocol", "nguyen", "--target", "1:0", "--mode", "repaired"), None,
+         "mode"),
+        (("run", "--protocol", "probabilistic", "--target", "1:0", "--lambda", "0.6:0.8",
+          "--mode", "literal"), None, "mode"),
+        (("run", "--protocol", "probabilistic", "--target", "1:0", "--lambda", "0.6:0.8"),
+         "mode = repaired", "mode"),
+        (("sweep", "--protocol", "probabilistic", "--mode", "literal", *_SWEEP), None, "mode"),
+        (("sweep", "--protocol", "nguyen", *_SWEEP), "mode = literal", "mode"),
+    ],
+)
+def test_option_the_protocol_ignores_is_config_error(tmp_path, capsys, argv, line, field):
+    command, *rest = argv
+    if line is not None:
+        cfg_file = tmp_path / "extra.cfg"
+        cfg_file.write_text(line + "\n")
+        rest = ["--config", str(cfg_file), *rest]
+    code, out, err = run_cli(capsys, command, *rest)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+    assert out == ""
+
+
+def test_absent_mode_keeps_its_default_for_every_protocol():
+    for protocol in ("deterministic", "probabilistic", "nguyen"):
+        argv = ["run", "--protocol", protocol, "--target", "1:0"]
+        if protocol != "nguyen":
+            argv += ["--lambda", "0.6:0.8"]
+        assert parse_config(argv).mode == "repaired"

@@ -7,7 +7,7 @@ import rspsim.gates
 import rspsim.linalg
 import rspsim.protocols
 import rspsim.register
-from rspsim.errors import InvalidState, Unsupported
+from rspsim.errors import CapacityExceeded, InvalidState, Unsupported
 from rspsim.protocols import (
     ChannelSpec,
     TargetState,
@@ -446,3 +446,66 @@ def test_deterministic_run_measures_a_and_c_jointly():
                                rng=derive_rng(4))
     assert [rec.subsystems for rec in tr.measurements] == [("A", "C")]
     assert tr.messages[0].outcome == tr.outcome == tr.measurements[0].outcome
+
+
+def _count_constructions(monkeypatch):
+    """Count validated StateRegister constructions and make_gate calls."""
+    registers, gates = [], []
+    init, make = rspsim.register.StateRegister.__init__, rspsim.gates.make_gate
+
+    def counted_init(self, *args, **kwargs):
+        registers.append(args[0] if args else kwargs["dims"])
+        init(self, *args, **kwargs)
+
+    def counted_make(*args, **kwargs):
+        gates.append(args[2] if len(args) > 2 else kwargs["name"])
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(rspsim.register.StateRegister, "__init__", counted_init)
+    for module in (rspsim.gates, rspsim.register, rspsim.protocols):
+        if getattr(module, "make_gate", None) is make:
+            monkeypatch.setattr(module, "make_gate", counted_make)
+    return registers, gates
+
+
+@pytest.mark.parametrize(
+    "protocol, make_gates",
+    [("deterministic", 1), ("probabilistic", 4), ("nguyen", 3)],
+)
+def test_a_table_validates_one_register_and_builds_each_basis_once(
+        monkeypatch, protocol, make_gates):
+    channel, target = ChannelSpec.of((0.5, np.sqrt(0.75))), TargetState.of((0.6, 0.8j))
+    exact_outcome_table(protocol, channel, target)  # fill the gate caches
+    registers, gates = _count_constructions(monkeypatch)
+    table = exact_outcome_table(protocol, channel, target)
+    assert registers == [(2, 2, 2)]
+    assert len(gates) == make_gates, gates
+    assert len(table.rows) > 1 and all(r.fidelity >= 1.0 - 1e-10 for r in table.rows if r.corrected)
+    del registers[:]
+    for seed in range(5):
+        run_protocol(protocol, channel, target, rng=derive_rng(seed))
+    assert registers == [(2, 2, 2)] * 5
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_start_register_is_the_channel_times_the_ancilla(d):
+    rng = np.random.default_rng(40 + d)
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    channel = ChannelSpec.of(v / np.linalg.norm(v))
+    start = rspsim.protocols._start(channel)
+    ancilla = rspsim.register.basis_register((d,), (0,), labels=("C",))
+    expected = rspsim.register.channel_register(channel).tensor(ancilla)
+    assert (start.dims, start.labels) == (expected.dims, expected.labels)
+    np.testing.assert_array_equal(start.amplitudes, expected.amplitudes)
+
+
+def test_start_register_checks_the_cap_before_allocating():
+    channel = ChannelSpec.maximal(102)  # 102^3 amplitudes would take 17 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityExceeded):
+            rspsim.protocols._start(channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -12,6 +12,7 @@ from rspsim.errors import (
     ShapeError,
 )
 from rspsim.gates import (
+    UNITARY_TOL,
     cadd,
     controlled_shift,
     csub,
@@ -21,9 +22,11 @@ from rspsim.gates import (
     pauli_x,
     pauli_z,
 )
+from rspsim.linalg import unitarity_defect
 from rspsim.protocols import ChannelSpec
 from rspsim.register import (
     StateRegister,
+    _basis_gates,
     basis_register,
     channel_register,
     derive_rng,
@@ -374,3 +377,67 @@ def test_contract_with_basis_index_out_of_range():
     for label, k in (("A", 2), ("B", 3), ("A", -1)):
         with pytest.raises(IndexOutOfRange):
             reg.contract({label: k})
+
+
+# -- registers derived from a checked parent ----------------------------------
+
+
+def test_strict_apply_still_checks_the_norm():
+    """A defect under UNITARY_TOL can still break the register's 1e-10 norm tolerance."""
+    eps = 2.5e-9
+    gate = make_gate(np.diag([1.0 + eps, 1.0]), (2,), "stretch")
+    assert 1e-10 < gate.defect < UNITARY_TOL
+    with pytest.raises(InvalidState):
+        KET(0).apply(gate, ["q0"])
+    assert abs(KET(0).apply(gate, ["q0"], strict=False).norm - (1.0 + eps)) <= 1e-15
+
+
+def _derived_cases():
+    rng = np.random.default_rng(77)
+    reg = random_register((2, 3, 2), ("A", "B", "C"), rng)
+    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    dense = make_gate(np.linalg.qr(z)[0], (3,), "R3")
+    loose = StateRegister(reg.dims, 3.0 * reg.amplitudes, reg.labels, check_norm=False)
+    return [
+        ("gather", reg, lambda: reg.apply(cadd(2), ["C", "A"])),
+        ("phased gather", reg, lambda: reg.apply(pauli_z(3), ["B"])),
+        ("dense", reg, lambda: reg.apply(dense, ["B"])),
+        ("project", reg, lambda: reg.project(["B"], (1,))[1]),
+        ("normalized", loose, loose.normalized),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_derived_register_is_frozen_fresh_and_equals_the_public_one(case):
+    _, parent, derive = _derived_cases()[case]
+    out = derive()
+    assert not out.amplitudes.flags.writeable
+    assert not np.shares_memory(out.amplitudes, parent.amplitudes)
+    public = StateRegister(parent.dims, out.amplitudes, parent.labels)
+    assert (out.dims, out.labels) == (public.dims, public.labels)
+    assert out.amplitudes.dtype == public.amplitudes.dtype
+    np.testing.assert_array_equal(out.amplitudes, public.amplitudes)
+
+
+def test_derived_register_rejects_non_finite_amplitudes():
+    with np.errstate(over="ignore", invalid="ignore"):
+        gate = make_gate(np.diag([1e200, 1.0]), (2,), "huge")
+        once = KET(0).apply(gate, ["q0"], strict=False)
+        with pytest.raises(InvalidState):
+            once.apply(gate, ["q0"], strict=False)  # 1e400 overflows to inf
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_back_rotation_shares_the_measured_defect(d):
+    """||B^dag B - I||_F = ||B B^dag - I||_F, so one defect check serves both gates."""
+    rng = np.random.default_rng(900 + d)
+    for _ in range(20):
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        assert abs(unitarity_defect(z.conj().T) - unitarity_defect(z)) <= 1e-12 * unitarity_defect(z)
+        u = np.linalg.qr(z)[0]
+        b = u + rng.uniform(1e-12, 5e-10) * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        rot, back = _basis_gates(b, d)
+        assert rot.defect == unitarity_defect(b.conj().T)
+        assert abs(back.defect - unitarity_defect(b)) <= 1e-12
+        np.testing.assert_array_equal(back.matrix, b)
+        assert not back.matrix.flags.writeable
