@@ -38,8 +38,6 @@ from .linalg import (
     complete_to_unitary,
     dagger,
     fidelity_pure,
-    kron,
-    kron_all,
     transport_unitary,
     unitarity_defect,
 )
@@ -60,9 +58,6 @@ from .protocols import (
     TargetState,
     Transcript,
     exact_outcome_table,
-    run_deterministic_rsp,
-    run_nguyen_rsp,
-    run_probabilistic_rsp,
     run_protocol,
     success_probability,
 )
@@ -97,10 +92,9 @@ __all__ = [
     "complete_to_unitary", "controlled_shift", "correction_unitary", "csub",
     "cu_concentration", "dagger", "derive_rng", "encoding_unitary",
     "encoding_unitary_literal", "enumerate_naive", "exact_outcome_table",
-    "fidelity_mixed", "fidelity_pure", "identity", "kron", "kron_all",
-    "make_gate", "naive_branch_fidelities", "negation_shift", "nguyen_bases",
-    "pauli_x", "pauli_z", "reconstruct_qubit", "run_deterministic_rsp",
-    "run_nguyen_rsp", "run_probabilistic_rsp", "run_protocol",
-    "sample_pauli_expectations", "success_probability", "table_distribution",
-    "tomograph", "trace_distance", "transport_unitary", "unitarity_defect",
+    "fidelity_mixed", "fidelity_pure", "identity", "make_gate",
+    "naive_branch_fidelities", "negation_shift", "nguyen_bases", "pauli_x",
+    "pauli_z", "reconstruct_qubit", "run_protocol", "sample_pauli_expectations",
+    "success_probability", "table_distribution", "tomograph", "trace_distance",
+    "transport_unitary", "unitarity_defect",
 ]

@@ -42,6 +42,8 @@ from .verify import SUITES, format_report, run_suite
 
 # A sweep holds one row and up to three exact tables per grid point.
 MAX_POINTS = 10_000
+# The largest count numpy's binomial sampler takes (int64).
+MAX_SHOTS = 2**63 - 1
 
 
 class ConfigError(Exception):
@@ -156,7 +158,7 @@ def _config_args(path: str, command: str) -> list[str]:
                 if key == "config" or key not in _COMMANDS[command][1]:
                     raise ConfigError(f"{path}:{ln}: unknown key {key!r} for {command}")
                 args.append(f"--{key}={value}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return args
 
@@ -180,6 +182,8 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 def _validated(cfg: RunConfig) -> RunConfig:
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if not (math.isfinite(cfg.tolerance) and 0.0 <= cfg.tolerance < 1.0):
         raise ConfigError(f"tolerance must be finite and in [0, 1), got {cfg.tolerance}")
     for name in ("theta_min", "theta_max"):
@@ -224,8 +228,8 @@ def _validated(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"sweep needs 1 <= points <= {MAX_POINTS}")
     if cfg.command == "sweep" and cfg.theta_max < cfg.theta_min:
         raise ConfigError("theta-max must not be below theta-min")
-    if cfg.command == "tomo" and cfg.shots < 3:
-        raise ConfigError("tomo needs shots >= 3")
+    if cfg.command == "tomo" and not 3 <= cfg.shots <= MAX_SHOTS:
+        raise ConfigError(f"tomo needs 3 <= shots <= {MAX_SHOTS}")
     return cfg
 
 

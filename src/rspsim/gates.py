@@ -45,7 +45,6 @@ class GateMatrix:
     dims: tuple[int, ...]
     name: str
     defect: float
-    literal: bool = False
     dense: np.ndarray | None = field(default=None, repr=False)
     src: np.ndarray | None = field(default=None, repr=False)
     phases: np.ndarray | None = field(default=None, repr=False)
@@ -77,13 +76,8 @@ class GateMatrix:
         m.flags.writeable = False
         return m
 
-    def daggered(self) -> "GateMatrix":
-        return make_gate(dagger(self.matrix), self.dims, f"{self.name}^dag")
 
-
-def make_gate(
-    matrix: np.ndarray, dims: Sequence[int], name: str, literal: bool = False
-) -> GateMatrix:
+def make_gate(matrix: np.ndarray, dims: Sequence[int], name: str) -> GateMatrix:
     """Freeze a matrix into a dense GateMatrix, recording its unitarity defect."""
     m = np.asarray(matrix, dtype=complex)
     dims = tuple(int(d) for d in dims)
@@ -92,7 +86,7 @@ def make_gate(
         raise InvalidState(f"gate {name}: matrix shape {m.shape} != product of dims {dims}")
     m = m.copy()
     m.flags.writeable = False
-    return GateMatrix(dims=dims, name=name, defect=unitarity_defect(m), literal=literal, dense=m)
+    return GateMatrix(dims=dims, name=name, defect=unitarity_defect(m), dense=m)
 
 
 def index_gate(
@@ -201,20 +195,19 @@ def encoding_unitary_literal(x0: float, x1mag: float, theta: float) -> GateMatri
 
     [[x0, -|x1| e^{i theta}], [|x1| e^{i theta}, x0]].  Column 0 is the
     target state.  Not unitary when x0*|x1|*sin(theta) != 0; the defect
-    (2*sqrt(2)*x0*|x1|*|sin theta|) is recorded, not rejected, and the
-    gate is flagged literal.
+    (2*sqrt(2)*x0*|x1|*|sin theta|) is recorded, not rejected.
     """
     x0, x1mag = float(x0), float(x1mag)
     if abs(x0 * x0 + x1mag * x1mag - 1.0) > STRUCT_TOL:
         raise InvalidState("encoding_unitary_literal needs x0^2 + |x1|^2 = 1")
     p = x1mag * np.exp(1j * float(theta))
     m = np.array([[x0, -p], [p, x0]], dtype=complex)
-    return make_gate(m, (2,), "U_literal", literal=True)
+    return make_gate(m, (2,), "U_literal")
 
 
 def encoding_unitary(target: Sequence[complex] | np.ndarray) -> GateMatrix:
     """Unitary encoder whose column 0 is exactly the target amplitudes."""
-    amps = as_cvec(getattr(target, "amplitudes", target))
+    amps = as_cvec(target)
     u = complete_to_unitary(amps)
     return make_gate(u, (amps.size,), f"U_enc(d={amps.size})")
 
@@ -237,7 +230,7 @@ def correction_chain(u: GateMatrix) -> Callable[[int, np.ndarray], np.ndarray]:
     checked and U^dag formed once, here.
     """
     if u.arity != 1:
-        raise InvalidState("correction_unitary expects a single-subsystem encoder")
+        raise InvalidState("correction_chain expects a single-subsystem encoder")
     if u.defect > UNITARY_TOL:
         raise NonUnitaryGate(f"encoder defect {u.defect:.3e} exceeds {UNITARY_TOL:.0e}")
     d, enc = u.dim, u.matrix

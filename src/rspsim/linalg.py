@@ -10,7 +10,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import CapacityExceeded, InvalidState, ShapeError
+from .errors import InvalidState, ShapeError
 
 # Hard cap on any vector/matrix dimension handled by the package.
 MAX_DIM = 2**20
@@ -39,26 +39,6 @@ def as_cmat(entries: Sequence[Sequence[complex]] | np.ndarray) -> np.ndarray:
     return m
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two square matrices."""
-    a, b = as_cmat(a), as_cmat(b)
-    if a.shape[0] * b.shape[0] > MAX_DIM:
-        raise CapacityExceeded(
-            f"kron result dimension {a.shape[0] * b.shape[0]} exceeds cap {MAX_DIM}"
-        )
-    return np.kron(a, b)
-
-
-def kron_all(*mats: np.ndarray) -> np.ndarray:
-    """Left-to-right tensor product of several square matrices."""
-    if not mats:
-        raise ShapeError("kron_all needs at least one matrix")
-    out = as_cmat(mats[0])
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return as_cmat(m).conj().T
@@ -70,7 +50,7 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
 
 
-def complete_to_unitary(col0: Sequence[complex] | np.ndarray, tol: float = STRUCT_TOL) -> np.ndarray:
+def complete_to_unitary(col0: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Deterministic unitary whose column 0 equals ``col0`` exactly.
 
     Uses a Householder reflection about w = col0 + e^{i arg(col0[0])} e0
@@ -78,7 +58,7 @@ def complete_to_unitary(col0: Sequence[complex] | np.ndarray, tol: float = STRUC
     """
     v = as_cvec(col0)
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > STRUCT_TOL:
         raise InvalidState(f"column must be normalized, |norm - 1| = {abs(norm - 1.0):.3e}")
     d = v.size
     phase = np.exp(1j * np.angle(v[0]))  # 1 at v[0] = 0; no division, so subnormals are safe

@@ -48,13 +48,11 @@ class BranchDistribution:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-outcome comparison statistics; passes iff max statistic <= threshold."""
+    """Per-outcome comparison statistics and whether the max statistic is within bounds."""
 
     entries: tuple[tuple[Outcome, float, float, float], ...]  # (outcome, expected, observed, stat)
     max_stat: float
-    threshold: float
     passed: bool
-    kind: str
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +307,9 @@ def table_distribution(table: OutcomeTable) -> BranchDistribution:
 
 
 def compare_exact(
-    dist_fast: BranchDistribution,
-    dist_naive: BranchDistribution,
-    tol: float = 1e-10,
+    dist_fast: BranchDistribution, dist_naive: BranchDistribution
 ) -> ComparisonReport:
-    """Per-outcome absolute difference; passes iff max difference <= tol."""
+    """Per-outcome absolute difference; passes iff max difference <= 1e-10."""
     fast, naive = dist_fast.as_dict(), dist_naive.as_dict()
     if set(fast) != set(naive):
         raise MismatchedOutcomeSpace(
@@ -324,7 +320,7 @@ def compare_exact(
         diff = abs(fast[out] - naive[out])
         entries.append((out, naive[out], fast[out], diff))
     max_diff = max(d for *_, d in entries)
-    return ComparisonReport(tuple(entries), max_diff, tol, max_diff <= tol, "exact")
+    return ComparisonReport(tuple(entries), max_diff, max_diff <= 1e-10)
 
 
 def transcript_outcome(transcript: Transcript) -> Outcome:
@@ -332,17 +328,12 @@ def transcript_outcome(transcript: Transcript) -> Outcome:
     return transcript.outcome
 
 
-def compare_sampled(
-    dist: BranchDistribution,
-    trials: int,
-    seed: int,
-    z_threshold: float = 4.0,
-) -> ComparisonReport:
+def compare_sampled(dist: BranchDistribution, trials: int, seed: int) -> ComparisonReport:
     """Monte Carlo frequencies of real protocol runs against exact probabilities.
 
     Each trial runs the full protocol through the register sampler with a
     seed hashed from (seed, trial).  Per-outcome z-scores must stay within
-    the threshold; zero-probability outcomes must never be observed.
+    4; zero-probability outcomes must never be observed.
     """
     if trials < 100:
         raise InvalidState("compare_sampled needs at least 100 trials")
@@ -368,4 +359,4 @@ def compare_sampled(
             stat = abs(obs - trials * p) / np.sqrt(trials * p * (1.0 - p))
         entries.append((out, trials * p, float(obs), float(stat)))
     max_z = max(s for *_, s in entries)
-    return ComparisonReport(tuple(entries), max_z, z_threshold, max_z <= z_threshold, "sampled")
+    return ComparisonReport(tuple(entries), max_z, max_z <= 4.0)

@@ -183,7 +183,6 @@ class Transcript:
     bob_state: np.ndarray = field(repr=False)
     fidelity: float
     success: bool
-    success_tol: float
     raw_norm: float | None = None
 
     @property
@@ -451,26 +450,6 @@ def run_protocol(protocol: str, channel: ChannelSpec | None, target: TargetState
         messages=tuple(ClassicalMessage(r.subsystems, r.outcome) for r in path.records),
         outcome=path.label, correction=path.correction, bob_state=path.bob,
         fidelity=path.fidelity,
-        success=path.corrected and path.fidelity >= 1.0 - success_tol,
-        success_tol=success_tol, raw_norm=path.raw_norm,
+        success=path.corrected and path.fidelity >= 1.0 - success_tol, raw_norm=path.raw_norm,
     )
 
-
-def run_deterministic_rsp(channel: ChannelSpec, target: TargetState, mode: str = "repaired",
-                          rng: np.random.Generator | None = None,
-                          success_tol: float = SUCCESS_TOL) -> Transcript:
-    """One sampled run of the coefficient-independent protocol."""
-    return run_protocol("deterministic", channel, target, mode, rng, success_tol)
-
-
-def run_nguyen_rsp(target: TargetState, rng: np.random.Generator | None = None,
-                   success_tol: float = SUCCESS_TOL) -> Transcript:
-    """One sampled run of the baseline over the maximal qubit channel."""
-    return run_protocol("nguyen", None, target, rng=rng, success_tol=success_tol)
-
-
-def run_probabilistic_rsp(channel: ChannelSpec, target: TargetState,
-                          rng: np.random.Generator | None = None,
-                          success_tol: float = SUCCESS_TOL) -> Transcript:
-    """One sampled run of the concentration baseline; ancilla outcome 1 fails the run."""
-    return run_protocol("probabilistic", channel, target, rng=rng, success_tol=success_tol)

@@ -86,15 +86,15 @@ class DensityMatrix:
     dim: int
 
     @classmethod
-    def build(cls, entries: np.ndarray, tol: float = STRUCT_TOL) -> "DensityMatrix":
+    def build(cls, entries: np.ndarray) -> "DensityMatrix":
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"density matrix must be square, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > tol:
+        if np.max(np.abs(m - m.conj().T)) > STRUCT_TOL:
             raise InvalidState("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > tol:
+        if abs(np.trace(m).real - 1.0) > STRUCT_TOL:
             raise InvalidState(f"density matrix trace {np.trace(m).real} != 1")
-        if np.min(np.linalg.eigvalsh(m)) < -tol:
+        if np.min(np.linalg.eigvalsh(m)) < -STRUCT_TOL:
             raise InvalidState("density matrix has a negative eigenvalue")
         m = m.copy()
         m.flags.writeable = False
@@ -111,7 +111,6 @@ class StateRegister:
         dims: Sequence[int],
         amplitudes: Sequence[complex] | np.ndarray,
         labels: Sequence[str] | None = None,
-        check_norm: bool = True,
     ):
         dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in dims) or not dims:
@@ -122,7 +121,7 @@ class StateRegister:
         amps = as_cvec(amplitudes)
         if amps.size != total:
             raise ShapeError(f"amplitude length {amps.size} != product of dims {total}")
-        if check_norm and abs(np.linalg.norm(amps) - 1.0) > STRUCT_TOL:
+        if abs(np.linalg.norm(amps) - 1.0) > STRUCT_TOL:
             raise InvalidState(f"register norm {np.linalg.norm(amps)} is not 1")
         if labels is None:
             labels = tuple(f"q{i}" for i in range(len(dims)))

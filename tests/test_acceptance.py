@@ -20,7 +20,7 @@ from rspsim.protocols import (
     ChannelSpec,
     TargetState,
     exact_outcome_table,
-    run_deterministic_rsp,
+    run_protocol,
 )
 from rspsim.register import DensityMatrix, StateRegister, derive_rng
 from rspsim.sweep import sweep_rows, theta_grid
@@ -240,7 +240,7 @@ def test_criterion_8_tomography_standin():
     for k in range(20):
         target = random_target(2, rng)
         channel = random_positive_channel(2, rng)
-        tr = run_deterministic_rsp(channel, target, "repaired", derive_rng(900, k))
+        tr = run_protocol("deterministic", channel, target, "repaired", derive_rng(900, k))
         bob = StateRegister((2,), tr.bob_state)
         est = sample_pauli_expectations(bob, 100_000, derive_rng(901, k))
         rho = reconstruct_qubit(est)

@@ -424,3 +424,36 @@ def test_absent_mode_keeps_its_default_for_every_protocol():
         if protocol != "nguyen":
             argv += ["--lambda", "0.6:0.8"]
         assert parse_config(argv).mode == "repaired"
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--protocol", "deterministic", "--lambda", "0.6:0.8", "--target", "1:0"),
+    _VALID["sweep"],
+    ("verify", "gates"),
+    _VALID["tomo"],
+], ids=["run", "sweep", "verify", "tomo"])
+def test_negative_seed_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed" in err
+    assert out == ""
+
+
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg_file = tmp_path / "latin.cfg"
+    cfg_file.write_bytes(b"seed = \xff\xfe\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg_file))
+    assert code == 1
+    assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("shots", [2**63, 10**20])
+def test_tomo_shots_beyond_int64_is_config_error(capsys, shots):
+    code, out, err = run_cli(capsys, "tomo", "--target", "0.6:0.8", "--shots", str(shots))
+    assert code == 1
+    assert err.startswith("error: ") and "shots" in err
+    assert out == ""
+    assert parse_config(["tomo", "--target", "0.6:0.8", "--shots", str(2**63 - 1)]).shots \
+        == 2**63 - 1

@@ -138,7 +138,6 @@ def test_encoding_literal_real_rotation():
     g = encoding_unitary_literal(0.6, 0.8, 0.0)
     np.testing.assert_allclose(g.matrix, [[0.6, -0.8], [0.8, 0.6]], atol=1e-15)
     assert g.defect <= 1e-12
-    assert g.literal
 
 
 def test_encoding_literal_defect_sqrt2():

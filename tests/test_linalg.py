@@ -1,65 +1,21 @@
 import numpy as np
 import pytest
 
-from rspsim.errors import CapacityExceeded, InvalidState, ShapeError
+from rspsim.errors import InvalidState, ShapeError
 from rspsim.linalg import (
     complete_to_unitary,
     dagger,
     fidelity_pure,
-    kron,
-    kron_all,
     transport_unitary,
     unitarity_defect,
 )
 
 I2 = np.eye(2, dtype=complex)
-X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def random_state(d, rng):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return v / np.linalg.norm(v)
-
-
-def test_kron_identity():
-    np.testing.assert_array_equal(kron(I2, I2), np.eye(4))
-
-
-def test_kron_basis_permutation():
-    ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    np.testing.assert_array_equal(kron(X2, I2) @ ket00, np.array([0, 0, 1, 0]))
-
-
-def test_kron_mixed_product():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    u = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    left = kron(a, b) @ np.kron(u, v)
-    right = np.kron(a @ u, b @ v)
-    np.testing.assert_allclose(left, right, atol=1e-14)
-
-
-def test_kron_associative():
-    rng = np.random.default_rng(1)
-    mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
-    a, b, c = mats
-    one_pass = kron_all(a, b, c)
-    # left association is entrywise identical to the one-pass product
-    np.testing.assert_array_equal(kron(kron(a, b), c), one_pass)
-    np.testing.assert_allclose(kron(a, kron(b, c)), one_pass, rtol=1e-14, atol=1e-16)
-
-
-def test_kron_capacity():
-    big = np.eye(2048, dtype=complex)
-    with pytest.raises(CapacityExceeded):
-        kron(big, big)
-
-
-def test_kron_rejects_non_square():
-    with pytest.raises(ShapeError):
-        kron(np.ones((2, 3)), I2)
 
 
 def test_dagger_identity():

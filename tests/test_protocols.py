@@ -12,9 +12,6 @@ from rspsim.protocols import (
     ChannelSpec,
     TargetState,
     exact_outcome_table,
-    run_deterministic_rsp,
-    run_nguyen_rsp,
-    run_probabilistic_rsp,
     run_protocol,
     success_probability,
 )
@@ -61,7 +58,7 @@ def test_deterministic_repaired_d3_always_succeeds():
     channel = ChannelSpec.of(np.array([0.5, 0.5, np.sqrt(0.5)], dtype=complex))
     target = random_target(3, rng)
     for seed in range(6):
-        tr = run_deterministic_rsp(channel, target, "repaired", derive_rng(seed))
+        tr = run_protocol("deterministic", channel, target, "repaired", derive_rng(seed))
         assert tr.fidelity >= 1 - 1e-10
         assert tr.success
         a, c = tr.messages[0].outcome
@@ -90,8 +87,8 @@ def test_deterministic_product_channel_single_branch():
     assert [r.outcome for r in table.rows] == [(0, 0)]
     assert abs(table.rows[0].probability - 1.0) <= 1e-12
     assert table.rows[0].fidelity >= 1 - 1e-10
-    tr = run_deterministic_rsp(
-        ChannelSpec.of((1.0, 0.0)), TargetState.of((0.6, 0.8j)), rng=derive_rng(2)
+    tr = run_protocol(
+        "deterministic", ChannelSpec.of((1.0, 0.0)), TargetState.of((0.6, 0.8j)), rng=derive_rng(2)
     )
     assert tr.messages[0].outcome == (0, 0)
     assert tr.success
@@ -123,7 +120,7 @@ def test_deterministic_run_matches_table_branch():
     target = TargetState.of((1 / np.sqrt(3), np.sqrt(2 / 3) * 1j))
     table = exact_outcome_table("deterministic", channel, target)
     probs = {r.outcome: r.probability for r in table.rows}
-    tr = run_deterministic_rsp(channel, target, rng=derive_rng(9))
+    tr = run_protocol("deterministic", channel, target, rng=derive_rng(9))
     outcome = tr.messages[0].outcome
     assert outcome in probs
     assert abs(tr.measurements[0].probability - probs[outcome]) <= 1e-12
@@ -131,16 +128,18 @@ def test_deterministic_run_matches_table_branch():
 
 def test_deterministic_dimension_mismatch():
     with pytest.raises(InvalidState):
-        run_deterministic_rsp(
-            ChannelSpec.of((0.6, 0.8)), TargetState.of((1.0, 0.0, 0.0)), rng=derive_rng(0)
+        run_protocol(
+            "deterministic", ChannelSpec.of((0.6, 0.8)), TargetState.of((1.0, 0.0, 0.0)),
+            rng=derive_rng(0),
         )
 
 
 def test_literal_mode_requires_qubits():
     rng = np.random.default_rng(5)
     with pytest.raises(Unsupported):
-        run_deterministic_rsp(
-            random_positive_channel(3, rng), random_target(3, rng), "literal", derive_rng(0)
+        run_protocol(
+            "deterministic", random_positive_channel(3, rng), random_target(3, rng), "literal",
+            derive_rng(0),
         )
 
 
@@ -149,8 +148,8 @@ def test_literal_mode_requires_qubits():
 
 def test_literal_mode_flags_non_unitary_step():
     target = TargetState.of((1 / np.sqrt(2), 1j / np.sqrt(2)))  # theta = pi/2
-    tr = run_deterministic_rsp(
-        ChannelSpec.of((0.6, 0.8)), target, "literal", derive_rng(3)
+    tr = run_protocol(
+        "deterministic", ChannelSpec.of((0.6, 0.8)), target, "literal", derive_rng(3)
     )
     assert tr.has_non_unitary_step
     flagged = max(s.defect for s in tr.steps if s.non_unitary)
@@ -171,7 +170,7 @@ def test_literal_mode_branch_norms_still_sum_to_one():
         assert x0 * x1 * np.sin(th) > 0.0
         target = TargetState.of((x0, x1 * np.exp(1j * th)))
         channel = random_positive_channel(2, rng)
-        tr = run_deterministic_rsp(channel, target, "literal", derive_rng(1))
+        tr = run_protocol("deterministic", channel, target, "literal", derive_rng(1))
         assert abs(tr.raw_norm - 1.0) <= 1e-12
         table = exact_outcome_table("deterministic", channel, target, mode="literal")
         assert abs(sum(r.probability for r in table.rows) - 1.0) <= 1e-12
@@ -225,7 +224,7 @@ def test_probabilistic_run_branches():
     target = TargetState.of((0.6, 0.8j))
     seen = set()
     for seed in range(30):
-        tr = run_probabilistic_rsp(channel, target, derive_rng(seed))
+        tr = run_protocol("probabilistic", channel, target, rng=derive_rng(seed))
         c = tr.messages[0].outcome[0]
         seen.add(c)
         if c == 0:
@@ -244,15 +243,16 @@ def test_probabilistic_alpha_zero_always_fails():
     assert [r.outcome for r in table.rows] == [(1,)]
     assert abs(table.rows[0].probability - 1.0) <= 1e-12
     assert success_probability(table) == 0.0
-    tr = run_probabilistic_rsp(ChannelSpec.of((0.0, 1.0)), TargetState.of((0.6, 0.8)),
-                               derive_rng(0))
+    tr = run_protocol("probabilistic", ChannelSpec.of((0.0, 1.0)), TargetState.of((0.6, 0.8)),
+                      rng=derive_rng(0))
     assert not tr.success
 
 
 def test_probabilistic_rejects_alpha_above_beta():
     with pytest.raises(InvalidState):
-        run_probabilistic_rsp(
-            ChannelSpec.of((0.8, 0.6)), TargetState.of((0.6, 0.8)), derive_rng(0)
+        run_protocol(
+            "probabilistic", ChannelSpec.of((0.8, 0.6)), TargetState.of((0.6, 0.8)),
+            rng=derive_rng(0),
         )
 
 
@@ -281,7 +281,7 @@ def test_nguyen_four_quarter_branches():
 
 
 def test_nguyen_trivial_target():
-    tr = run_nguyen_rsp(TargetState.of((1.0, 0.0)), derive_rng(8))
+    tr = run_protocol("nguyen", None, TargetState.of((1.0, 0.0)), rng=derive_rng(8))
     assert tr.success
     np.testing.assert_allclose(np.abs(tr.bob_state), [1.0, 0.0], atol=1e-10)
 
@@ -290,7 +290,7 @@ def test_nguyen_run_all_outcomes_corrected():
     target = TargetState.of((0.28, 0.96j))
     seen = set()
     for seed in range(40):
-        tr = run_nguyen_rsp(target, derive_rng(seed))
+        tr = run_protocol("nguyen", None, target, rng=derive_rng(seed))
         assert tr.fidelity >= 1 - 1e-10
         seen.add((tr.messages[0].outcome[0], tr.messages[1].outcome[0]))
     assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -395,7 +395,7 @@ def test_deterministic_run_reports_the_dense_correction():
     rng = np.random.default_rng(5)
     channel, target = random_positive_channel(5, rng), random_target(5, rng)
     for seed in range(10):
-        tr = run_deterministic_rsp(channel, target, rng=derive_rng(seed))
+        tr = run_protocol("deterministic", channel, target, rng=derive_rng(seed))
         assert tr.success and tr.fidelity >= 1.0 - 1e-10
 
 
@@ -411,7 +411,7 @@ def test_deterministic_runs_build_no_dense_correction(monkeypatch):
     monkeypatch.setattr(rspsim.protocols, "correction_unitary", counted, raising=False)
     channel, target = ChannelSpec.of((0.6, 0.8)), TargetState.of((0.6, 0.8j))
     for seed in range(50):
-        assert run_deterministic_rsp(channel, target, rng=derive_rng(seed)).success
+        assert run_protocol("deterministic", channel, target, rng=derive_rng(seed)).success
     assert calls == []
 
 
@@ -428,7 +428,7 @@ def test_failure_branch_is_not_a_success_even_at_fidelity_one():
     assert not rows[(1,)].corrected and rows[(0,)].corrected
     assert abs(success_probability(table) - 2 * np.sin(theta) ** 2) <= 1e-12
     for seed in range(20):
-        tr = run_probabilistic_rsp(channel, target, derive_rng(seed))
+        tr = run_protocol("probabilistic", channel, target, rng=derive_rng(seed))
         assert tr.success == (tr.outcome == (0,))
 
 
@@ -442,8 +442,8 @@ def test_transcript_outcome_is_its_table_label():
 
 
 def test_deterministic_run_measures_a_and_c_jointly():
-    tr = run_deterministic_rsp(ChannelSpec.of((0.6, 0.8)), TargetState.of((0.6, 0.8j)),
-                               rng=derive_rng(4))
+    tr = run_protocol("deterministic", ChannelSpec.of((0.6, 0.8)), TargetState.of((0.6, 0.8j)),
+                      rng=derive_rng(4))
     assert [rec.subsystems for rec in tr.measurements] == [("A", "C")]
     assert tr.messages[0].outcome == tr.outcome == tr.measurements[0].outcome
 

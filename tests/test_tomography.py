@@ -133,7 +133,7 @@ def test_tomograph_scores_physical_result():
 def test_prepared_state_fidelity_after_heavy_sampling():
     # 1e5-shot tomography of exactly prepared receiver states keeps
     # fidelity >= 0.98 in at least 95% of fixed-seed runs
-    from rspsim.protocols import ChannelSpec, TargetState, run_deterministic_rsp
+    from rspsim.protocols import ChannelSpec, TargetState, run_protocol
 
     rng = np.random.default_rng(23)
     good = 0
@@ -142,7 +142,7 @@ def test_prepared_state_fidelity_after_heavy_sampling():
         target = TargetState.of(v / np.linalg.norm(v))
         lam = rng.uniform(0.1, 1.0, size=2)
         channel = ChannelSpec.of(lam / np.linalg.norm(lam))
-        tr = run_deterministic_rsp(channel, target, "repaired", derive_rng(70, k))
+        tr = run_protocol("deterministic", channel, target, "repaired", derive_rng(70, k))
         bob = StateRegister((2,), tr.bob_state)
         res = tomograph(bob, target.vector(), 100_000, derive_rng(71, k))
         good += res.fidelity_to_target >= 0.98
