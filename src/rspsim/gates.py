@@ -219,36 +219,53 @@ def negation_shift(d: int, m: int) -> GateMatrix:
     return index_gate((m - np.arange(d)) % d, (d,), f"N[{m}]")
 
 
-def correction_chain(u: GateMatrix) -> Callable[[int, np.ndarray], np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _chain_gathers(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather tables of the chain's two permutations; row m holds N_m, then Pi_0m."""
+    idx = np.arange(d)
+    negate = (idx[:, None] - idx) % d
+    swap = np.tile(idx, (d, 1))
+    swap[:, 0], swap[idx, idx] = idx, 0
+    negate.flags.writeable = swap.flags.writeable = False
+    return negate, swap
+
+
+def correction_chain(u: GateMatrix) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Receiver corrections V_m = U Pi_0m U^dag N_m of encoder U, kept as factors.
 
-    Returns ``fix`` with ``fix(m, b)`` = V_m b, the factors applied right to
-    left along axis 0 of ``b``: the negation gather N_m (|l> -> |m - l mod
-    d>), U^dag, the swap Pi_0m of entries 0 and m, then U.  That is O(d^2)
-    per column.  V_m maps the raw branch state b_m = sum_n U[n, m]
-    |m - n mod d> to U|0>, the encoded target, exactly.  The encoder is
-    checked and U^dag formed once, here.
+    Returns ``fix`` with ``fix(ms, bs)[r]`` = V_{ms[r]} bs[r] for a block
+    ``bs`` of k states, shape (k, d), and their k branch indices ``ms``.
+    The factors are applied right to left to all rows at once: the negation
+    N_m (|l> -> |m - l mod d>) as one gather, U^dag, the swap Pi_0m of
+    entries 0 and m as a second gather, then U.  That is O(d^2) per row.
+    V_m maps the raw branch state b_m = sum_n U[n, m] |m - n mod d> to U|0>,
+    the encoded target, exactly.  The encoder is checked and U^dag formed
+    once, here; the gather tables are built once per d.
     """
     if u.arity != 1:
         raise InvalidState("correction_chain expects a single-subsystem encoder")
     if u.defect > UNITARY_TOL:
         raise NonUnitaryGate(f"encoder defect {u.defect:.3e} exceeds {UNITARY_TOL:.0e}")
     d, enc = u.dim, u.matrix
-    enc_dag = dagger(enc)
+    enc_dag_t, enc_t = dagger(enc).T, enc.T  # rows times these: U^dag, then U, on every row
+    negate, swap = _chain_gathers(d)
 
-    def fix(m: int, b: np.ndarray) -> np.ndarray:
-        if not 0 <= m < d:
-            raise InvalidState(f"correction V_m needs 0 <= m < d, got m={m}")
-        y = enc_dag @ b[(m - np.arange(d)) % d]
-        y[[0, m]] = y[[m, 0]]
-        return enc @ y
+    def fix(ms: np.ndarray, bs: np.ndarray) -> np.ndarray:
+        ms = np.asarray(ms)
+        bad = ms[(ms < 0) | (ms >= d)]
+        if bad.size:
+            raise InvalidState(f"correction V_m needs 0 <= m < d, got m={bad[0]}")
+        rows = np.arange(ms.size)[:, None]
+        y = bs[rows, negate[ms]] @ enc_dag_t
+        return y[rows, swap[ms]] @ enc_t
 
     return fix
 
 
 def correction_unitary(u: GateMatrix, m: int) -> GateMatrix:
     """Dense receiver correction V_m for branch outcome m: the chain applied to I."""
-    return make_gate(correction_chain(u)(m, np.eye(u.dim, dtype=complex)), (u.dim,), f"V[{m}]")
+    rows = correction_chain(u)(np.full(u.dim, m), np.eye(u.dim, dtype=complex))  # V_m e_j
+    return make_gate(rows.T, (u.dim,), f"V[{m}]")
 
 
 def nguyen_bases(a: float, b: float, gamma: float) -> tuple[np.ndarray, np.ndarray, GateMatrix]:

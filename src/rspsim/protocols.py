@@ -4,8 +4,11 @@
   is entangled with sender qudit A (controlled addition), the target is
   encoded on A, two controlled shifts (A->B subtraction, B->A addition)
   route the information onto B, and a computational measurement of A and
-  C picks a branch.  Every branch is corrected exactly, so success
-  probability is 1 for any channel with nonzero Schmidt coefficients.
+  C picks a branch.  Every branch is corrected exactly, so the success
+  probability is 1 for every channel, a product channel included: the
+  two controlled shifts cross the sender/receiver cut, and V_m is built
+  from the target's encoder, so the shared entanglement does not carry
+  the state.
 * ``probabilistic``: the concentration baseline over a partial qubit
   channel.  CNOT, controlled-U, CNOT, then the ancilla measurement either
   yields a maximal channel (probability 2 alpha^2, after which the
@@ -29,7 +32,8 @@ Encoding modes for the deterministic protocol:
 Each protocol is written once, as a step list over the subsystems A, B
 and C.  One interpreter walks it along every branch into an exact
 :class:`OutcomeTable`, or along one sampled path into the immutable
-:class:`Transcript` of a run.
+:class:`Transcript` of a run.  A measurement finishes all its picked
+branches that end at the receiver as one array block.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .gates import (
     nguyen_bases,
     pauli_z,
 )
-from .linalg import MAX_DIM, STRUCT_TOL, as_cvec, fidelity_pure, transport_unitary
+from .linalg import MAX_DIM, STRUCT_TOL, as_cvec, transport_unitary
 from .register import (
     PROB_FLOOR,
     MeasurementRecord,
@@ -223,12 +227,14 @@ def success_probability(table: OutcomeTable, tol: float = SUCCESS_TOL) -> float:
 
 
 # ---------------------------------------------------------------------------
-# protocols as step lists: gates, then one measurement or one receive leaf.
-# A measurement's ``then(outcome)`` returns the steps that follow; unless
-# ``labelled``, its outcome stays out of the table's row label.  A leaf
-# corrects B's state (given A and C on the given states; an int k is |k>)
-# with ``correct(bob) -> (description, corrected state)``.  None declares the
-# branch failed.
+# protocols as step lists: gates, then one measurement.  A measurement's
+# ``then(outcome)`` returns the steps that follow, or a receive leaf; unless
+# ``labelled``, its outcome stays out of the table's row label.  A leaf holds
+# the states of A and C (an int k is |k>) that B's state is conditioned on.
+# The measurement corrects the B states of all its leaves as one block with
+# ``correct(outcomes, bobs) -> (descriptions, corrected rows)``, given the
+# picked outcomes as an int array of shape (k, len(targets)) and B's states
+# as rows of shape (k, d).  None declares those branches failed.
 
 
 class _Gate(NamedTuple):
@@ -239,15 +245,15 @@ class _Gate(NamedTuple):
 
 class _Measure(NamedTuple):
     targets: tuple[str, ...]  # a single target when measured in a basis
-    then: Callable[[tuple[int, ...]], list]
+    then: Callable[[tuple[int, ...]], list | _Receive]
     basis: tuple[GateMatrix, GateMatrix] | None = None  # (basis^dag, basis), see _basis_gates
     labelled: bool = True
+    correct: Callable[[np.ndarray, np.ndarray], tuple[list[str], np.ndarray]] | None = None
 
 
 class _Receive(NamedTuple):
     a_state: np.ndarray | int
     c_state: np.ndarray | int
-    correct: Callable[[np.ndarray], tuple[str, np.ndarray]] | None
 
 
 def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -> list:
@@ -256,43 +262,53 @@ def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -
     d = channel.d
     if mode == "repaired":
         enc = encoding_unitary(target.amplitudes)
+        chain = correction_chain(enc)
+
+        def fix(a, bobs):
+            return ([f"V[{m}] (encoder-derived, target-dependent)" for m in a.tolist()],
+                    chain(a, bobs))
     elif mode == "literal":
         if d != 2:
             raise Unsupported("literal mode is defined only for d = 2")
         c = target.canonical()
         enc = encoding_unitary_literal(c[0].real, abs(c[1]), float(np.angle(c[1])))
+        printed = np.stack([identity(2).matrix, pauli_z(2).matrix])  # I on a = 0, sigma_z on 1
+
+        def fix(a, bobs):
+            return ([("identity", "sigma_z")[m] for m in a.tolist()],
+                    np.einsum("kij,kj->ki", printed[a], bobs))
     else:
         raise InvalidState(f"unknown mode {mode!r}; expected one of {MODES}")
 
-    chain = correction_chain(enc) if mode == "repaired" else None
-
-    def receive(outcome):
-        a, c = outcome
-        if a != c:
-            raise SimulationError(f"branch A={a}, C={c} has weight; branch structure is corrupted")
-        if chain is not None:
-            return [_Receive(a, a, lambda bob: (
-                f"V[{a}] (encoder-derived, target-dependent)", chain(a, bob)))]
-        desc, fix = ("identity", identity(2)) if a == 0 else ("sigma_z", pauli_z(2))
-        return [_Receive(a, a, lambda bob: (desc, fix.matrix @ bob))]
+    def correct(outcomes, bobs):
+        a, c = outcomes.T
+        if (a != c).any():
+            bad = np.flatnonzero(a != c)[0]
+            raise SimulationError(f"branch A={a[bad]}, C={c[bad]} has weight; "
+                                  "branch structure is corrupted")
+        return fix(a, bobs)
 
     return [_Gate(cadd(d), ("A", "C")), _Gate(enc, ("A",), strict=mode == "repaired"),
-            _Gate(csub(d), ("A", "B")), _Gate(cadd(d), ("B", "A")), _Measure(("A", "C"), receive)]
+            _Gate(csub(d), ("A", "B")), _Gate(cadd(d), ("B", "A")),
+            _Measure(("A", "C"), lambda outcome: _Receive(*outcome), correct=correct)]
 
 
 def _nguyen_stage(target: TargetState, labelled: bool) -> list:
     """Measure A in the mu basis, phase C on mu outcome 0, measure C in nu, correct B."""
     mu, nu, phase = nguyen_bases(*target.qubit_params())
     mu_gates, nu_gates = _basis_gates(mu, 2), _basis_gates(nu, 2)
-
-    def receive(i, j):
-        return [_Receive(mu[:, i], nu[:, j], lambda bob: (
-            f"transport[mu{i},nu{j}]", transport_unitary(bob, target.vector()) @ bob))]
+    to = target.vector()
 
     def after_mu(out_mu):
-        measure_nu = _Measure(("C",), lambda out_nu: receive(out_mu[0], out_nu[0]),
-                              nu_gates, labelled)
-        return [_Gate(phase, ("C",)), measure_nu] if out_mu == (0,) else [measure_nu]
+        (i,) = out_mu
+
+        def transport(outcomes, bobs):
+            return ([f"transport[mu{i},nu{j}]" for j in outcomes[:, 0].tolist()],
+                    np.array([transport_unitary(bob, to) @ bob for bob in bobs]))
+
+        measure_nu = _Measure(("C",), lambda out_nu: _Receive(mu[:, i], nu[:, out_nu[0]]),
+                              nu_gates, labelled, transport)
+        return [_Gate(phase, ("C",)), measure_nu] if i == 0 else [measure_nu]
 
     return [_Measure(("A",), after_mu, mu_gates, labelled)]
 
@@ -312,7 +328,7 @@ def _probabilistic_steps(channel: ChannelSpec, target: TargetState) -> list:
 
     def after_ancilla(outcome):
         if outcome == (1,):
-            return [_Receive(1, 1, None)]
+            return _Receive(1, 1)
         return [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(target, labelled=False)]
 
     return steps + [_Measure(("C",), after_ancilla)]
@@ -364,60 +380,96 @@ class _Path(NamedTuple):
     corrected: bool = False
 
 
+def _received(reg: StateRegister, leaves: Sequence[_Receive]) -> np.ndarray:
+    """B's unnormalized state given A and C, one row per leaf: one gather, or one contraction.
+
+    Taken from the pre-measurement register, never a collapsed copy.
+    """
+    psi = reg.amplitudes.reshape(reg.dims).transpose(reg.axis("A"), reg.axis("C"), reg.axis("B"))
+    a, c = (list(states) for states in zip(*leaves))
+    if all(isinstance(s, int) for s in a + c):
+        return psi[a, c]
+
+    def bras(states, d):
+        return np.array([np.eye(d)[s] if isinstance(s, int) else s for s in states]).conj()
+
+    return np.einsum("ka,acb,kc->kb", bras(a, psi.shape[0]), psi, bras(c, psi.shape[1]))
+
+
+def _finish(target: np.ndarray, reg: StateRegister,
+            leaves: Sequence[tuple[tuple[int, ...], _Receive]],
+            correct: Callable | None) -> Iterator[tuple[str, np.ndarray, float]]:
+    """(description, corrected B state, fidelity) of each (outcome, leaf), as one block.
+
+    Every corrected row must be finite and normalized before its fidelity is
+    taken.  The rows are views of one read-only block, so no two share
+    writable memory.
+    """
+    outcomes, states = zip(*leaves)
+    bobs = _received(reg, states)
+    n = np.linalg.norm(bobs, axis=1)
+    if n.min() < PROB_FLOOR:
+        raise SimulationError("conditional state has no amplitude mass")
+    bobs /= n[:, None]
+    descs, final = ["none (failure branch)"] * len(bobs), bobs
+    if correct is not None:
+        descs, final = correct(np.array(outcomes), bobs)
+        if not np.abs(np.linalg.norm(final, axis=1) - 1.0).max() <= STRUCT_TOL:  # NaN fails too
+            raise InvalidState("corrected states must be finite and normalized")
+    final.flags.writeable = False
+    return zip(descs, final, (np.abs(final @ target.conj()) ** 2).tolist())
+
+
 def _walk(target: np.ndarray, reg: StateRegister, steps: list, path: _Path,
           rng: np.random.Generator | None) -> Iterator[_Path]:
     """Paths through ``steps``: every branch with p >= PROB_FLOOR, or one drawn with ``rng``.
 
-    A leaf right after a measurement contracts the pre-measurement register,
-    never a collapsed copy.  Unlabelled branches must sum to 1.
+    The branches that end in a receive leaf are finished together by
+    ``_finish``.  Unlabelled branches must sum to 1.
     """
     *gates, last = steps
+    raw_norm = path.raw_norm
     for g in gates:
         reg = reg.apply(g.gate, g.targets, strict=g.strict)
-        step = GateStep(g.gate.name, g.targets, g.gate.defect, g.gate.defect > UNITARY_TOL)
-        path = path._replace(steps=path.steps + (step,))
         if not g.strict:
-            path = path._replace(raw_norm=reg.norm)
-            if abs(path.raw_norm - 1.0) > STRUCT_TOL:
+            raw_norm = reg.norm
+            if abs(raw_norm - 1.0) > STRUCT_TOL:
                 reg = reg.normalized()
-    if isinstance(last, _Receive):
-        bob = reg.contract({"A": last.a_state, "C": last.c_state})
-        n = np.linalg.norm(bob)
-        if n < PROB_FLOOR:
-            raise SimulationError("conditional state has no amplitude mass")
-        bob = bob / n
-        desc, final = "none (failure branch)", bob
-        if last.correct is not None:
-            desc, final = last.correct(bob)
-        yield path._replace(correction=desc, bob=final,
-                            fidelity=fidelity_pure(final, target),
-                            corrected=last.correct is not None)
-        return
+    if gates:
+        path = path._replace(raw_norm=raw_norm, steps=path.steps + tuple(
+            GateStep(g.gate.name, g.targets, g.gate.defect, g.gate.defect > UNITARY_TOL)
+            for g in gates))
     measured, back = reg, None
     if last.basis is not None:
         rot, back = last.basis
         measured = reg.apply(rot, last.targets)
-    dist = measured.born_probabilities(last.targets)
+    marg = measured._marginal(last.targets)
+    probs = marg.reshape(-1)
     if rng is None:
-        picks = [k for k, (_, p) in enumerate(dist) if p >= PROB_FLOOR]
-        total = 1.0 if last.labelled else sum(dist[k][1] for k in picks)
+        picks = np.flatnonzero(probs >= PROB_FLOOR)
+        total = 1.0 if last.labelled else float(probs[picks].sum())
         if abs(total - 1.0) > 1e-12:
             raise SimulationError(f"unlabelled branches of {last.targets} sum to {total}, not 1")
     else:
-        picks = [_draw([p for _, p in dist], rng)]
-    for k in picks:
-        outcome, p = dist[k]
-        nxt = last.then(outcome)
-        branch = reg
-        if not isinstance(nxt[0], _Receive):
-            branch = measured.project(last.targets, outcome)[1]
-            if back is not None:
-                branch = branch.apply(back, last.targets)
-        yield from _walk(target, branch, nxt, path._replace(
-            label=path.label + outcome if last.labelled else path.label,
-            p=path.p * p,
-            records=path.records + (MeasurementRecord(last.targets, outcome, p),),
-        ), rng)
+        picks = [_draw(probs, rng)]
+    outcomes = list(zip(*(ix.tolist() for ix in np.unravel_index(picks, marg.shape))))
+    nxts = [last.then(outcome) for outcome in outcomes]
+    leaves = [(o, nxt) for o, nxt in zip(outcomes, nxts) if isinstance(nxt, _Receive)]
+    if leaves:
+        finished = _finish(target, reg, leaves, last.correct)
+    for outcome, p, nxt in zip(outcomes, probs[picks].tolist(), nxts):
+        label = path.label + outcome if last.labelled else path.label
+        records = path.records + (MeasurementRecord(last.targets, outcome, p),)
+        if isinstance(nxt, _Receive):
+            desc, bob, fidelity = next(finished)
+            yield path._replace(label=label, p=path.p * p, records=records, correction=desc,
+                                bob=bob, fidelity=fidelity, corrected=last.correct is not None)
+            continue
+        branch = measured.project(last.targets, outcome)[1]
+        if back is not None:
+            branch = branch.apply(back, last.targets)
+        yield from _walk(target, branch, nxt, path._replace(label=label, p=path.p * p,
+                                                            records=records), rng)
 
 
 def exact_outcome_table(protocol: str, channel: ChannelSpec | None, target: TargetState,

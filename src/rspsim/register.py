@@ -232,20 +232,25 @@ class StateRegister:
 
     # -- measurement -----------------------------------------------------
 
-    def born_probabilities(self, targets: Sequence[str]) -> list[tuple[tuple[int, ...], float]]:
-        """Exact outcome distribution for measuring ``targets`` computationally.
-
-        Every outcome tuple of the target subspace is listed, zeros
-        included, in row-major order over the targets as given.
-        """
+    def _marginal(self, targets: Sequence[str]) -> np.ndarray:
+        """Born probabilities of measuring ``targets``, one axis per target in the order given."""
         axes = [self.axis(t) for t in targets]
         if len(set(axes)) != len(axes):
             raise ShapeError("measurement targets must be distinct")
         weights = np.abs(self.amplitudes.reshape(self.dims)) ** 2
         keep = tuple(i for i in range(len(self.dims)) if i not in axes)
         marg = weights.sum(axis=keep) if keep else weights
-        marg = marg.transpose(np.argsort(np.argsort(axes)))  # order as requested
-        outcomes = itertools.product(*(range(self.dims[a]) for a in axes))
+        ranked = sorted(axes)
+        return marg.transpose([ranked.index(a) for a in axes])  # order as requested
+
+    def born_probabilities(self, targets: Sequence[str]) -> list[tuple[tuple[int, ...], float]]:
+        """Exact outcome distribution for measuring ``targets`` computationally.
+
+        Every outcome tuple of the target subspace is listed, zeros
+        included, in row-major order over the targets as given.
+        """
+        marg = self._marginal(targets)
+        outcomes = itertools.product(*(range(n) for n in marg.shape))
         return list(zip(outcomes, marg.reshape(-1).tolist()))
 
     def project(

@@ -242,7 +242,12 @@ def test_correction_chain_matches_dense_correction(d):
         for k in range(d):
             e_k = np.zeros(d, dtype=complex)
             e_k[k] = 1.0
-            assert np.max(np.abs(fix(m, e_k) - dense[:, k])) <= 1e-12
+            assert np.max(np.abs(fix(np.array([m]), e_k[None])[0] - dense[:, k])) <= 1e-12
+    # one block with a different branch index on every row
+    ms = rng.integers(0, d, size=3 * d)
+    bs = rng.normal(size=(3 * d, d)) + 1j * rng.normal(size=(3 * d, d))
+    expected = [correction_unitary(u, m).matrix @ b for m, b in zip(ms, bs)]
+    assert np.max(np.abs(fix(ms, bs) - expected)) <= 1e-12
 
 
 def test_correction_chain_checks_encoder_and_branch():
@@ -252,7 +257,7 @@ def test_correction_chain_checks_encoder_and_branch():
     fix = correction_chain(encoding_unitary(np.array([0.6, 0.8])))
     for m in (-1, 2):
         with pytest.raises(InvalidState):
-            fix(m, np.array([1.0, 0.0], dtype=complex))
+            fix(np.array([m]), np.array([[1.0, 0.0]], dtype=complex))
 
 
 def test_nguyen_bases_trivial_projectors():

@@ -378,11 +378,12 @@ def test_deterministic_row_fidelity_sees_a_wrong_correction(monkeypatch):
         enc = u.matrix
         d = u.dim
 
-        def fix(m, b):
-            y = enc.conj().T @ b[(m - np.arange(d)) % d]
-            j = (m + 1) % d
-            y[[0, j]] = y[[j, 0]]
-            return enc @ y
+        def fix(ms, bs):
+            rows = np.arange(ms.size)
+            y = bs[rows[:, None], (ms[:, None] - np.arange(d)) % d] @ enc.conj()
+            j = (ms + 1) % d
+            y[rows, 0], y[rows, j] = y[rows, j], y[rows, 0]
+            return y @ enc.T
 
         return fix
 
@@ -391,7 +392,7 @@ def test_deterministic_row_fidelity_sees_a_wrong_correction(monkeypatch):
     assert min(r.fidelity for r in rows) < 1.0 - 1e-3
 
 
-def test_deterministic_run_reports_the_dense_correction():
+def test_deterministic_runs_succeed_with_full_fidelity():
     rng = np.random.default_rng(5)
     channel, target = random_positive_channel(5, rng), random_target(5, rng)
     for seed in range(10):
@@ -509,3 +510,159 @@ def test_start_register_checks_the_cap_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# -- block leaves against a per-branch reference ------------------------------
+
+
+def _reference_paths(protocol, channel, target, mode="repaired"):
+    """Every path one branch at a time: contract, normalize, correct one state, fidelity_pure.
+
+    Each yielded path is (label, p, corrected, final state, fidelity, measurement outcomes).
+    """
+    mode, channel, steps = rspsim.protocols._plan(protocol, channel, target, mode)
+    to = target.vector()
+    if protocol == "deterministic" and mode == "repaired":
+        chain = rspsim.gates.correction_chain(rspsim.gates.encoding_unitary(target.amplitudes))
+
+        def fix(outcome, bob):
+            return chain(np.array([outcome[0]]), bob[None])[0]
+    elif protocol == "deterministic":
+        def fix(outcome, bob):
+            gate = rspsim.gates.identity(2) if outcome[0] == 0 else rspsim.gates.pauli_z(2)
+            return gate.matrix @ bob
+    else:
+        def fix(outcome, bob):
+            return rspsim.linalg.transport_unitary(bob, to) @ bob
+
+    def walk(reg, steps, label, p, outcomes):
+        *gates, last = steps
+        for g in gates:
+            reg = reg.apply(g.gate, g.targets, strict=g.strict)
+            if abs(reg.norm - 1.0) > rspsim.linalg.STRUCT_TOL:
+                reg = reg.normalized()
+        measured = reg if last.basis is None else reg.apply(last.basis[0], last.targets)
+        for outcome, q in measured.born_probabilities(last.targets):
+            if q < rspsim.register.PROB_FLOOR:
+                continue
+            nxt = last.then(outcome)
+            branch_label = label + outcome if last.labelled else label
+            if isinstance(nxt, rspsim.protocols._Receive):
+                bob = reg.contract({"A": nxt.a_state, "C": nxt.c_state})
+                bob = bob / np.linalg.norm(bob)
+                final = bob if last.correct is None else fix(outcome, bob)
+                yield (branch_label, p * q, last.correct is not None, final,
+                       rspsim.linalg.fidelity_pure(final, to), outcomes + (outcome,))
+                continue
+            branch = measured.project(last.targets, outcome)[1]
+            if last.basis is not None:
+                branch = branch.apply(last.basis[1], last.targets)
+            yield from walk(branch, nxt, branch_label, p * q, outcomes + (outcome,))
+
+    return list(walk(rspsim.protocols._start(channel), steps, (), 1.0, ()))
+
+
+def _random_channel(d, rng, phases):
+    v = rng.uniform(0.1, 1.0, size=d) * (np.exp(2j * np.pi * rng.uniform(size=d)) if phases else 1)
+    return ChannelSpec.of(v / np.linalg.norm(v))
+
+
+def _block_cases():
+    rng = np.random.default_rng(909)
+    cases = [(f"deterministic-d{d}", "deterministic", _random_channel(d, rng, True),
+              random_target(d, rng), "repaired") for d in (2, 3, 8, 32)]
+    cases += [
+        ("literal-complex", "deterministic", _random_channel(2, rng, False),
+         random_target(2, rng), "literal"),
+        ("literal-real", "deterministic", _random_channel(2, rng, False),
+         TargetState.of((0.28, 0.96)), "literal"),
+    ]
+    for name, lam in (("real", (0.6, 0.8)), ("phased", (0.6 * np.exp(0.4j), 0.8 * np.exp(-1.1j))),
+                      ("alpha0", (0.0, 1.0))):
+        cases.append((f"probabilistic-{name}", "probabilistic", ChannelSpec.of(lam),
+                      random_target(2, rng), "repaired"))
+    cases.append(("nguyen", "nguyen", None, random_target(2, rng), "repaired"))
+    return cases
+
+
+@pytest.mark.parametrize("protocol, channel, target, mode",
+                         [c[1:] for c in _block_cases()], ids=[c[0] for c in _block_cases()])
+def test_block_leaves_match_the_per_branch_reference(protocol, channel, target, mode):
+    paths = _reference_paths(protocol, channel, target, mode)
+    folded = {}
+    for label, p, corrected, final, fidelity, _ in paths:
+        if label in folded:
+            q, bob, f, c = folded[label]
+            folded[label] = (q + p, bob, min(f, fidelity), c and corrected)
+        else:
+            folded[label] = (p, final, fidelity, corrected)
+    rows = exact_outcome_table(protocol, channel, target, mode).rows
+    assert [r.outcome for r in rows] == list(folded)
+    for row in rows:
+        p, bob, fidelity, corrected = folded[row.outcome]
+        assert row.corrected == corrected
+        assert abs(row.probability - p) <= 1e-12
+        assert abs(row.fidelity - fidelity) <= 1e-12
+        np.testing.assert_allclose(row.bob_state, bob, rtol=0, atol=1e-12)
+        assert not row.bob_state.flags.writeable  # rows share no writable memory
+    by_outcomes = {path[5]: path for path in paths}
+    for seed in range(6):
+        tr = run_protocol(protocol, channel, target, mode, derive_rng(seed))
+        label, p, corrected, final, fidelity, _ = by_outcomes[
+            tuple(r.outcome for r in tr.measurements)]
+        assert tr.outcome == label
+        assert abs(np.prod([r.probability for r in tr.measurements]) - p) <= 1e-12
+        assert abs(tr.fidelity - fidelity) <= 1e-12
+        np.testing.assert_allclose(tr.bob_state, final, rtol=0, atol=1e-12)
+        assert tr.success == (corrected and fidelity >= 1.0 - rspsim.protocols.SUCCESS_TOL)
+
+
+def test_a_warm_d32_table_finishes_its_leaves_as_one_block(monkeypatch):
+    """No per-branch contraction, and one correction-chain call for all 32 branches."""
+    rng = np.random.default_rng(32)
+    channel, target = random_positive_channel(32, rng), random_target(32, rng)
+    exact_outcome_table("deterministic", channel, target)
+    contracts, chain_rows = [], []
+    contract, chain = rspsim.register.StateRegister.contract, rspsim.protocols.correction_chain
+
+    def counted_contract(self, states):
+        contracts.append(states)
+        return contract(self, states)
+
+    def counted_chain(u):
+        fix = chain(u)
+
+        def counted_fix(ms, bs):
+            chain_rows.append(len(bs))
+            return fix(ms, bs)
+
+        return counted_fix
+
+    monkeypatch.setattr(rspsim.register.StateRegister, "contract", counted_contract)
+    monkeypatch.setattr(rspsim.protocols, "correction_chain", counted_chain)
+    table = exact_outcome_table("deterministic", channel, target)
+    assert contracts == []
+    assert chain_rows == [32]
+    assert len(table.rows) == 32 and min(r.fidelity for r in table.rows) >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("kind", ["basis", "vector", "mixed"])
+def test_block_rows_keep_their_own_state_and_fidelity(kind):
+    """Uncorrected leaves of distinct fidelity: a row swapped anywhere in the block shows."""
+    rng = np.random.default_rng(17)
+    channel, target = _random_channel(8, rng, True), random_target(8, rng)
+    _, _, steps = rspsim.protocols._plan("deterministic", channel, target, "repaired")
+    reg = rspsim.protocols._start(channel)
+    for g in steps[:-1]:
+        reg = reg.apply(g.gate, g.targets)
+    states = {"basis": lambda m: m, "vector": lambda m: random_target(8, rng).vector(),
+              "mixed": lambda m: m if m % 2 else random_target(8, rng).vector()}[kind]
+    leaves = [((m, m), rspsim.protocols._Receive(states(m), states(m))) for m in (5, 0, 3, 6)]
+    rows = list(rspsim.protocols._finish(target.vector(), reg, leaves, None))
+    for (_, leaf), (desc, bob, fidelity) in zip(leaves, rows):
+        ref = reg.contract({"A": leaf.a_state, "C": leaf.c_state})
+        ref = ref / np.linalg.norm(ref)
+        assert desc == "none (failure branch)"
+        np.testing.assert_allclose(bob, ref, rtol=0, atol=1e-12)
+        assert abs(fidelity - rspsim.linalg.fidelity_pure(ref, target.vector())) <= 1e-12
+    assert len({round(f, 6) for _, _, f in rows}) == len(rows)
