@@ -119,10 +119,6 @@ def _canonical(amps: np.ndarray) -> np.ndarray:
     return amps * np.exp(-1j * np.angle(amps[idx]))
 
 
-def _transport(frm: np.ndarray, to: np.ndarray) -> np.ndarray:
-    return _gram_schmidt_unitary(to) @ _gram_schmidt_unitary(frm).conj().T
-
-
 def _bob_from_state(psi: np.ndarray, d: int, a_vec: np.ndarray, c_vec: np.ndarray) -> np.ndarray:
     """<a_vec|_A <c_vec|_C psi via explicit basis inner products, normalized."""
     bob = np.array(
@@ -142,10 +138,24 @@ def _nguyen_pieces(target: TargetState):
     return mu, nu, pc
 
 
-def _naive_nguyen_stage(psi: np.ndarray, target: TargetState):
-    """Enumerate the four (mu, nu) branches of the completion subroutine."""
+# B's correction for each (mu, nu) message of the completion subroutine.
+_NAIVE_PAULI = {
+    (0, 0): np.array([[1, 0], [0, 1]], dtype=complex),
+    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
+    (1, 0): np.array([[0, -1], [1, 0]], dtype=complex),
+    (1, 1): np.array([[0, 1], [1, 0]], dtype=complex),
+}
+
+
+def _naive_nguyen_stage(psi: np.ndarray, lam: np.ndarray, target: TargetState):
+    """Enumerate the four (mu, nu) branches of the completion subroutine.
+
+    B is corrected by the message's Pauli matrix after the diagonal that
+    removes the channel phases lam_m / |lam_m| from B's basis states.
+    """
     t = np.array(target.amplitudes, dtype=complex)
     mu, nu, pc = _nguyen_pieces(target)
+    unphase = np.diag(np.exp(-1j * np.angle(lam)))
     eye = np.eye(2, dtype=complex)
     for i in range(2):
         pi_mat = _kron3(_proj_vec(mu[:, i]), eye, eye)
@@ -162,7 +172,7 @@ def _naive_nguyen_stage(psi: np.ndarray, target: TargetState):
                 continue
             psi_ij = (pj_mat @ psi_i) / np.sqrt(p_j)
             bob = _bob_from_state(psi_ij, 2, mu[:, i], nu[:, j])
-            corrected = _transport(bob, t) @ bob
+            corrected = _NAIVE_PAULI[(i, j)] @ unphase @ bob
             fid = float(abs(np.vdot(t, corrected)) ** 2)
             yield (i, j), p_i * p_j, fid
 
@@ -242,7 +252,7 @@ def _naive_probabilistic(channel: ChannelSpec, target: TargetState):
             results.append(((1,), p, float(abs(np.vdot(t, bob)) ** 2)))
         else:
             ghz = cnot @ phi
-            branches = list(_naive_nguyen_stage(ghz, target))
+            branches = list(_naive_nguyen_stage(ghz, lam, target))
             results.append(((0,), p, min(f for _, _, f in branches)))
     return results
 
@@ -250,7 +260,7 @@ def _naive_probabilistic(channel: ChannelSpec, target: TargetState):
 def _naive_nguyen(target: TargetState):
     psi = (_kron3(_e(2, 0), _e(2, 0), _e(2, 0)) + _kron3(_e(2, 1), _e(2, 1), _e(2, 0))) / np.sqrt(2)
     psi = _ctrl3(2, 0, 2, [0, 1]) @ psi
-    got = {out: (p, f) for out, p, f in _naive_nguyen_stage(psi, target)}
+    got = {out: (p, f) for out, p, f in _naive_nguyen_stage(psi, np.ones(2), target)}
     for i in range(2):
         for j in range(2):
             p, f = got.get((i, j), (0.0, None))

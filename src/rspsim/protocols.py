@@ -19,6 +19,12 @@
   conditional phase gate; all four outcome pairs occur with probability
   1/4 and are corrected exactly.
 
+In both nguyen and probabilistic, the receiver corrects B from the
+message alone: the Pauli table keyed by the (mu, nu) outcomes,
+(0,0)->I, (0,1)->Z, (1,0)->XZ, (1,1)->X, times the channel-phase
+diagonal diag(e^{-i arg lambda_m}).  The correction never reads the
+target, so their fidelities check the protocol rather than restate it.
+
 Encoding modes for the deterministic protocol:
 
 * ``repaired``: the encoder is a true unitary whose first column is the
@@ -59,7 +65,7 @@ from .gates import (
     nguyen_bases,
     pauli_z,
 )
-from .linalg import MAX_DIM, STRUCT_TOL, as_cvec, transport_unitary
+from .linalg import MAX_DIM, STRUCT_TOL, as_cvec
 from .register import (
     PROB_FLOOR,
     MeasurementRecord,
@@ -73,6 +79,11 @@ MODES = ("repaired", "literal")
 
 # A branch counts as successful when its fidelity reaches 1 - SUCCESS_TOL.
 SUCCESS_TOL = 1e-9
+
+# The nguyen stage's correction of B for the message (mu, nu): I, Z, XZ, X.
+PAULI_TABLE = np.array([[[[1, 0], [0, 1]], [[1, 0], [0, -1]]],
+                        [[[0, -1], [1, 0]], [[0, 1], [1, 0]]]], dtype=complex)
+PAULI_NAMES = (("I", "Z"), ("XZ", "X"))
 
 
 @dataclass(frozen=True)
@@ -256,6 +267,11 @@ class _Receive(NamedTuple):
     c_state: np.ndarray | int
 
 
+def _apply_rows(matrices: np.ndarray, bobs: np.ndarray) -> np.ndarray:
+    """Row k of ``bobs`` times ``matrices[k]``: one correction matrix per branch."""
+    return np.einsum("kij,kj->ki", matrices, bobs)
+
+
 def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -> list:
     if channel.d != target.d:
         raise InvalidState(f"channel d={channel.d} does not match target d={target.d}")
@@ -275,8 +291,7 @@ def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -
         printed = np.stack([identity(2).matrix, pauli_z(2).matrix])  # I on a = 0, sigma_z on 1
 
         def fix(a, bobs):
-            return ([("identity", "sigma_z")[m] for m in a.tolist()],
-                    np.einsum("kij,kj->ki", printed[a], bobs))
+            return [("identity", "sigma_z")[m] for m in a.tolist()], _apply_rows(printed[a], bobs)
     else:
         raise InvalidState(f"unknown mode {mode!r}; expected one of {MODES}")
 
@@ -293,21 +308,32 @@ def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -
             _Measure(("A", "C"), lambda outcome: _Receive(*outcome), correct=correct)]
 
 
-def _nguyen_stage(target: TargetState, labelled: bool) -> list:
+def _nguyen_fixes(channel: ChannelSpec) -> np.ndarray:
+    """B's correction for each message (mu, nu): the Pauli table after diag(e^{-i arg lambda}).
+
+    It reads only the message and the channel, which both parties share.  No
+    gate acts on B before its correction, so the channel phases still sit
+    on B's basis states and the diagonal can come last.
+    """
+    return PAULI_TABLE * np.exp(-1j * np.angle(channel.lambdas))
+
+
+def _nguyen_stage(channel: ChannelSpec, target: TargetState, labelled: bool) -> list:
     """Measure A in the mu basis, phase C on mu outcome 0, measure C in nu, correct B."""
     mu, nu, phase = nguyen_bases(*target.qubit_params())
     mu_gates, nu_gates = _basis_gates(mu, 2), _basis_gates(nu, 2)
-    to = target.vector()
+    fixes = _nguyen_fixes(channel)
 
     def after_mu(out_mu):
         (i,) = out_mu
 
-        def transport(outcomes, bobs):
-            return ([f"transport[mu{i},nu{j}]" for j in outcomes[:, 0].tolist()],
-                    np.array([transport_unitary(bob, to) @ bob for bob in bobs]))
+        def correct(outcomes, bobs):
+            j = outcomes[:, 0]
+            return ([f"{PAULI_NAMES[i][n]} (mu={i}, nu={n}) after channel-phase diagonal"
+                     for n in j.tolist()], _apply_rows(fixes[i, j], bobs))
 
         measure_nu = _Measure(("C",), lambda out_nu: _Receive(mu[:, i], nu[:, out_nu[0]]),
-                              nu_gates, labelled, transport)
+                              nu_gates, labelled, correct)
         return [_Gate(phase, ("C",)), measure_nu] if i == 0 else [measure_nu]
 
     return [_Measure(("A",), after_mu, mu_gates, labelled)]
@@ -329,7 +355,7 @@ def _probabilistic_steps(channel: ChannelSpec, target: TargetState) -> list:
     def after_ancilla(outcome):
         if outcome == (1,):
             return _Receive(1, 1)
-        return [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(target, labelled=False)]
+        return [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(channel, target, labelled=False)]
 
     return steps + [_Measure(("C",), after_ancilla)]
 
@@ -340,7 +366,7 @@ def _plan(protocol: str, channel: ChannelSpec | None, target: TargetState, mode:
         if target.d != 2:
             raise InvalidState("this baseline prepares qubit targets only")
         channel, mode = ChannelSpec.maximal(2), None
-        steps = [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(target, labelled=True)]
+        steps = [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(channel, target, labelled=True)]
     elif protocol not in PROTOCOLS:
         raise InvalidState(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     elif channel is None:

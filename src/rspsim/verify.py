@@ -180,12 +180,13 @@ def _check_probabilistic_curve(seed: int) -> CheckResult:
 
 def _check_nguyen_quarters(seed: int) -> CheckResult:
     rng = derive_rng(seed, 203)
-    worst_p, worst_f = 0.0, 1.0
+    worst_p, worst_f, rows = 0.0, 1.0, set()
     for _ in range(10):
         table = exact_outcome_table("nguyen", None, _random_target(2, rng))
         worst_p = max(worst_p, max(abs(r.probability - 0.25) for r in table.rows))
         worst_f = min(worst_f, min(r.fidelity for r in table.rows))
-    ok = worst_p <= 1e-12 and worst_f >= 1.0 - 1e-10 and len(table.rows) == 4
+        rows.add(len(table.rows))
+    ok = worst_p <= 1e-12 and worst_f >= 1.0 - 1e-10 and rows == {4}
     return CheckResult(
         "protocols.nguyen_four_quarters", ok,
         f"max|p-1/4|={worst_p:.3e} min fidelity={worst_f:.15f}",

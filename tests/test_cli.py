@@ -1,3 +1,4 @@
+import dataclasses
 import shlex
 from pathlib import Path
 
@@ -115,6 +116,14 @@ def test_run_summary_prints_the_table_label(capsys):
     assert "outcome=(0) " in result and "success=true" in result
 
 
+def test_probabilistic_run_corrects_a_channel_with_a_schmidt_phase(capsys):
+    """README's example: lambda = (0.6i, 0.8), completed on its first draw."""
+    code, out, _ = run_cli(capsys, "run", "--protocol", "probabilistic", "--lambda",
+                           "0,0.6:0.8,0", "--target", "0.6,0:0,0.8", "--seed", "1")
+    assert code == 0
+    assert "success: true" in out and "outcome=(0) " in out
+
+
 def test_nguyen_run(capsys):
     code, out, _ = run_cli(capsys, "run", "--protocol", "nguyen",
                            "--target", "0.6,0:0,0.8", "--seed", "3")
@@ -216,6 +225,22 @@ def test_verify_corrupted_gate_table_fails(capsys, monkeypatch):
     code, out, _err = run_cli(capsys, "verify", "gates")
     assert code == 2
     assert "[FAIL] gates.pauli_cyclic_order_d" in out
+
+
+def test_verify_nguyen_quarters_checks_every_table(monkeypatch):
+    """A 3-row table on the first of the check's tables must fail it, not only one on the last."""
+    build = rspsim.verify.exact_outcome_table
+    calls = []
+
+    def first_table_loses_a_row(*args):
+        table = build(*args)
+        calls.append(args)
+        return dataclasses.replace(table, rows=table.rows[:3]) if len(calls) == 1 else table
+
+    assert rspsim.verify._check_nguyen_quarters(0).passed
+    monkeypatch.setattr(rspsim.verify, "exact_outcome_table", first_table_loses_a_row)
+    assert not rspsim.verify._check_nguyen_quarters(0).passed
+    assert len(calls) == 10
 
 
 def test_verify_report_bytes_deterministic(capsys):
@@ -381,7 +406,7 @@ def test_readme_examples_parse():
     blocks = "\n".join(b.split("```", 1)[0] for b in text.split("```sh\n")[1:])
     lines = blocks.replace("\\\n", " ").splitlines()
     commands = [shlex.split(ln) for ln in lines if ln.startswith("rspsim ")]
-    assert [argv[1] for argv in commands] == ["run", "sweep", "sweep", "verify", "tomo"]
+    assert [argv[1] for argv in commands] == ["run", "run", "sweep", "sweep", "verify", "tomo"]
     for argv in commands:
         parse_config(argv[1:])
 

@@ -1,20 +1,27 @@
 """Property tests over random dimensions, channels and targets.
 
-Exact tables must match the naive oracle, carry unit probability mass and
-correct every branch the protocol does not declare failed; a sampled run
-must land on a table row and carry that row's probability in its records.
-Examples are derandomized, so the suite stays deterministic.
+Exact tables must match the naive oracle's probabilities and fidelities,
+carry unit probability mass and correct every branch the protocol does not
+declare failed; a sampled run must land on a table row and carry that row's
+probability in its records; the receiver's correction must not read the
+target.  Examples are derandomized, so the suite stays deterministic.
 """
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rspsim.oracle import compare_exact, enumerate_naive, table_distribution
+from rspsim.oracle import (
+    compare_exact,
+    enumerate_naive,
+    naive_branch_fidelities,
+    table_distribution,
+)
 from rspsim.protocols import (
     SUCCESS_TOL,
     ChannelSpec,
     TargetState,
+    _plan,
     exact_outcome_table,
     run_protocol,
     success_probability,
@@ -67,8 +74,11 @@ def check_table(protocol, channel, target):
     report = compare_exact(table_distribution(table), enumerate_naive(protocol, channel, target))
     assert report.passed, report
     assert abs(sum(r.probability for r in table.rows) - 1.0) <= 1e-12
+    # A folded row's naive fidelity is already the minimum over its paths.
+    naive = naive_branch_fidelities(protocol, channel, target)
     for row in table.rows:
         assert row.fidelity >= 1.0 - 1e-10 or not row.corrected
+        assert abs(row.fidelity - naive[row.outcome]) <= 1e-10
     return table
 
 
@@ -112,3 +122,28 @@ def test_sampled_run_lands_on_a_table_row_with_its_probability(config, seed):
     labelled = tr.measurements[:1] if protocol == "probabilistic" else tr.measurements
     assert abs(np.prod([rec.probability for rec in labelled]) - row.probability) <= 1e-12
     assert tr.success == (row.corrected and row.fidelity >= 1.0 - SUCCESS_TOL)
+
+
+def nu_corrections(protocol, channel, target):
+    """Descriptions and matrix (applied to the rows of I) of each (mu, nu) message's correction."""
+    _mode, _channel, steps = _plan(protocol, channel, target, "repaired")
+    if protocol == "probabilistic":
+        steps = steps[-1].then((0,))  # the completed branch
+    measure_mu = steps[-1]
+    out = {}
+    for i in range(2):
+        measure_nu = measure_mu.then((i,))[-1]
+        for j in range(2):
+            out[i, j] = measure_nu.correct(np.full((2, 1), j), np.eye(2, dtype=complex))
+    return out
+
+
+@PROPERTY
+@given(st.one_of(probabilistic_configs(), nguyen_configs()), unit_vectors(2))
+def test_correction_reads_only_the_message_and_the_channel(config, other):
+    protocol, channel, target = config
+    first = nu_corrections(protocol, channel, target)
+    second = nu_corrections(protocol, channel, TargetState.of(other))
+    for message, (descs, matrix) in first.items():
+        assert second[message][0] == descs
+        np.testing.assert_array_equal(second[message][1], matrix)

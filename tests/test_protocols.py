@@ -5,6 +5,7 @@ import pytest
 
 import rspsim.gates
 import rspsim.linalg
+import rspsim.oracle
 import rspsim.protocols
 import rspsim.register
 from rspsim.errors import CapacityExceeded, InvalidState, Unsupported
@@ -392,6 +393,54 @@ def test_deterministic_row_fidelity_sees_a_wrong_correction(monkeypatch):
     assert min(r.fidelity for r in rows) < 1.0 - 1e-3
 
 
+def test_nguyen_row_fidelity_sees_a_swapped_pauli_entry(monkeypatch):
+    """Correcting (mu, nu) = (0, 1) with X and (1, 1) with Z must show in the rows."""
+    target = random_target(2, np.random.default_rng(9))
+    rows = exact_outcome_table("nguyen", None, target).rows
+    assert min(r.fidelity for r in rows) >= 1.0 - 1e-10
+    table = rspsim.protocols.PAULI_TABLE
+    swapped = table.copy()
+    swapped[0, 1], swapped[1, 1] = table[1, 1], table[0, 1]
+    monkeypatch.setattr(rspsim.protocols, "PAULI_TABLE", swapped)
+    rows = exact_outcome_table("nguyen", None, target).rows
+    assert min(r.fidelity for r in rows) < 1.0 - 1e-3
+
+
+def test_probabilistic_row_fidelity_sees_a_dropped_phase_diagonal(monkeypatch):
+    channel = ChannelSpec.of((0.6 * np.exp(0.4j), 0.8 * np.exp(-1.1j)))
+    target = TargetState.of((0.6, 0.8j))
+    rows = {r.outcome: r for r in exact_outcome_table("probabilistic", channel, target).rows}
+    assert rows[(0,)].fidelity >= 1.0 - 1e-10
+    monkeypatch.setattr(rspsim.protocols, "_nguyen_fixes",
+                        lambda channel: rspsim.protocols.PAULI_TABLE)
+    rows = {r.outcome: r for r in exact_outcome_table("probabilistic", channel, target).rows}
+    assert rows[(0,)].fidelity < 1.0 - 1e-3
+
+
+def test_no_protocol_or_oracle_path_calls_transport_unitary(monkeypatch):
+    calls = []
+    original = rspsim.linalg.transport_unitary
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (rspsim, rspsim.linalg, rspsim.protocols, rspsim.oracle):
+        if getattr(module, "transport_unitary", None) is original:
+            monkeypatch.setattr(module, "transport_unitary", counted)
+    phased = ChannelSpec.of((0.6 * np.exp(0.4j), 0.8 * np.exp(-1.1j)))
+    target = TargetState.of((0.6, 0.8j))
+    for protocol, channel in (("nguyen", None), ("probabilistic", phased)):
+        exact_outcome_table(protocol, channel, target)
+        for seed in range(20):
+            run_protocol(protocol, channel, target, rng=derive_rng(seed))
+        rspsim.oracle.enumerate_naive(protocol, channel, target)
+        rspsim.oracle.naive_branch_fidelities(protocol, channel, target)
+    assert calls == []
+    assert not hasattr(rspsim.protocols, "transport_unitary")
+    assert not hasattr(rspsim.oracle, "_transport")
+
+
 def test_deterministic_runs_succeed_with_full_fidelity():
     rng = np.random.default_rng(5)
     channel, target = random_positive_channel(5, rng), random_target(5, rng)
@@ -525,15 +574,19 @@ def _reference_paths(protocol, channel, target, mode="repaired"):
     if protocol == "deterministic" and mode == "repaired":
         chain = rspsim.gates.correction_chain(rspsim.gates.encoding_unitary(target.amplitudes))
 
-        def fix(outcome, bob):
-            return chain(np.array([outcome[0]]), bob[None])[0]
+        def fix(outcomes, bob):
+            return chain(np.array([outcomes[-1][0]]), bob[None])[0]
     elif protocol == "deterministic":
-        def fix(outcome, bob):
-            gate = rspsim.gates.identity(2) if outcome[0] == 0 else rspsim.gates.pauli_z(2)
+        def fix(outcomes, bob):
+            gate = rspsim.gates.identity(2) if outcomes[-1][0] == 0 else rspsim.gates.pauli_z(2)
             return gate.matrix @ bob
     else:
-        def fix(outcome, bob):
-            return rspsim.linalg.transport_unitary(bob, to) @ bob
+        x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+        pauli = {(0, 0): np.eye(2), (0, 1): z, (1, 0): x @ z, (1, 1): x}
+        unphase = np.diag(np.exp(-1j * np.angle(channel.lambdas)))
+
+        def fix(outcomes, bob):  # keyed by the (mu, nu) outcomes, the last two measurements
+            return pauli[outcomes[-2][0], outcomes[-1][0]] @ unphase @ bob
 
     def walk(reg, steps, label, p, outcomes):
         *gates, last = steps
@@ -550,7 +603,7 @@ def _reference_paths(protocol, channel, target, mode="repaired"):
             if isinstance(nxt, rspsim.protocols._Receive):
                 bob = reg.contract({"A": nxt.a_state, "C": nxt.c_state})
                 bob = bob / np.linalg.norm(bob)
-                final = bob if last.correct is None else fix(outcome, bob)
+                final = bob if last.correct is None else fix(outcomes + (outcome,), bob)
                 yield (branch_label, p * q, last.correct is not None, final,
                        rspsim.linalg.fidelity_pure(final, to), outcomes + (outcome,))
                 continue
