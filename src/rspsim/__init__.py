@@ -29,7 +29,6 @@ from .gates import (
     encoding_unitary_literal,
     identity,
     make_gate,
-    negation_shift,
     nguyen_bases,
     pauli_x,
     pauli_z,
@@ -93,7 +92,7 @@ __all__ = [
     "cu_concentration", "dagger", "derive_rng", "encoding_unitary",
     "encoding_unitary_literal", "enumerate_naive", "exact_outcome_table",
     "fidelity_mixed", "fidelity_pure", "identity", "make_gate",
-    "naive_branch_fidelities", "negation_shift", "nguyen_bases", "pauli_x",
+    "naive_branch_fidelities", "nguyen_bases", "pauli_x",
     "pauli_z", "reconstruct_qubit", "run_protocol", "sample_pauli_expectations",
     "success_probability", "table_distribution", "tomograph", "trace_distance",
     "transport_unitary", "unitarity_defect",

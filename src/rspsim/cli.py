@@ -7,6 +7,7 @@ internal invariant failure, 3 reserved.
 Complex lists are colon-separated entries, each "re" or "re,im", e.g.
 ``--lambda 0.6,0:0.8,0``.  A config file holds flat ``key = value`` lines
 whose keys are the subcommand's long flags; explicit flags win on conflict.
+The dimension d is the length of ``--target``; ``--lambda`` must match it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .linalg import MAX_DIM, STRUCT_TOL
 from .protocols import (
     MODES,
     PROTOCOLS,
-    SUCCESS_TOL,
     ChannelSpec,
     TargetState,
     Transcript,
@@ -55,7 +55,6 @@ class RunConfig:
     command: str
     protocol: str | None = None
     mode: str = "repaired"
-    d: int | None = None
     lambdas: tuple[complex, ...] | None = None
     target: tuple[complex, ...] | None = None
     trials: int = 10_000
@@ -65,7 +64,6 @@ class RunConfig:
     theta_max: float = float(np.pi / 4)
     points: int = 21
     out: str | None = None
-    tolerance: float = SUCCESS_TOL
     suite: str = "all"
 
 
@@ -103,7 +101,6 @@ class _Parser(argparse.ArgumentParser):
 _OPTIONS = {
     "protocol": {"choices": PROTOCOLS},
     "mode": {"choices": MODES},
-    "d": {"type": int},
     "lambda": {"dest": "lambdas", "metavar": "LIST",
                "type": lambda text: parse_complex_list(text, "lambda")},
     "target": {"metavar": "LIST", "type": lambda text: parse_complex_list(text, "target")},
@@ -114,20 +111,19 @@ _OPTIONS = {
     "theta-max": {"type": float},
     "points": {"type": int},
     "out": {},
-    "tolerance": {"type": float},
     "config": {},
 }
 
 # Each subcommand's help line and the options it reads, and no others.
 _COMMANDS = {
     "run": ("execute one protocol instance",
-            ("protocol", "mode", "d", "lambda", "target", "seed", "tolerance", "config")),
+            ("protocol", "mode", "lambda", "target", "seed", "config")),
     "sweep": ("reproduce the success-probability curves",
-              ("protocol", "mode", "d", "target", "trials", "seed", "theta-min", "theta-max",
-               "points", "out", "tolerance", "config")),
+              ("protocol", "mode", "target", "trials", "seed", "theta-min", "theta-max",
+               "points", "out", "config")),
     "verify": ("run the invariant and oracle suites", ("seed", "trials", "config")),
     "tomo": ("tomograph the receiver state of one deterministic run",
-             ("mode", "d", "lambda", "target", "shots", "seed", "config")),
+             ("mode", "lambda", "target", "shots", "seed", "config")),
 }
 
 
@@ -184,8 +180,6 @@ def parse_config(argv: list[str]) -> RunConfig:
 def _validated(cfg: RunConfig) -> RunConfig:
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    if not (math.isfinite(cfg.tolerance) and 0.0 <= cfg.tolerance < 1.0):
-        raise ConfigError(f"tolerance must be finite and in [0, 1), got {cfg.tolerance}")
     for name in ("theta_min", "theta_max"):
         if not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name.replace('_', '-')} must be finite")
@@ -198,29 +192,26 @@ def _validated(cfg: RunConfig) -> RunConfig:
     if cfg.target is None:
         raise ConfigError("missing required field: target")
     cfg.target = _renormalized(cfg.target, "target")
+    d = len(cfg.target)
     if cfg.lambdas is not None:
         cfg.lambdas = _renormalized(cfg.lambdas, "lambda")
-    if cfg.d is None:
-        cfg.d = len(cfg.lambdas) if cfg.lambdas is not None else len(cfg.target)
-    if len(cfg.target) != cfg.d:
-        raise ConfigError(f"target has {len(cfg.target)} entries but d = {cfg.d}")
-    if cfg.lambdas is not None and len(cfg.lambdas) != cfg.d:
-        raise ConfigError(f"lambda has {len(cfg.lambdas)} entries but d = {cfg.d}")
-    if cfg.d < 2 or cfg.d**3 > MAX_DIM:
-        raise ConfigError(f"d = {cfg.d} is out of range; needs d >= 2 and d^3 <= {MAX_DIM}")
-    if cfg.protocol == "probabilistic" and cfg.d != 2:
+        if len(cfg.lambdas) != d:
+            raise ConfigError(f"lambda has {len(cfg.lambdas)} entries but target has {d}")
+    if d < 2 or d**3 > MAX_DIM:
+        raise ConfigError(f"d = {d} is out of range; needs d >= 2 and d^3 <= {MAX_DIM}")
+    if cfg.protocol == "probabilistic" and d != 2:
         raise ConfigError("the probabilistic baseline needs d = 2")
     if cfg.protocol == "probabilistic" and cfg.lambdas is not None \
             and abs(cfg.lambdas[0]) > abs(cfg.lambdas[1]) + STRUCT_TOL:
         raise ConfigError("the probabilistic baseline needs |alpha| <= |beta| in lambda")
-    if cfg.protocol == "nguyen" and cfg.d != 2:
+    if cfg.protocol == "nguyen" and d != 2:
         raise ConfigError("the nguyen baseline needs d = 2")
-    if cfg.mode == "literal" and cfg.d != 2:
+    if cfg.mode == "literal" and d != 2:
         raise ConfigError("literal mode is defined only for d = 2")
     if cfg.command == "run" and cfg.protocol in ("deterministic", "probabilistic") \
             and cfg.lambdas is None:
         raise ConfigError("missing required field: lambda")
-    if cfg.command in ("sweep", "tomo") and cfg.d != 2:
+    if cfg.command in ("sweep", "tomo") and d != 2:
         raise ConfigError(f"{cfg.command} parametrizes qubit channels; needs d = 2")
     if cfg.command == "sweep" and cfg.trials < 1:
         raise ConfigError("sweep needs trials >= 1")
@@ -276,9 +267,7 @@ def _summary_line(tr: Transcript, seed: int) -> str:
 def cmd_run(cfg: RunConfig) -> int:
     channel = ChannelSpec.of(cfg.lambdas) if cfg.lambdas is not None else None
     target = TargetState.of(cfg.target)
-    tr = run_protocol(
-        cfg.protocol, channel, target, cfg.mode, derive_rng(cfg.seed), cfg.tolerance
-    )
+    tr = run_protocol(cfg.protocol, channel, target, cfg.mode, derive_rng(cfg.seed))
     print(render_transcript(tr))
     print(_summary_line(tr, cfg.seed))
     return 0
@@ -290,10 +279,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
             abs(np.sin(t)) > abs(np.cos(t)) + STRUCT_TOL for t in grid.tolist()):
         raise ConfigError("the probabilistic baseline needs |sin theta| <= |cos theta| "
                           "at every grid point from theta-min to theta-max")
-    rows = sweep_rows(
-        [cfg.protocol], TargetState.of(cfg.target), grid,
-        cfg.trials, cfg.seed, cfg.mode, cfg.tolerance,
-    )
+    rows = sweep_rows([cfg.protocol], TargetState.of(cfg.target), grid, cfg.trials, cfg.seed,
+                      cfg.mode)
     if cfg.out:
         try:
             write_csv(rows, cfg.out)

@@ -2,16 +2,16 @@
 
 Shift/clock operators and generalized controlled shifts for qudits, the
 entanglement-concentration controlled-U, encoding operators (the printed
-non-unitary 2x2 form and its unitary repair), modular negation
-permutations, receiver-side correction operators, and the measurement
-bases of the ancilla-assisted deterministic qubit baseline.
+non-unitary 2x2 form and its unitary repair), receiver-side correction
+operators (whose modular negation N_m is a gather inside the chain), and
+the measurement bases of the ancilla-assisted deterministic qubit baseline.
 
 Every constructor returns an immutable :class:`GateMatrix` whose
 unitarity defect is computed once at build time.  All constructors except
 :func:`encoding_unitary_literal` produce gates with defect <= 1e-10.
 
-Permutations and diagonals (identity, shift, clock, controlled shifts,
-negation) are built as index maps in O(d^2): output amplitude i is
+Permutations and diagonals (identity, shift, clock, controlled shifts)
+are built as index maps in O(d^2): output amplitude i is
 ``phases[i] * input[src[i]]``.  Their dense matrix is materialized only
 when asked for.  Every other gate is dense, built by :func:`make_gate`.
 """
@@ -210,13 +210,6 @@ def encoding_unitary(target: Sequence[complex] | np.ndarray) -> GateMatrix:
     amps = as_cvec(target)
     u = complete_to_unitary(amps)
     return make_gate(u, (amps.size,), f"U_enc(d={amps.size})")
-
-
-def negation_shift(d: int, m: int) -> GateMatrix:
-    """Self-inverse permutation |l> -> |m - l mod d>.  I at (2,0), X at (2,1)."""
-    if not 0 <= m < d:
-        raise InvalidState(f"negation_shift needs 0 <= m < d, got m={m}, d={d}")
-    return index_gate((m - np.arange(d)) % d, (d,), f"N[{m}]")
 
 
 @functools.lru_cache(maxsize=None)

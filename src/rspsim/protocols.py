@@ -40,6 +40,11 @@ and C.  One interpreter walks it along every branch into an exact
 :class:`OutcomeTable`, or along one sampled path into the immutable
 :class:`Transcript` of a run.  A measurement finishes all its picked
 branches that end at the receiver as one array block.
+
+Success is one fixed rule, :func:`succeeded`, read by runs, tables and
+sweeps alike: a branch succeeds when the protocol corrects it and its
+fidelity to the target is at least 1 - SUCCESS_TOL.  A branch the
+protocol declares failed never succeeds, whatever its fidelity.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ from .register import (
 PROTOCOLS = ("deterministic", "probabilistic", "nguyen")
 MODES = ("repaired", "literal")
 
-# A branch counts as successful when its fidelity reaches 1 - SUCCESS_TOL.
+# A branch succeeds when the protocol corrects it and its fidelity reaches 1 - SUCCESS_TOL.
 SUCCESS_TOL = 1e-9
 
 # The nguyen stage's correction of B for the message (mu, nu): I, Z, XZ, X.
@@ -232,9 +237,14 @@ class OutcomeTable:
     outcome_space: tuple[tuple[int, ...], ...]
 
 
-def success_probability(table: OutcomeTable, tol: float = SUCCESS_TOL) -> float:
-    """Total probability of corrected branches whose fidelity reaches 1 - tol."""
-    return float(sum(r.probability for r in table.rows if r.corrected and r.fidelity >= 1.0 - tol))
+def succeeded(corrected: bool, fidelity: float) -> bool:
+    """The success rule of runs, tables and sweeps alike: a corrected branch at fidelity 1."""
+    return corrected and fidelity >= 1.0 - SUCCESS_TOL
+
+
+def success_probability(table: OutcomeTable) -> float:
+    """Total probability of the table's successful branches."""
+    return float(sum(r.probability for r in table.rows if succeeded(r.corrected, r.fidelity)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +371,22 @@ def _probabilistic_steps(channel: ChannelSpec, target: TargetState) -> list:
 
 
 def _plan(protocol: str, channel: ChannelSpec | None, target: TargetState, mode: str) -> tuple:
-    """Mode, channel and step list of a configuration."""
+    """Mode, channel and step list of a configuration.
+
+    The register cap is checked first, so a d over it fails before any gate is built.
+    """
     if protocol == "nguyen":
         if target.d != 2:
             raise InvalidState("this baseline prepares qubit targets only")
         channel, mode = ChannelSpec.maximal(2), None
-        steps = [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(channel, target, labelled=True)]
     elif protocol not in PROTOCOLS:
         raise InvalidState(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     elif channel is None:
         raise InvalidState(f"the {protocol} protocol needs a channel")
+    if channel.d**3 > MAX_DIM:
+        raise CapacityExceeded(f"register dimension {channel.d**3} exceeds cap {MAX_DIM}")
+    if protocol == "nguyen":
+        steps = [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(channel, target, labelled=True)]
     elif protocol == "deterministic":
         steps = _deterministic_steps(channel, target, mode)
     else:
@@ -379,10 +395,8 @@ def _plan(protocol: str, channel: ChannelSpec | None, target: TargetState, mode:
 
 
 def _start(channel: ChannelSpec) -> StateRegister:
-    """The channel on A and B, ancilla C in |0>: lambda_m at |m, m, 0>."""
+    """The channel on A and B, ancilla C in |0>: lambda_m at |m, m, 0>.  _plan checked its cap."""
     d = channel.d
-    if d**3 > MAX_DIM:  # before allocating
-        raise CapacityExceeded(f"register dimension {d**3} exceeds cap {MAX_DIM}")
     amps = np.zeros(d**3, dtype=complex)
     amps[np.arange(d) * (d * d + d)] = channel.lambdas
     return StateRegister((d, d, d), amps, ("A", "B", "C"))
@@ -516,8 +530,7 @@ def exact_outcome_table(protocol: str, channel: ChannelSpec | None, target: Targ
 
 
 def run_protocol(protocol: str, channel: ChannelSpec | None, target: TargetState,
-                 mode: str = "repaired", rng: np.random.Generator | None = None,
-                 success_tol: float = SUCCESS_TOL) -> Transcript:
+                 mode: str = "repaired", rng: np.random.Generator | None = None) -> Transcript:
     """One sampled run of any protocol, with one draw per measurement."""
     mode, channel, steps = _plan(protocol, channel, target, mode)
     rng = rng if rng is not None else np.random.default_rng()
@@ -528,6 +541,6 @@ def run_protocol(protocol: str, channel: ChannelSpec | None, target: TargetState
         messages=tuple(ClassicalMessage(r.subsystems, r.outcome) for r in path.records),
         outcome=path.label, correction=path.correction, bob_state=path.bob,
         fidelity=path.fidelity,
-        success=path.corrected and path.fidelity >= 1.0 - success_tol, raw_norm=path.raw_norm,
+        success=succeeded(path.corrected, path.fidelity), raw_norm=path.raw_norm,
     )
 

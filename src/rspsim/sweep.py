@@ -10,6 +10,10 @@ distribution-identical to re-running the full evolution per trial while
 staying schedule-independent and byte-reproducible.  The
 full per-run sampling path is validated separately by the oracle's
 sampled comparison.
+
+A trial succeeds by the protocols' one rule, ``protocols.succeeded``, so
+``successes`` and ``exact_prob`` count exactly the branches a run would
+report as ``success``.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ import numpy as np
 
 from .errors import InvalidState
 from .protocols import (
-    SUCCESS_TOL,
     ChannelSpec,
     OutcomeTable,
     TargetState,
     exact_outcome_table,
+    succeeded,
     success_probability,
 )
 
@@ -96,7 +100,6 @@ def sweep_rows(
     trials: int,
     seed: int,
     mode: str = "repaired",
-    success_tol: float = SUCCESS_TOL,
 ) -> list[SweepRow]:
     """One row per (protocol, grid point), sorted by (protocol, theta)."""
     if target.d != 2:
@@ -118,9 +121,7 @@ def sweep_rows(
                 tables[protocol, channel] = exact_outcome_table(protocol, channel, target, mode)
             table = tables[protocol, channel]
             cum = np.cumsum([r.probability for r in table.rows])
-            ok_rows = np.array(
-                [r.corrected and r.fidelity >= 1.0 - success_tol for r in table.rows]
-            )
+            ok_rows = np.array([succeeded(r.corrected, r.fidelity) for r in table.rows])
             fids = np.array([r.fidelity for r in table.rows])
             samplers.append((protocol, alpha, beta, table, cum, ok_rows, fids))
         successes = [0] * len(samplers)
@@ -143,7 +144,7 @@ def sweep_rows(
                     trials=trials,
                     successes=ok,
                     est_prob=ok / trials,
-                    exact_prob=success_probability(table, success_tol),
+                    exact_prob=success_probability(table),
                     mean_fidelity=fid_sum / trials,
                     seed=seed,
                 )

@@ -117,12 +117,13 @@ def _check_correction_exactness(seed: int) -> CheckResult:
     worst = 0.0
     for d in range(2, 9):
         u = gates.make_gate(_random_unitary(d, rng), (d,), f"R{d}")
+        fix = gates.correction_chain(u)
         for m in range(d):
             b = np.zeros(d, dtype=complex)
             for n in range(d):
                 b[(m - n) % d] += u.matrix[n, m]
-            v = gates.correction_unitary(u, m)
-            worst = max(worst, float(np.max(np.abs(v.matrix @ b - u.matrix[:, 0]))))
+            vb = fix(np.array([m]), b[None])[0]
+            worst = max(worst, float(np.max(np.abs(vb - u.matrix[:, 0]))))
     return CheckResult(
         "gates.correction_maps_branch_to_target", worst <= 1e-11, f"max|V b - U e0|={worst:.3e}"
     )

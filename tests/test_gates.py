@@ -14,7 +14,6 @@ from rspsim.gates import (
     identity,
     index_gate,
     make_gate,
-    negation_shift,
     nguyen_bases,
     pauli_x,
     pauli_z,
@@ -183,22 +182,6 @@ def test_encoding_unitary_random_d5():
     assert g.defect <= 1e-12
 
 
-def test_negation_shift_small_cases():
-    np.testing.assert_array_equal(negation_shift(2, 0).matrix, np.eye(2))
-    np.testing.assert_array_equal(negation_shift(2, 1).matrix, pauli_x(2).matrix)
-    n30 = negation_shift(3, 0).matrix
-    np.testing.assert_array_equal(n30 @ np.array([0, 1, 0]), [0, 0, 1])
-    np.testing.assert_array_equal(n30 @ np.array([0, 0, 1]), [0, 1, 0])
-    np.testing.assert_array_equal(n30 @ np.array([1, 0, 0]), [1, 0, 0])
-
-
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_negation_shift_self_inverse(d):
-    for m in range(d):
-        g = negation_shift(d, m).matrix
-        np.testing.assert_array_equal(g @ g, np.eye(d))
-
-
 def test_correction_identity_branch():
     u = encoding_unitary(np.array([0.6, 0.8]))
     np.testing.assert_allclose(correction_unitary(u, 0).matrix, np.eye(2), atol=1e-12)
@@ -295,7 +278,7 @@ def test_every_constructor_unitary_except_literal():
     v /= np.linalg.norm(v)
     gates = [
         pauli_x(3), pauli_z(4), cadd(3), csub(5), cu_concentration(0.3, np.sqrt(0.91)),
-        encoding_unitary(v), negation_shift(5, 3),
+        encoding_unitary(v), index_gate((3 - np.arange(5)) % 5, (5,), "N"),
         correction_unitary(encoding_unitary(v), 2),
     ]
     for g in gates:
@@ -333,7 +316,8 @@ def test_index_gate_phase_defect_matches_dense():
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_permutation_gates_have_exact_zero_defect(d):
-    for g in (identity(d), pauli_x(d), cadd(d), csub(d), negation_shift(d, d - 1)):
+    negation = index_gate((d - 1 - np.arange(d)) % d, (d,), "N")
+    for g in (identity(d), pauli_x(d), cadd(d), csub(d), negation):
         assert g.src is not None and g.phases is None
         assert g.defect == 0.0
         assert unitarity_defect(g.matrix) == 0.0

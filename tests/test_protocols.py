@@ -549,16 +549,29 @@ def test_start_register_is_the_channel_times_the_ancilla(d):
     np.testing.assert_array_equal(start.amplitudes, expected.amplitudes)
 
 
-def test_start_register_checks_the_cap_before_allocating():
+def test_start_register_checks_the_cap_before_allocating(monkeypatch):
+    """At d = 102 both entry points raise before building the register, the encoder or a shift."""
+    builds = []
+
+    def spy(name):
+        build = getattr(rspsim.protocols, name)
+        return lambda *args: builds.append(name) or build(*args)
+
+    for name in ("encoding_unitary", "cadd", "csub"):
+        monkeypatch.setattr(rspsim.protocols, name, spy(name))
     channel = ChannelSpec.maximal(102)  # 102^3 amplitudes would take 17 MB
+    target = TargetState.of(channel.lambdas)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityExceeded):
-            rspsim.protocols._start(channel)
+            exact_outcome_table("deterministic", channel, target)
+        with pytest.raises(CapacityExceeded):
+            run_protocol("deterministic", channel, target, rng=derive_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert builds == []
 
 
 # -- block leaves against a per-branch reference ------------------------------

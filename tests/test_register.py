@@ -17,8 +17,8 @@ from rspsim.gates import (
     controlled_shift,
     csub,
     cu_concentration,
+    index_gate,
     make_gate,
-    negation_shift,
     pauli_x,
     pauli_z,
 )
@@ -307,7 +307,8 @@ def random_register(dims, labels, rng):
 def test_index_gate_apply_matches_dense(d):
     rng = np.random.default_rng(300 + d)
     table = tuple(int(k) for k in rng.integers(0, d, size=d))
-    one = [pauli_x(d), pauli_z(d), negation_shift(d, int(rng.integers(0, d)))]
+    m = int(rng.integers(0, d))
+    one = [pauli_x(d), pauli_z(d), index_gate((m - np.arange(d)) % d, (d,), "N")]
     two = [cadd(d), csub(d), controlled_shift(d, table)]
     cases = [(g, t) for g in one for t in (("A",), ("B",), ("C",))]
     cases += [(g, t) for g in two for t in (("A", "B"), ("B", "A"), ("A", "C"), ("C", "A"))]
