@@ -36,7 +36,6 @@ from .gates import (
 from .linalg import (
     complete_to_unitary,
     dagger,
-    fidelity_pure,
     transport_unitary,
     unitarity_defect,
 )
@@ -91,7 +90,7 @@ __all__ = [
     "complete_to_unitary", "controlled_shift", "correction_unitary", "csub",
     "cu_concentration", "dagger", "derive_rng", "encoding_unitary",
     "encoding_unitary_literal", "enumerate_naive", "exact_outcome_table",
-    "fidelity_mixed", "fidelity_pure", "identity", "make_gate",
+    "fidelity_mixed", "identity", "make_gate",
     "naive_branch_fidelities", "nguyen_bases", "pauli_x",
     "pauli_z", "reconstruct_qubit", "run_protocol", "sample_pauli_expectations",
     "success_probability", "table_distribution", "tomograph", "trace_distance",

@@ -7,6 +7,7 @@ internal invariant failure, 3 reserved.
 Complex lists are colon-separated entries, each "re" or "re,im", e.g.
 ``--lambda 0.6,0:0.8,0``.  A config file holds flat ``key = value`` lines
 whose keys are the subcommand's long flags; explicit flags win on conflict.
+Flags, like keys, must be spelled in full: a prefix is not accepted.
 The dimension d is the length of ``--target``; ``--lambda`` must match it.
 """
 
@@ -128,10 +129,10 @@ _COMMANDS = {
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="rspsim", description=__doc__, add_help=True)
+    parser = _Parser(prog="rspsim", description=__doc__, add_help=True, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command")
     for command, (help_text, names) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)  # not inherited
         if command == "verify":
             p.add_argument("suite", nargs="?", choices=("all", *SUITES))
         for name in names:

@@ -10,10 +10,10 @@ Every constructor returns an immutable :class:`GateMatrix` whose
 unitarity defect is computed once at build time.  All constructors except
 :func:`encoding_unitary_literal` produce gates with defect <= 1e-10.
 
-Permutations and diagonals (identity, shift, clock, controlled shifts)
-are built as index maps in O(d^2): output amplitude i is
-``phases[i] * input[src[i]]``.  Their dense matrix is materialized only
-when asked for.  Every other gate is dense, built by :func:`make_gate`.
+Permutations (identity, shift, controlled shifts) are built as index
+maps in O(d^2): output amplitude i is ``input[src[i]]``.  Their dense
+matrix is materialized only when asked for.  Every other gate, the clock
+gate included, is dense, built by :func:`make_gate`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ class GateMatrix:
 
     ``dims`` holds the per-subsystem dimensions in application order;
     ``defect`` caches the unitarity defect measured at construction.  A
-    dense gate stores ``dense``; an index-map gate stores the gather
-    indices ``src`` and, unless all are 1, the ``phases``.
+    dense gate stores ``dense``; an index-map gate, a permutation, stores
+    its gather indices ``src``.
     """
 
     dims: tuple[int, ...]
@@ -47,7 +47,6 @@ class GateMatrix:
     defect: float
     dense: np.ndarray | None = field(default=None, repr=False)
     src: np.ndarray | None = field(default=None, repr=False)
-    phases: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def arity(self) -> int:
@@ -72,7 +71,7 @@ class GateMatrix:
                 f"dense {self.name} would hold {n * n} entries; cap is {MAX_DIM}"
             )
         m = np.zeros((n, n), dtype=complex)
-        m[np.arange(n), self.src] = 1.0 if self.phases is None else self.phases
+        m[np.arange(n), self.src] = 1.0
         m.flags.writeable = False
         return m
 
@@ -89,19 +88,12 @@ def make_gate(matrix: np.ndarray, dims: Sequence[int], name: str) -> GateMatrix:
     return GateMatrix(dims=dims, name=name, defect=unitarity_defect(m), dense=m)
 
 
-def index_gate(
-    src: Sequence[int] | np.ndarray,
-    dims: Sequence[int],
-    name: str,
-    phases: Sequence[complex] | np.ndarray | None = None,
-) -> GateMatrix:
+def index_gate(src: Sequence[int] | np.ndarray, dims: Sequence[int], name: str) -> GateMatrix:
     """Freeze a gather map into an index-map GateMatrix.
 
-    The gate sends amplitude ``src[i]`` to ``i`` and multiplies it by
-    ``phases[i]``: a monomial matrix M with M[i, src[i]] = phases[i].
-    ``src`` must be a bijection.  Then M^dag M = diag(|phases|^2) up to
-    a permutation, so the defect is computed exactly in O(n) as
-    sqrt(sum (|phase|^2 - 1)^2), which is 0 for a pure permutation.
+    The gate sends amplitude ``src[i]`` to ``i``: the permutation matrix M
+    with M[i, src[i]] = 1.  ``src`` must be a bijection, so the defect is
+    exactly 0.
     """
     dims = tuple(int(d) for d in dims)
     n = math.prod(dims)
@@ -112,14 +104,7 @@ def index_gate(
     if idx.min() < 0 or idx.max() >= n or np.any(np.bincount(idx, minlength=n) != 1):
         raise InvalidState(f"gate {name}: src is not a bijection of range({n})")
     idx.flags.writeable = False
-    defect = 0.0
-    if phases is not None:
-        phases = as_cvec(phases).copy()
-        if phases.size != n:
-            raise InvalidState(f"gate {name}: {phases.size} phases for {n} indices")
-        phases.flags.writeable = False
-        defect = float(np.linalg.norm(np.abs(phases) ** 2 - 1.0))
-    return GateMatrix(dims=dims, name=name, defect=defect, src=idx, phases=phases)
+    return GateMatrix(dims=dims, name=name, defect=0.0, src=idx)
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,7 +126,7 @@ def pauli_z(d: int) -> GateMatrix:
     if d < 2:
         raise InvalidState("pauli_z needs d >= 2")
     omega = np.exp(2j * np.pi / d)
-    return index_gate(np.arange(d), (d,), f"Z{d}", phases=omega ** np.arange(d))
+    return make_gate(np.diag(omega ** np.arange(d)), (d,), f"Z{d}")
 
 
 def controlled_shift(d: int, table: Sequence[int], name: str | None = None) -> GateMatrix:

@@ -71,17 +71,6 @@ def complete_to_unitary(col0: Sequence[complex] | np.ndarray) -> np.ndarray:
     return u
 
 
-def fidelity_pure(a: Sequence[complex] | np.ndarray, b: Sequence[complex] | np.ndarray) -> float:
-    """|<a|b>|^2 for normalized pure states of equal dimension."""
-    a, b = as_cvec(a), as_cvec(b)
-    if a.size != b.size:
-        raise ShapeError(f"dimension mismatch: {a.size} vs {b.size}")
-    for v in (a, b):
-        if abs(np.linalg.norm(v) - 1.0) > STRUCT_TOL:
-            raise InvalidState("fidelity_pure expects normalized states")
-    return float(abs(np.vdot(a, b)) ** 2)
-
-
 def transport_unitary(
     frm: Sequence[complex] | np.ndarray, to: Sequence[complex] | np.ndarray
 ) -> np.ndarray:

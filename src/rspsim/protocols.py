@@ -250,8 +250,10 @@ def success_probability(table: OutcomeTable) -> float:
 # ---------------------------------------------------------------------------
 # protocols as step lists: gates, then one measurement.  A measurement's
 # ``then(outcome)`` returns the steps that follow, or a receive leaf; unless
-# ``labelled``, its outcome stays out of the table's row label.  A leaf holds
-# the states of A and C (an int k is |k>) that B's state is conditioned on.
+# ``labelled``, its outcome stays out of the table's row label.  A measurement
+# in a basis rotates its one target by basis^dag, and that subsystem stays in
+# the measured frame: outcome k is |k> there, so no later gate may act on it.
+# A leaf holds the indices of A and C that B's state is conditioned on.
 # The measurement corrects the B states of all its leaves as one block with
 # ``correct(outcomes, bobs) -> (descriptions, corrected rows)``, given the
 # picked outcomes as an int array of shape (k, len(targets)) and B's states
@@ -267,14 +269,14 @@ class _Gate(NamedTuple):
 class _Measure(NamedTuple):
     targets: tuple[str, ...]  # a single target when measured in a basis
     then: Callable[[tuple[int, ...]], list | _Receive]
-    basis: tuple[GateMatrix, GateMatrix] | None = None  # (basis^dag, basis), see _basis_gates
+    basis: GateMatrix | None = None  # basis^dag, see _basis_gates
     labelled: bool = True
     correct: Callable[[np.ndarray, np.ndarray], tuple[list[str], np.ndarray]] | None = None
 
 
 class _Receive(NamedTuple):
-    a_state: np.ndarray | int
-    c_state: np.ndarray | int
+    a: int
+    c: int
 
 
 def _apply_rows(matrices: np.ndarray, bobs: np.ndarray) -> np.ndarray:
@@ -331,7 +333,7 @@ def _nguyen_fixes(channel: ChannelSpec) -> np.ndarray:
 def _nguyen_stage(channel: ChannelSpec, target: TargetState, labelled: bool) -> list:
     """Measure A in the mu basis, phase C on mu outcome 0, measure C in nu, correct B."""
     mu, nu, phase = nguyen_bases(*target.qubit_params())
-    mu_gates, nu_gates = _basis_gates(mu, 2), _basis_gates(nu, 2)
+    mu_rot, nu_rot = _basis_gates(mu, 2)[0], _basis_gates(nu, 2)[0]
     fixes = _nguyen_fixes(channel)
 
     def after_mu(out_mu):
@@ -342,11 +344,11 @@ def _nguyen_stage(channel: ChannelSpec, target: TargetState, labelled: bool) -> 
             return ([f"{PAULI_NAMES[i][n]} (mu={i}, nu={n}) after channel-phase diagonal"
                      for n in j.tolist()], _apply_rows(fixes[i, j], bobs))
 
-        measure_nu = _Measure(("C",), lambda out_nu: _Receive(mu[:, i], nu[:, out_nu[0]]),
-                              nu_gates, labelled, correct)
+        measure_nu = _Measure(("C",), lambda out_nu: _Receive(i, out_nu[0]), nu_rot, labelled,
+                              correct)
         return [_Gate(phase, ("C",)), measure_nu] if i == 0 else [measure_nu]
 
-    return [_Measure(("A",), after_mu, mu_gates, labelled)]
+    return [_Measure(("A",), after_mu, mu_rot, labelled)]
 
 
 def _probabilistic_steps(channel: ChannelSpec, target: TargetState) -> list:
@@ -421,19 +423,15 @@ class _Path(NamedTuple):
 
 
 def _received(reg: StateRegister, leaves: Sequence[_Receive]) -> np.ndarray:
-    """B's unnormalized state given A and C, one row per leaf: one gather, or one contraction.
+    """B's unnormalized state given A's and C's indices, one row per leaf: one gather.
 
-    Taken from the pre-measurement register, never a collapsed copy.
+    Taken from the measured register, never a collapsed copy.  A subsystem
+    measured in a basis stays in that basis, so index i of A reads basis
+    column mu_i: <i|<j| (mu^dag x nu^dag) psi = <mu_i|<nu_j| psi.
     """
     psi = reg.amplitudes.reshape(reg.dims).transpose(reg.axis("A"), reg.axis("C"), reg.axis("B"))
-    a, c = (list(states) for states in zip(*leaves))
-    if all(isinstance(s, int) for s in a + c):
-        return psi[a, c]
-
-    def bras(states, d):
-        return np.array([np.eye(d)[s] if isinstance(s, int) else s for s in states]).conj()
-
-    return np.einsum("ka,acb,kc->kb", bras(a, psi.shape[0]), psi, bras(c, psi.shape[1]))
+    a, c = np.array(leaves).T
+    return psi[a, c]
 
 
 def _finish(target: np.ndarray, reg: StateRegister,
@@ -464,8 +462,9 @@ def _walk(target: np.ndarray, reg: StateRegister, steps: list, path: _Path,
           rng: np.random.Generator | None) -> Iterator[_Path]:
     """Paths through ``steps``: every branch with p >= PROB_FLOOR, or one drawn with ``rng``.
 
-    The branches that end in a receive leaf are finished together by
-    ``_finish``.  Unlabelled branches must sum to 1.
+    A measurement in a basis rotates its target into that basis first, and
+    its branches stay there.  The branches that end in a receive leaf are
+    finished together by ``_finish``.  Unlabelled branches must sum to 1.
     """
     *gates, last = steps
     raw_norm = path.raw_norm
@@ -479,11 +478,9 @@ def _walk(target: np.ndarray, reg: StateRegister, steps: list, path: _Path,
         path = path._replace(raw_norm=raw_norm, steps=path.steps + tuple(
             GateStep(g.gate.name, g.targets, g.gate.defect, g.gate.defect > UNITARY_TOL)
             for g in gates))
-    measured, back = reg, None
     if last.basis is not None:
-        rot, back = last.basis
-        measured = reg.apply(rot, last.targets)
-    marg = measured._marginal(last.targets)
+        reg = reg.apply(last.basis, last.targets)
+    marg = reg._marginal(last.targets)
     probs = marg.reshape(-1)
     if rng is None:
         picks = np.flatnonzero(probs >= PROB_FLOOR)
@@ -505,9 +502,7 @@ def _walk(target: np.ndarray, reg: StateRegister, steps: list, path: _Path,
             yield path._replace(label=label, p=path.p * p, records=records, correction=desc,
                                 bob=bob, fidelity=fidelity, corrected=last.correct is not None)
             continue
-        branch = measured.project(last.targets, outcome)[1]
-        if back is not None:
-            branch = branch.apply(back, last.targets)
+        branch = reg.project(last.targets, outcome)[1]
         yield from _walk(target, branch, nxt, path._replace(label=label, p=path.p * p,
                                                             records=records), rng)
 

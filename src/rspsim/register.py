@@ -57,9 +57,10 @@ def _draw(probs: Sequence[float], rng: np.random.Generator) -> int:
 def _basis_gates(basis: np.ndarray, d: int) -> tuple[GateMatrix, GateMatrix]:
     """basis^dag, which rotates column k onto |k>, and basis, which rotates back.
 
-    Only basis^dag's defect is measured.  The back-rotation shares it: for a
-    square B, B^dag B and B B^dag have the same eigenvalues, so
-    ||B^dag B - I||_F = ||B B^dag - I||_F.
+    Only :meth:`StateRegister.measure_in_basis` uses the back-rotation; the
+    protocols leave a measured branch in its basis.  Only basis^dag's defect
+    is measured.  The back-rotation shares it: for a square B, B^dag B and
+    B B^dag have the same eigenvalues, so ||B^dag B - I||_F = ||B B^dag - I||_F.
     """
     b = np.array(basis, dtype=complex)
     rot = make_gate(dagger(b), (d,), "basis^dag")
@@ -194,10 +195,9 @@ class StateRegister:
         """Apply ``gate`` to the named subsystems, identity elsewhere.
 
         A dense gate is a matrix product over the target subspace; an
-        index-map gate is a row gather on it, times its phases if any.
-        In strict mode a gate whose cached defect exceeds the unitarity
-        tolerance is rejected; audit callers pass strict=False and deal
-        with the norm themselves.
+        index-map gate is a row gather on it.  In strict mode a gate whose
+        cached defect exceeds the unitarity tolerance is rejected; audit
+        callers pass strict=False and deal with the norm themselves.
         """
         axes = [self.axis(t) for t in targets]
         if len(set(axes)) != len(axes):
@@ -222,8 +222,6 @@ class StateRegister:
             psi = gate.matrix @ psi
         else:
             psi = psi[gate.src]
-            if gate.phases is not None:
-                psi *= gate.phases[:, None]
         # Written straight into the result's own layout: the register keeps
         # this array, so no transposed temporary and no defensive copy.
         out = np.empty(self.amplitudes.size, dtype=complex)

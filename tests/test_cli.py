@@ -370,6 +370,26 @@ def test_subcommand_rejects_config_keys_it_does_not_read(tmp_path, capsys, comma
     assert out == ""
 
 
+_ABBREVIATED = {
+    "run": ("run", "--prot", "nguyen", "--target", "1:0"),
+    "sweep": ("sweep", "--protocol", "deterministic", "--targ", "1:0", "--trials", "10",
+              "--points", "2"),
+    "verify": ("verify", "gates", "--se", "0"),
+    "tomo": ("tomo", "--target", "1:0", "--sh", "30"),
+}
+
+
+@pytest.mark.parametrize("command", list(_ABBREVIATED))
+def test_subcommand_rejects_abbreviated_flags(capsys, command):
+    """A flag's prefix is not the flag, just as a config key's prefix is not the key."""
+    assert set(_ABBREVIATED) == set(_COMMANDS)
+    code, out, err = run_cli(capsys, *_ABBREVIATED[command])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unrecognized" in err
+    assert out == ""
+
+
 def test_readme_option_table_matches_each_subcommand():
     """README's CLI table lists exactly the options each subcommand reads, in order."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -296,28 +296,12 @@ def test_index_gate_rejects_non_bijection():
         index_gate([0, 1], (3,), "short")
     with pytest.raises(InvalidState):
         index_gate([0.0, 1.0, 2.0], (3,), "float")
-    with pytest.raises(InvalidState):
-        index_gate([1, 0], (2,), "phases", phases=[1.0])
-
-
-def test_index_gate_phase_defect_matches_dense():
-    rng = np.random.default_rng(23)
-    for d in (2, 3, 5):
-        src = rng.permutation(d * d)
-        angles = rng.uniform(-np.pi, np.pi, size=d * d)
-        phases = rng.uniform(0.5, 1.5, size=d * d) * np.exp(1j * angles)
-        g = index_gate(src, (d, d), "scaled", phases=phases)
-        assert g.defect > 1e-3
-        assert abs(g.defect - unitarity_defect(g.matrix)) <= 1e-12
-        unit = index_gate(src, (d, d), "unit", phases=np.exp(1j * angles))
-        assert unit.defect <= 1e-14
-        assert unitarity_defect(unit.matrix) <= 1e-14
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_permutation_gates_have_exact_zero_defect(d):
     negation = index_gate((d - 1 - np.arange(d)) % d, (d,), "N")
     for g in (identity(d), pauli_x(d), cadd(d), csub(d), negation):
-        assert g.src is not None and g.phases is None
+        assert g.src is not None
         assert g.defect == 0.0
         assert unitarity_defect(g.matrix) == 0.0

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from rspsim.errors import InvalidState, ShapeError
+from rspsim.errors import InvalidState
 from rspsim.linalg import (
     complete_to_unitary,
     dagger,
-    fidelity_pure,
     transport_unitary,
     unitarity_defect,
 )
@@ -78,32 +77,6 @@ def test_complete_to_unitary_rejects_unnormalized():
         complete_to_unitary(np.array([1.0, 1.0]))
 
 
-def test_fidelity_pure_basics():
-    ket0 = np.array([1, 0], dtype=complex)
-    ket1 = np.array([0, 1], dtype=complex)
-    assert fidelity_pure(ket0, ket0) == 1.0
-    assert fidelity_pure(ket0, ket1) == 0.0
-
-
-def test_fidelity_pure_global_phase():
-    rng = np.random.default_rng(4)
-    psi = random_state(4, rng)
-    phi = float(rng.uniform(0, 2 * np.pi))
-    assert abs(fidelity_pure(psi, np.exp(1j * phi) * psi) - 1.0) <= 1e-12
-    assert abs(fidelity_pure(psi, psi) - fidelity_pure(psi, psi)) <= 1e-12
-
-
-def test_fidelity_pure_symmetric():
-    rng = np.random.default_rng(5)
-    a, b = random_state(3, rng), random_state(3, rng)
-    assert abs(fidelity_pure(a, b) - fidelity_pure(b, a)) <= 1e-12
-
-
-def test_fidelity_pure_shape_error():
-    with pytest.raises(ShapeError):
-        fidelity_pure(np.array([1, 0]), np.array([1, 0, 0]))
-
-
 def test_transport_unitary_trivial():
     ket0 = np.array([1, 0], dtype=complex)
     np.testing.assert_allclose(transport_unitary(ket0, ket0), I2, atol=1e-15)
@@ -128,7 +101,7 @@ def test_transport_unitary_random_d4():
         v = transport_unitary(frm, to)
         assert unitarity_defect(v) <= 1e-10
         np.testing.assert_allclose(v @ frm, to, atol=1e-12)
-        assert abs(fidelity_pure(v @ frm, to) - 1.0) <= 1e-12
+        assert abs(abs(np.vdot(v @ frm, to)) ** 2 - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("tiny", [5e-324, 2.2e-309, -1e-310j])

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -578,9 +579,11 @@ def test_start_register_checks_the_cap_before_allocating(monkeypatch):
 
 
 def _reference_paths(protocol, channel, target, mode="repaired"):
-    """Every path one branch at a time: contract, normalize, correct one state, fidelity_pure.
+    """Every path one branch at a time, in the physical frame: contract, normalize, correct.
 
-    Each yielded path is (label, p, corrected, final state, fidelity, measurement outcomes).
+    A basis measurement's branch is rotated back, and a leaf contracts the
+    pre-measurement register with the basis columns its indices name.  Each
+    yielded path is (label, p, corrected, final state, fidelity, measurement outcomes).
     """
     mode, channel, steps = rspsim.protocols._plan(protocol, channel, target, mode)
     to = target.vector()
@@ -601,31 +604,38 @@ def _reference_paths(protocol, channel, target, mode="repaired"):
         def fix(outcomes, bob):  # keyed by the (mu, nu) outcomes, the last two measurements
             return pauli[outcomes[-2][0], outcomes[-1][0]] @ unphase @ bob
 
-    def walk(reg, steps, label, p, outcomes):
+    def walk(reg, steps, label, p, outcomes, bases):
         *gates, last = steps
         for g in gates:
             reg = reg.apply(g.gate, g.targets, strict=g.strict)
             if abs(reg.norm - 1.0) > rspsim.linalg.STRUCT_TOL:
                 reg = reg.normalized()
-        measured = reg if last.basis is None else reg.apply(last.basis[0], last.targets)
+        measured, back = reg, None
+        if last.basis is not None:
+            (target_label,) = last.targets
+            basis = last.basis.matrix.conj().T
+            back = rspsim.register._basis_gates(basis, basis.shape[0])[1]
+            bases = {**bases, target_label: basis}
+            measured = reg.apply(last.basis, last.targets)
         for outcome, q in measured.born_probabilities(last.targets):
             if q < rspsim.register.PROB_FLOOR:
                 continue
             nxt = last.then(outcome)
             branch_label = label + outcome if last.labelled else label
             if isinstance(nxt, rspsim.protocols._Receive):
-                bob = reg.contract({"A": nxt.a_state, "C": nxt.c_state})
+                bob = reg.contract({s: bases[s][:, k] if s in bases else k
+                                    for s, k in zip(("A", "C"), nxt)})
                 bob = bob / np.linalg.norm(bob)
                 final = bob if last.correct is None else fix(outcomes + (outcome,), bob)
                 yield (branch_label, p * q, last.correct is not None, final,
-                       rspsim.linalg.fidelity_pure(final, to), outcomes + (outcome,))
+                       abs(np.vdot(final, to)) ** 2, outcomes + (outcome,))
                 continue
             branch = measured.project(last.targets, outcome)[1]
-            if last.basis is not None:
-                branch = branch.apply(last.basis[1], last.targets)
-            yield from walk(branch, nxt, branch_label, p * q, outcomes + (outcome,))
+            if back is not None:
+                branch = branch.apply(back, last.targets)
+            yield from walk(branch, nxt, branch_label, p * q, outcomes + (outcome,), bases)
 
-    return list(walk(rspsim.protocols._start(channel), steps, (), 1.0, ()))
+    return list(walk(rspsim.protocols._start(channel), steps, (), 1.0, (), {}))
 
 
 def _random_channel(d, rng, phases):
@@ -683,6 +693,51 @@ def test_block_leaves_match_the_per_branch_reference(protocol, channel, target, 
         assert tr.success == (corrected and fidelity >= 1.0 - rspsim.protocols.SUCCESS_TOL)
 
 
+def _frame_violations(steps, d, measured=frozenset(), seen=None):
+    """(gate, subsystem) for each gate, on any branch, that acts on a subsystem measured in a basis.
+
+    ``seen`` collects the targets of every basis measurement visited.
+    """
+    *gates, last = steps
+    bad = [(g.gate.name, t) for g in gates for t in g.targets if t in measured]
+    if last.basis is not None:
+        measured = measured | set(last.targets)
+        if seen is not None:
+            seen.extend(last.targets)
+    for outcome in itertools.product(range(d), repeat=len(last.targets)):
+        nxt = last.then(outcome)
+        if not isinstance(nxt, rspsim.protocols._Receive):
+            bad += _frame_violations(nxt, d, measured, seen)
+    return bad
+
+
+@pytest.mark.parametrize("protocol, channel, mode, basis_measured", [
+    ("deterministic", ChannelSpec.of((0.6, 0.48, 0.64)), "repaired", []),
+    ("deterministic", ChannelSpec.of((0.6, 0.8)), "literal", []),
+    ("probabilistic", ChannelSpec.of((0.6, 0.8)), "repaired", ["A", "C", "C"]),
+    ("probabilistic", ChannelSpec.of((0.0, 1.0)), "repaired", ["A", "C", "C"]),
+    ("nguyen", None, "repaired", ["A", "C", "C"]),
+], ids=["deterministic", "literal", "probabilistic", "probabilistic-alpha0", "nguyen"])
+def test_no_gate_acts_on_a_subsystem_left_in_its_measured_basis(protocol, channel, mode,
+                                                                basis_measured):
+    """A basis-measured branch is never rotated back, so no later gate may touch that subsystem."""
+    d = 2 if channel is None else channel.d
+    target = TargetState.of(np.full(d, 1 / np.sqrt(d)) * np.exp(0.3j * np.arange(d)))
+    _, _, steps = rspsim.protocols._plan(protocol, channel, target, mode)
+    seen = []
+    assert _frame_violations(steps, d, seen=seen) == []
+    assert seen == basis_measured
+
+
+def test_frame_guard_sees_a_gate_after_a_basis_measurement():
+    _Gate, _Measure = rspsim.protocols._Gate, rspsim.protocols._Measure
+    rot = rspsim.register._basis_gates(np.eye(2), 2)[0]
+    late = [_Gate(rspsim.gates.pauli_x(2), ("A",)),
+            _Measure(("C",), lambda outcome: rspsim.protocols._Receive(0, outcome[0]))]
+    steps = [_Measure(("A",), lambda outcome: late, rot)]
+    assert _frame_violations(steps, 2) == [("X2", "A"), ("X2", "A")]
+
+
 def test_a_warm_d32_table_finishes_its_leaves_as_one_block(monkeypatch):
     """No per-branch contraction, and one correction-chain call for all 32 branches."""
     rng = np.random.default_rng(32)
@@ -712,7 +767,7 @@ def test_a_warm_d32_table_finishes_its_leaves_as_one_block(monkeypatch):
     assert len(table.rows) == 32 and min(r.fidelity for r in table.rows) >= 1.0 - 1e-10
 
 
-@pytest.mark.parametrize("kind", ["basis", "vector", "mixed"])
+@pytest.mark.parametrize("kind", ["basis"])
 def test_block_rows_keep_their_own_state_and_fidelity(kind):
     """Uncorrected leaves of distinct fidelity: a row swapped anywhere in the block shows."""
     rng = np.random.default_rng(17)
@@ -721,14 +776,12 @@ def test_block_rows_keep_their_own_state_and_fidelity(kind):
     reg = rspsim.protocols._start(channel)
     for g in steps[:-1]:
         reg = reg.apply(g.gate, g.targets)
-    states = {"basis": lambda m: m, "vector": lambda m: random_target(8, rng).vector(),
-              "mixed": lambda m: m if m % 2 else random_target(8, rng).vector()}[kind]
-    leaves = [((m, m), rspsim.protocols._Receive(states(m), states(m))) for m in (5, 0, 3, 6)]
+    leaves = [((m, m), rspsim.protocols._Receive(m, m)) for m in (5, 0, 3, 6)]
     rows = list(rspsim.protocols._finish(target.vector(), reg, leaves, None))
     for (_, leaf), (desc, bob, fidelity) in zip(leaves, rows):
-        ref = reg.contract({"A": leaf.a_state, "C": leaf.c_state})
+        ref = reg.contract({"A": leaf.a, "C": leaf.c})
         ref = ref / np.linalg.norm(ref)
         assert desc == "none (failure branch)"
         np.testing.assert_allclose(bob, ref, rtol=0, atol=1e-12)
-        assert abs(fidelity - rspsim.linalg.fidelity_pure(ref, target.vector())) <= 1e-12
+        assert abs(fidelity - abs(np.vdot(ref, target.vector())) ** 2) <= 1e-12
     assert len({round(f, 6) for _, _, f in rows}) == len(rows)

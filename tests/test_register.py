@@ -308,7 +308,7 @@ def test_index_gate_apply_matches_dense(d):
     rng = np.random.default_rng(300 + d)
     table = tuple(int(k) for k in rng.integers(0, d, size=d))
     m = int(rng.integers(0, d))
-    one = [pauli_x(d), pauli_z(d), index_gate((m - np.arange(d)) % d, (d,), "N")]
+    one = [pauli_x(d), index_gate((m - np.arange(d)) % d, (d,), "N")]
     two = [cadd(d), csub(d), controlled_shift(d, table)]
     cases = [(g, t) for g in one for t in (("A",), ("B",), ("C",))]
     cases += [(g, t) for g in two for t in (("A", "B"), ("B", "A"), ("A", "C"), ("C", "A"))]
@@ -402,7 +402,7 @@ def _derived_cases():
     loose = reg.apply(make_gate(3.0 * np.eye(2), (2,), "3I"), ["A"], strict=False)
     return [
         ("gather", reg, lambda: reg.apply(cadd(2), ["C", "A"])),
-        ("phased gather", reg, lambda: reg.apply(pauli_z(3), ["B"])),
+        ("dense clock", reg, lambda: reg.apply(pauli_z(3), ["B"])),
         ("dense", reg, lambda: reg.apply(dense, ["B"])),
         ("project", reg, lambda: reg.project(["B"], (1,))[1]),
         ("normalized", loose, loose.normalized),
