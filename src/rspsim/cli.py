@@ -30,15 +30,9 @@ from .protocols import (
     Transcript,
     run_protocol,
 )
-from .register import DensityMatrix, StateRegister, derive_rng
+from .register import StateRegister, derive_rng
 from .sweep import rows_to_csv, sweep_rows, theta_grid, write_csv
-from .tomography import (
-    exact_bloch,
-    fidelity_mixed,
-    reconstruct_qubit,
-    sample_pauli_expectations,
-    trace_distance,
-)
+from .tomography import exact_bloch, fidelity_mixed, tomograph
 from .verify import SUITES, format_report, run_suite
 
 # A sweep holds one row and up to three exact tables per grid point.
@@ -304,18 +298,15 @@ def cmd_tomo(cfg: RunConfig) -> int:
     target = TargetState.of(cfg.target)
     tr = run_protocol("deterministic", channel, target, cfg.mode, derive_rng(cfg.seed))
     bob = StateRegister((2,), tr.bob_state)
-    est = sample_pauli_expectations(bob, cfg.shots, derive_rng(cfg.seed, 1))
-    rho = reconstruct_qubit(est)
-    exact_rho = DensityMatrix.build(np.outer(bob.amplitudes, bob.amplitudes.conj()))
-    fid = fidelity_mixed(rho, target.vector())
-    dist = trace_distance(rho, exact_rho)
+    res = tomograph(bob, cfg.shots, derive_rng(cfg.seed, 1))
+    est = res.estimates
     rx, ry, rz = exact_bloch(bob)
     print(f"deterministic run outcome: {tr.outcome}")
     print(f"exact bloch vector:     ({rx:+.6f}, {ry:+.6f}, {rz:+.6f})")
     print(f"estimated bloch vector: ({est.rx:+.6f}, {est.ry:+.6f}, {est.rz:+.6f})")
     print(f"shots: {cfg.shots} (per axis {est.shots_per_axis})")
-    print(f"fidelity_mixed to target: {fid:.6f}")
-    print(f"trace distance to exact receiver state: {dist:.6f}")
+    print(f"fidelity_mixed to target: {fidelity_mixed(res.rho, target.vector()):.6f}")
+    print(f"trace distance to exact receiver state: {res.trace_distance:.6f}")
     return 0
 
 

@@ -22,6 +22,9 @@ from .protocols import ChannelSpec, OutcomeTable, TargetState, Transcript, run_p
 _FLOOR = 1e-15
 MAX_NAIVE_D = 8
 
+# compare_exact passes iff no outcome's fast and naive probabilities differ by more.
+EXACT_TOL = 1e-10
+
 Outcome = tuple[int, ...]
 
 
@@ -319,7 +322,7 @@ def table_distribution(table: OutcomeTable) -> BranchDistribution:
 def compare_exact(
     dist_fast: BranchDistribution, dist_naive: BranchDistribution
 ) -> ComparisonReport:
-    """Per-outcome absolute difference; passes iff max difference <= 1e-10."""
+    """Per-outcome absolute difference; passes iff max difference <= EXACT_TOL."""
     fast, naive = dist_fast.as_dict(), dist_naive.as_dict()
     if set(fast) != set(naive):
         raise MismatchedOutcomeSpace(
@@ -330,7 +333,7 @@ def compare_exact(
         diff = abs(fast[out] - naive[out])
         entries.append((out, naive[out], fast[out], diff))
     max_diff = max(d for *_, d in entries)
-    return ComparisonReport(tuple(entries), max_diff, max_diff <= 1e-10)
+    return ComparisonReport(tuple(entries), max_diff, max_diff <= EXACT_TOL)
 
 
 def transcript_outcome(transcript: Transcript) -> Outcome:

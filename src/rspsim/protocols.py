@@ -66,9 +66,7 @@ from .gates import (
     cu_concentration,
     encoding_unitary,
     encoding_unitary_literal,
-    identity,
     nguyen_bases,
-    pauli_z,
 )
 from .linalg import MAX_DIM, STRUCT_TOL, as_cvec
 from .register import (
@@ -93,7 +91,11 @@ PAULI_NAMES = (("I", "Z"), ("XZ", "X"))
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Schmidt coefficients lambda_0..lambda_{d-1} of the A-B channel."""
+    """Schmidt coefficients lambda_0..lambda_{d-1} of the A-B channel.
+
+    Construction accepts a norm within STRUCT_TOL of 1 and stores the
+    coefficients divided by it.
+    """
 
     lambdas: tuple[complex, ...]
 
@@ -101,9 +103,10 @@ class ChannelSpec:
         v = as_cvec(self.lambdas)
         if v.size < 2:
             raise InvalidState("channel needs dimension d >= 2")
-        if abs(np.linalg.norm(v) - 1.0) > STRUCT_TOL:
+        norm = np.linalg.norm(v)
+        if abs(norm - 1.0) > STRUCT_TOL:
             raise InvalidState("channel coefficients must satisfy sum |lambda_m|^2 = 1")
-        object.__setattr__(self, "lambdas", tuple(complex(x) for x in v))
+        object.__setattr__(self, "lambdas", tuple(complex(x) for x in v / norm))
 
     @property
     def d(self) -> int:
@@ -127,8 +130,10 @@ class ChannelSpec:
 class TargetState:
     """Amplitudes x_0..x_{d-1} of the state the sender prepares remotely.
 
-    Storage keeps the caller's amplitudes; the canonical form (first
-    nonzero amplitude rotated to phase 0) is derived on demand.
+    Construction accepts a norm within STRUCT_TOL of 1 and stores the
+    amplitudes divided by it, so every later check sees a unit vector.
+    The canonical form (first nonzero amplitude rotated to phase 0) is
+    derived on demand.
     """
 
     amplitudes: tuple[complex, ...]
@@ -137,9 +142,10 @@ class TargetState:
         v = as_cvec(self.amplitudes)
         if v.size < 2:
             raise InvalidState("target needs dimension d >= 2")
-        if abs(np.linalg.norm(v) - 1.0) > STRUCT_TOL:
+        norm = np.linalg.norm(v)
+        if abs(norm - 1.0) > STRUCT_TOL:
             raise InvalidState("target amplitudes must be normalized")
-        object.__setattr__(self, "amplitudes", tuple(complex(x) for x in v))
+        object.__setattr__(self, "amplitudes", tuple(complex(x) for x in v / norm))
 
     @property
     def d(self) -> int:
@@ -298,9 +304,8 @@ def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -
     elif mode == "literal":
         if d != 2:
             raise Unsupported("literal mode is defined only for d = 2")
-        c = target.canonical()
-        enc = encoding_unitary_literal(c[0].real, abs(c[1]), float(np.angle(c[1])))
-        printed = np.stack([identity(2).matrix, pauli_z(2).matrix])  # I on a = 0, sigma_z on 1
+        enc = encoding_unitary_literal(*target.qubit_params())
+        printed = PAULI_TABLE[0]  # I on a = 0, sigma_z on 1
 
         def fix(a, bobs):
             return [("identity", "sigma_z")[m] for m in a.tolist()], _apply_rows(printed[a], bobs)
@@ -333,7 +338,7 @@ def _nguyen_fixes(channel: ChannelSpec) -> np.ndarray:
 def _nguyen_stage(channel: ChannelSpec, target: TargetState, labelled: bool) -> list:
     """Measure A in the mu basis, phase C on mu outcome 0, measure C in nu, correct B."""
     mu, nu, phase = nguyen_bases(*target.qubit_params())
-    mu_rot, nu_rot = _basis_gates(mu, 2)[0], _basis_gates(nu, 2)[0]
+    mu_rot, nu_rot = _basis_gates(mu, 2), _basis_gates(nu, 2)
     fixes = _nguyen_fixes(channel)
 
     def after_mu(out_mu):
@@ -360,9 +365,7 @@ def _probabilistic_steps(channel: ChannelSpec, target: TargetState) -> list:
         raise InvalidState("the probabilistic baseline needs |alpha| <= |beta|")
     steps = [_Gate(cadd(2), ("A", "C"))]
     if alpha > 0.0:  # alpha = 0 always fails, and its controlled-U ratio is ill-posed
-        scale = float(np.hypot(alpha, beta))  # absorb channel-norm roundoff
-        cu = cu_concentration(alpha / scale, beta / scale)
-        steps += [_Gate(cu, ("A", "C")), _Gate(cadd(2), ("A", "C"))]
+        steps += [_Gate(cu_concentration(alpha, beta), ("A", "C")), _Gate(cadd(2), ("A", "C"))]
 
     def after_ancilla(outcome):
         if outcome == (1,):

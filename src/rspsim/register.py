@@ -54,20 +54,12 @@ def _draw(probs: Sequence[float], rng: np.random.Generator) -> int:
     return int(rng.choice(len(p), p=p / total))
 
 
-def _basis_gates(basis: np.ndarray, d: int) -> tuple[GateMatrix, GateMatrix]:
-    """basis^dag, which rotates column k onto |k>, and basis, which rotates back.
-
-    Only :meth:`StateRegister.measure_in_basis` uses the back-rotation; the
-    protocols leave a measured branch in its basis.  Only basis^dag's defect
-    is measured.  The back-rotation shares it: for a square B, B^dag B and
-    B B^dag have the same eigenvalues, so ||B^dag B - I||_F = ||B B^dag - I||_F.
-    """
-    b = np.array(basis, dtype=complex)
-    rot = make_gate(dagger(b), (d,), "basis^dag")
+def _basis_gates(basis: np.ndarray, d: int) -> GateMatrix:
+    """basis^dag, which rotates column k onto |k>; rejected unless unitary."""
+    rot = make_gate(dagger(np.asarray(basis, dtype=complex)), (d,), "basis^dag")
     if rot.defect > UNITARY_TOL:
         raise NonUnitaryGate(f"measurement basis defect {rot.defect:.3e}")
-    b.flags.writeable = False
-    return rot, GateMatrix(dims=rot.dims, name="basis", defect=rot.defect, dense=b)
+    return rot
 
 
 @dataclass(frozen=True)
@@ -302,9 +294,9 @@ class StateRegister:
         with basis^dag, measuring computationally, and rotating the
         collapsed branch back so the register keeps the physical state.
         """
-        rot, back = _basis_gates(basis, self.dims[self.axis(target)])
-        record, collapsed = self.apply(rot, [target]).measure([target], rng)
-        return record, collapsed.apply(back, [target])
+        d = self.dims[self.axis(target)]
+        record, collapsed = self.apply(_basis_gates(basis, d), [target]).measure([target], rng)
+        return record, collapsed.apply(make_gate(basis, (d,), "basis"), [target])
 
     # -- reductions --------------------------------------------------------
 

@@ -34,10 +34,11 @@ class PauliEstimates:
 
 @dataclass(frozen=True)
 class TomoResult:
+    """What one tomography run estimated and reconstructed, and how far it landed."""
+
+    estimates: PauliEstimates
     rho: DensityMatrix
-    fidelity_to_target: float
-    trace_distance_to_target: float
-    shots: int
+    trace_distance: float  # to the state that was sampled
 
 
 def _qubit_rho(state: StateRegister | DensityMatrix) -> np.ndarray:
@@ -110,19 +111,13 @@ def fidelity_mixed(rho: DensityMatrix, target: np.ndarray) -> float:
 
 
 def tomograph(
-    state: StateRegister | DensityMatrix,
-    target: np.ndarray,
-    shots: int,
-    rng: np.random.Generator,
+    state: StateRegister | DensityMatrix, shots: int, rng: np.random.Generator
 ) -> TomoResult:
-    """Sample, reconstruct, and score against a pure target state."""
+    """Sample, reconstruct, and score against the state that was sampled.
+
+    Fidelity to some other pure target is ``fidelity_mixed(result.rho, target)``.
+    """
     est = sample_pauli_expectations(state, shots, rng)
     rho = reconstruct_qubit(est)
-    t = np.asarray(target, dtype=complex).reshape(-1)
-    sigma = DensityMatrix.build(np.outer(t, t.conj()))
-    return TomoResult(
-        rho=rho,
-        fidelity_to_target=fidelity_mixed(rho, t),
-        trace_distance_to_target=trace_distance(rho, sigma),
-        shots=shots,
-    )
+    exact = state if isinstance(state, DensityMatrix) else DensityMatrix.build(_qubit_rho(state))
+    return TomoResult(estimates=est, rho=rho, trace_distance=trace_distance(rho, exact))

@@ -1,12 +1,17 @@
 """Named invariant checks behind the CLI ``verify`` subcommand.
 
-Each check measures something concrete and reports the measured value so
-failures name the broken invariant.  All randomness is seeded, so a
-report is byte-stable for a given (suite, seed, trials).
+Each check measures something concrete and gives its verdict through one
+rule, :func:`_judged`: a roundoff residual passes iff it is at most its
+tolerance, and prints as ``label<=tol`` when it passes and with its value
+when it fails.  So the report changes only when a verdict does, and a
+failure names the broken invariant.  Figures that are not roundoff, such
+as z-scores and tomography medians, print their values.  All randomness
+is seeded, so a report is byte-stable for a given (suite, seed, trials).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +61,28 @@ def _random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _judged(name: str, residuals: Sequence[tuple[str, float | Sequence[float], float]],
+            *figures: str, holds: bool = True) -> CheckResult:
+    """The one verdict rule: pass iff ``holds`` and each residual is at most its tolerance.
+
+    A residual is (label, value or values, tolerance), judged by its
+    largest value; NaN fails.  A passing residual prints as ``label<=tol``
+    and a failing one with its value, so roundoff changes the report only
+    when it changes a verdict.  ``figures`` are printed first, as given.
+    """
+    shown, passed = list(figures), holds
+    for label, values, tol in residuals:
+        value = float(np.max(values))  # NaN propagates
+        within = value <= tol
+        passed = passed and within
+        shown.append(f"{label}<={tol:g}" if within else f"{label}={value:.3e}>{tol:g}")
+    return CheckResult(name, passed, " ".join(shown))
+
+
 def _check_pauli_cyclic(seed: int) -> CheckResult:
-    worst = 0.0
-    for d in (2, 3, 5):
-        for g in (gates.pauli_x(d), gates.pauli_z(d)):
-            power = np.linalg.matrix_power(g.matrix, d)
-            worst = max(worst, float(np.max(np.abs(power - np.eye(d)))))
-    return CheckResult("gates.pauli_cyclic_order_d", worst <= 1e-12, f"max|G^d - I|={worst:.3e}")
+    errs = [np.abs(np.linalg.matrix_power(g.matrix, d) - np.eye(d)).max()
+            for d in (2, 3, 5) for g in (gates.pauli_x(d), gates.pauli_z(d))]
+    return _judged("gates.pauli_cyclic_order_d", [("max|G^d - I|", errs, 1e-12)])
 
 
 def _check_shift_permutation(seed: int) -> CheckResult:
@@ -79,42 +99,36 @@ def _check_shift_permutation(seed: int) -> CheckResult:
                 and np.all(m.sum(axis=1) == 1.0)
             )
             ok = ok and bool(is_perm)
-    return CheckResult("gates.controlled_shift_is_permutation", ok, f"permutation={ok}")
+    return _judged("gates.controlled_shift_is_permutation", (), f"permutation={ok}", holds=ok)
 
 
 def _check_literal_defect(seed: int) -> CheckResult:
     rng = derive_rng(seed, 102)
-    worst = 0.0
+    errs = []
     for _ in range(100):
         x0 = float(rng.uniform(0.0, 1.0))
         x1 = float(np.sqrt(1.0 - x0 * x0))
         th = float(rng.uniform(-np.pi, np.pi))
         g = gates.encoding_unitary_literal(x0, x1, th)
-        closed = 2.0 * np.sqrt(2.0) * x0 * x1 * abs(np.sin(th))
-        worst = max(worst, abs(g.defect - closed))
-    return CheckResult(
-        "gates.literal_defect_closed_form", worst <= 1e-10, f"max|defect-closed|={worst:.3e}"
-    )
+        errs.append(abs(g.defect - 2.0 * np.sqrt(2.0) * x0 * x1 * abs(np.sin(th))))
+    return _judged("gates.literal_defect_closed_form", [("max|defect-closed|", errs, 1e-10)])
 
 
 def _check_encoder_completion(seed: int) -> CheckResult:
     rng = derive_rng(seed, 103)
-    worst_defect, worst_col = 0.0, 0.0
+    defects, col_errs = [], []
     for d in range(2, 9):
         t = _random_target(d, rng)
         g = gates.encoding_unitary(t.amplitudes)
-        worst_defect = max(worst_defect, g.defect)
-        worst_col = max(worst_col, float(np.max(np.abs(g.matrix[:, 0] - t.vector()))))
-    ok = worst_defect <= 1e-12 and worst_col == 0.0
-    return CheckResult(
-        "gates.encoder_column_and_unitarity", ok,
-        f"max defect={worst_defect:.3e} max column error={worst_col:.3e}",
-    )
+        defects.append(g.defect)
+        col_errs.append(np.abs(g.matrix[:, 0] - t.vector()).max())
+    return _judged("gates.encoder_column_and_unitarity",
+                   [("max defect", defects, 1e-12), ("max column error", col_errs, 0.0)])
 
 
 def _check_correction_exactness(seed: int) -> CheckResult:
     rng = derive_rng(seed, 104)
-    worst = 0.0
+    errs = []
     for d in range(2, 9):
         u = gates.make_gate(_random_unitary(d, rng), (d,), f"R{d}")
         fix = gates.correction_chain(u)
@@ -123,15 +137,13 @@ def _check_correction_exactness(seed: int) -> CheckResult:
             for n in range(d):
                 b[(m - n) % d] += u.matrix[n, m]
             vb = fix(np.array([m]), b[None])[0]
-            worst = max(worst, float(np.max(np.abs(vb - u.matrix[:, 0]))))
-    return CheckResult(
-        "gates.correction_maps_branch_to_target", worst <= 1e-11, f"max|V b - U e0|={worst:.3e}"
-    )
+            errs.append(np.abs(vb - u.matrix[:, 0]).max())
+    return _judged("gates.correction_maps_branch_to_target", [("max|V b - U e0|", errs, 1e-11)])
 
 
 def _check_concentration_structure(seed: int) -> CheckResult:
     rng = derive_rng(seed, 105)
-    worst = 0.0
+    errs = []
     for _ in range(20):
         alpha = float(rng.uniform(0.05, 1.0 / np.sqrt(2.0)))
         beta = float(np.sqrt(1.0 - alpha * alpha))
@@ -139,64 +151,54 @@ def _check_concentration_structure(seed: int) -> CheckResult:
         reg = reg.tensor(basis_register((2,), (0,), labels=("C",)))
         reg = reg.apply(gates.cadd(2), ["A", "C"])
         reg = reg.apply(gates.cu_concentration(alpha, beta), ["A", "C"])
-        amps = reg.amplitudes
         expected = np.zeros(8, dtype=complex)
         expected[0b000] = alpha
         expected[0b111] = alpha
         expected[0b110] = np.sqrt(beta * beta - alpha * alpha)
-        worst = max(worst, float(np.max(np.abs(amps - expected))))
-    return CheckResult(
-        "gates.concentration_three_amplitudes", worst <= 1e-12, f"max amp error={worst:.3e}"
-    )
+        errs.append(np.abs(reg.amplitudes - expected).max())
+    return _judged("gates.concentration_three_amplitudes", [("max amp error", errs, 1e-12)])
 
 
 def _check_deterministic_exact(seed: int) -> CheckResult:
     rng = derive_rng(seed, 201)
-    worst_p, worst_f = 0.0, 1.0
+    p_errs, f_errs = [], []
     for d in range(2, 9):
         for _ in range(3):
             table = exact_outcome_table(
                 "deterministic", _random_channel(d, rng, positive=True), _random_target(d, rng)
             )
-            worst_p = max(worst_p, abs(success_probability(table) - 1.0))
-            worst_f = min(worst_f, min(r.fidelity for r in table.rows))
-    ok = worst_p <= 1e-12 and worst_f >= 1.0 - 1e-10
-    return CheckResult(
-        "protocols.deterministic_success_is_1", ok,
-        f"max|P-1|={worst_p:.3e} min fidelity={worst_f:.15f}",
-    )
+            p_errs.append(abs(success_probability(table) - 1.0))
+            f_errs += [1.0 - r.fidelity for r in table.rows]
+    return _judged("protocols.deterministic_success_is_1",
+                   [("max|P-1|", p_errs, 1e-12), ("1-min fidelity", f_errs, 1e-10)])
 
 
 def _check_probabilistic_curve(seed: int) -> CheckResult:
     rng = derive_rng(seed, 202)
     target = _random_target(2, rng)
-    worst = 0.0
+    errs = []
     for theta in np.linspace(0.0, np.pi / 4.0, 21):
         table = exact_outcome_table("probabilistic", ChannelSpec.from_theta(theta), target)
-        worst = max(worst, abs(success_probability(table) - 2.0 * np.sin(theta) ** 2))
-    return CheckResult(
-        "protocols.probabilistic_success_2sin2", worst <= 1e-12, f"max|P-2sin^2|={worst:.3e}"
-    )
+        errs.append(abs(success_probability(table) - 2.0 * np.sin(theta) ** 2))
+    return _judged("protocols.probabilistic_success_2sin2", [("max|P-2sin^2|", errs, 1e-12)])
 
 
 def _check_nguyen_quarters(seed: int) -> CheckResult:
     rng = derive_rng(seed, 203)
-    worst_p, worst_f, rows = 0.0, 1.0, set()
+    p_errs, f_errs, rows = [], [], set()
     for _ in range(10):
         table = exact_outcome_table("nguyen", None, _random_target(2, rng))
-        worst_p = max(worst_p, max(abs(r.probability - 0.25) for r in table.rows))
-        worst_f = min(worst_f, min(r.fidelity for r in table.rows))
+        p_errs += [abs(r.probability - 0.25) for r in table.rows]
+        f_errs += [1.0 - r.fidelity for r in table.rows]
         rows.add(len(table.rows))
-    ok = worst_p <= 1e-12 and worst_f >= 1.0 - 1e-10 and rows == {4}
-    return CheckResult(
-        "protocols.nguyen_four_quarters", ok,
-        f"max|p-1/4|={worst_p:.3e} min fidelity={worst_f:.15f}",
-    )
+    return _judged("protocols.nguyen_four_quarters",
+                   [("max|p-1/4|", p_errs, 1e-12), ("1-min fidelity", f_errs, 1e-10)],
+                   holds=rows == {4})
 
 
 def _check_literal_theta0(seed: int) -> CheckResult:
     rng = derive_rng(seed, 204)
-    worst = 0.0
+    diffs = []
     for _ in range(10):
         x0 = float(rng.uniform(0.0, 1.0))
         target = TargetState.of((x0, np.sqrt(1.0 - x0 * x0)))
@@ -204,10 +206,8 @@ def _check_literal_theta0(seed: int) -> CheckResult:
         lit = exact_outcome_table("deterministic", channel, target, mode="literal")
         rep = exact_outcome_table("deterministic", channel, target, mode="repaired")
         for a, b in zip(lit.rows, rep.rows):
-            worst = max(worst, abs(a.probability - b.probability), abs(a.fidelity - b.fidelity))
-    return CheckResult(
-        "protocols.literal_equals_repaired_at_theta0", worst <= 1e-12, f"max diff={worst:.3e}"
-    )
+            diffs += [abs(a.probability - b.probability), abs(a.fidelity - b.fidelity)]
+    return _judged("protocols.literal_equals_repaired_at_theta0", [("max diff", diffs, 1e-12)])
 
 
 def _check_literal_flag(seed: int) -> CheckResult:
@@ -218,11 +218,10 @@ def _check_literal_flag(seed: int) -> CheckResult:
     defect = max(s.defect for s in tr.steps if s.non_unitary) if tr.has_non_unitary_step else 0.0
     # The printed operator acts norm-preservingly on the protocol states,
     # so the raw norm stays 1 even though the operator defect is large.
-    norm_dev = abs((tr.raw_norm or 0.0) - 1.0)
-    ok = tr.has_non_unitary_step and defect > 1e-6 and norm_dev <= 1e-12
-    return CheckResult(
-        "protocols.literal_mode_flags_defect", ok,
-        f"flagged defect={defect:.6f} |raw_norm-1|={norm_dev:.3e}",
+    return _judged(
+        "protocols.literal_mode_flags_defect",
+        [("|raw_norm-1|", abs((tr.raw_norm or 0.0) - 1.0), 1e-12)],
+        f"flagged defect={defect:.6f}", holds=tr.has_non_unitary_step and defect > 1e-6,
     )
 
 
@@ -252,11 +251,9 @@ def _check_oracle_exact(seed: int) -> CheckResult:
             oracle.table_distribution(exact_outcome_table("nguyen", None, target)),
             oracle.enumerate_naive("nguyen", None, target),
         ))
-    worst = max(rep.max_stat for rep in reports)
-    return CheckResult(
-        "oracle.fast_vs_naive_agreement", all(rep.passed for rep in reports),
-        f"cases={len(reports)} max|dp|={worst:.3e}",
-    )
+    return _judged("oracle.fast_vs_naive_agreement",
+                   [("max|dp|", [rep.max_stat for rep in reports], oracle.EXACT_TOL)],
+                   f"cases={len(reports)}")
 
 
 def _check_oracle_sampled(seed: int, trials: int = 10_000) -> CheckResult:
@@ -272,67 +269,51 @@ def _check_oracle_sampled(seed: int, trials: int = 10_000) -> CheckResult:
         dist = oracle.enumerate_naive(protocol, channel, target)
         reports.append(oracle.compare_sampled(dist, trials=trials, seed=seed + 7000 + k))
     worst = max(rep.max_stat for rep in reports)
-    return CheckResult(
-        "oracle.sampled_frequencies_4sigma", all(rep.passed for rep in reports),
-        f"trials={trials} max|z|={worst:.3f}",
-    )
+    return _judged("oracle.sampled_frequencies_4sigma", (), f"trials={trials}",
+                   f"max|z|={worst:.3f}", holds=all(rep.passed for rep in reports))
 
 
 def _check_bloch_formulas(seed: int) -> CheckResult:
     rng = derive_rng(seed, 401)
-    worst = 0.0
+    errs = []
     for _ in range(20):
         x0 = float(rng.uniform(0.0, 1.0))
         x1 = float(np.sqrt(1.0 - x0 * x0))
         th = float(rng.uniform(-np.pi, np.pi))
         psi = np.array([x0, x1 * np.exp(1j * th)])
-        reg = StateRegister((2,), psi)
-        rx, ry, rz = tomography.exact_bloch(reg)
-        worst = max(
-            worst,
-            abs(rx - 2 * x0 * x1 * np.cos(th)),
-            abs(ry - 2 * x0 * x1 * np.sin(th)),
-            abs(rz - (x0 * x0 - x1 * x1)),
-        )
-    return CheckResult("tomo.bloch_matches_analytic", worst <= 1e-12, f"max err={worst:.3e}")
+        rx, ry, rz = tomography.exact_bloch(StateRegister((2,), psi))
+        errs += [abs(rx - 2 * x0 * x1 * np.cos(th)), abs(ry - 2 * x0 * x1 * np.sin(th)),
+                 abs(rz - (x0 * x0 - x1 * x1))]
+    return _judged("tomo.bloch_matches_analytic", [("max err", errs, 1e-12)])
 
 
 def _check_tomo_physicality(seed: int) -> CheckResult:
     rng = derive_rng(seed, 402)
-    ok = True
-    worst_trace, worst_eig = 0.0, 0.0
+    trace_errs, negative_eigs, herm_errs = [], [], []
     for _ in range(200):
         r = rng.uniform(-1.5, 1.5, size=3)
         rho = tomography.reconstruct_qubit(
             tomography.PauliEstimates(r[0], r[1], r[2], (1, 1, 1))
-        )
-        eigs = np.linalg.eigvalsh(rho.entries)
-        worst_trace = max(worst_trace, abs(float(np.trace(rho.entries).real) - 1.0))
-        worst_eig = max(worst_eig, max(0.0, float(-eigs.min())))
-        herm = float(np.max(np.abs(rho.entries - rho.entries.conj().T)))
-        ok = ok and herm <= 1e-10
-    ok = ok and worst_trace <= 1e-10 and worst_eig <= 1e-10
-    return CheckResult(
-        "tomo.projection_physicality", ok,
-        f"max|tr-1|={worst_trace:.3e} max negative eig={worst_eig:.3e}",
-    )
+        ).entries
+        trace_errs.append(abs(float(np.trace(rho).real) - 1.0))
+        negative_eigs.append(max(0.0, float(-np.linalg.eigvalsh(rho).min())))
+        herm_errs.append(np.abs(rho - rho.conj().T).max())
+    return _judged("tomo.projection_physicality", [
+        ("max|tr-1|", trace_errs, 1e-10), ("max negative eig", negative_eigs, 1e-10),
+        ("max|rho-rho^dag|", herm_errs, 1e-10),
+    ])
 
 
 def _check_tomo_convergence(seed: int) -> CheckResult:
-    psi = np.array([0.6, 0.8j])
-    reg = StateRegister((2,), psi)
+    reg = StateRegister((2,), np.array([0.6, 0.8j]))
     medians = []
     for k, shots in enumerate((10**3, 10**4, 10**5, 10**6)):
-        dists = []
-        for s in range(50):
-            res = tomography.tomograph(reg, psi, shots, derive_rng(seed, 403, k, s))
-            dists.append(res.trace_distance_to_target)
+        dists = [tomography.tomograph(reg, shots, derive_rng(seed, 403, k, s)).trace_distance
+                 for s in range(50)]
         medians.append(float(np.median(dists)))
-    decreasing = all(b < a for a, b in zip(medians, medians[1:]))
-    return CheckResult(
-        "tomo.median_distance_decreases_with_shots", decreasing,
-        "medians=" + "/".join(f"{m:.2e}" for m in medians),
-    )
+    return _judged("tomo.median_distance_decreases_with_shots", (),
+                   "medians=" + "/".join(f"{m:.2e}" for m in medians),
+                   holds=all(b < a for a, b in zip(medians, medians[1:])))
 
 
 _SUITE_CHECKS = {

@@ -52,6 +52,27 @@ def test_target_canonical_form():
     assert abs(gamma - np.pi / 2) <= 1e-12
 
 
+@pytest.mark.parametrize("excess", [5e-11, 9.9e-11])
+def test_every_protocol_runs_a_target_that_construction_accepts(excess):
+    """A norm within STRUCT_TOL of 1 is divided out, so no later check sees it."""
+    target = TargetState.of(np.array((0.6, 0.8j)) * (1.0 + excess))
+    assert abs(np.linalg.norm(target.vector()) - 1.0) <= 1e-15
+    channel = ChannelSpec.of((0.6, 0.8))
+    tables = [exact_outcome_table("nguyen", None, target),
+              exact_outcome_table("probabilistic", channel, target),
+              exact_outcome_table("deterministic", channel, target, mode="literal"),
+              exact_outcome_table("deterministic", channel, target)]
+    assert [success_probability(t) for t in tables] == pytest.approx([1.0, 0.72, 1.0, 1.0],
+                                                                      abs=1e-12)
+
+
+def test_a_channel_that_construction_accepts_cannot_push_success_above_1():
+    channel = ChannelSpec.of(np.array((0.6, 0.8)) * (1.0 + 8e-11))
+    assert abs(np.linalg.norm(channel.lambdas) - 1.0) <= 1e-15
+    table = exact_outcome_table("deterministic", channel, TargetState.of((0.6, 0.8j)))
+    assert success_probability(table) <= 1.0 + 1e-15
+
+
 # -- deterministic protocol ---------------------------------------------------
 
 
@@ -614,7 +635,7 @@ def _reference_paths(protocol, channel, target, mode="repaired"):
         if last.basis is not None:
             (target_label,) = last.targets
             basis = last.basis.matrix.conj().T
-            back = rspsim.register._basis_gates(basis, basis.shape[0])[1]
+            back = rspsim.gates.make_gate(basis, (basis.shape[0],), "basis")
             bases = {**bases, target_label: basis}
             measured = reg.apply(last.basis, last.targets)
         for outcome, q in measured.born_probabilities(last.targets):
@@ -731,7 +752,7 @@ def test_no_gate_acts_on_a_subsystem_left_in_its_measured_basis(protocol, channe
 
 def test_frame_guard_sees_a_gate_after_a_basis_measurement():
     _Gate, _Measure = rspsim.protocols._Gate, rspsim.protocols._Measure
-    rot = rspsim.register._basis_gates(np.eye(2), 2)[0]
+    rot = rspsim.register._basis_gates(np.eye(2), 2)
     late = [_Gate(rspsim.gates.pauli_x(2), ("A",)),
             _Measure(("C",), lambda outcome: rspsim.protocols._Receive(0, outcome[0]))]
     steps = [_Measure(("A",), lambda outcome: late, rot)]

@@ -22,11 +22,10 @@ from rspsim.gates import (
     pauli_x,
     pauli_z,
 )
-from rspsim.linalg import dagger, unitarity_defect
+from rspsim.linalg import dagger
 from rspsim.protocols import ChannelSpec
 from rspsim.register import (
     StateRegister,
-    _basis_gates,
     basis_register,
     channel_register,
     derive_rng,
@@ -427,19 +426,3 @@ def test_derived_register_rejects_non_finite_amplitudes():
         once = KET(0).apply(gate, ["q0"], strict=False)
         with pytest.raises(InvalidState):
             once.apply(gate, ["q0"], strict=False)  # 1e400 overflows to inf
-
-
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_back_rotation_shares_the_measured_defect(d):
-    """||B^dag B - I||_F = ||B B^dag - I||_F, so one defect check serves both gates."""
-    rng = np.random.default_rng(900 + d)
-    for _ in range(20):
-        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        assert abs(unitarity_defect(z.conj().T) - unitarity_defect(z)) <= 1e-12 * unitarity_defect(z)
-        u = np.linalg.qr(z)[0]
-        b = u + rng.uniform(1e-12, 5e-10) * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        rot, back = _basis_gates(b, d)
-        assert rot.defect == unitarity_defect(b.conj().T)
-        assert abs(back.defect - unitarity_defect(b)) <= 1e-12
-        np.testing.assert_array_equal(back.matrix, b)
-        assert not back.matrix.flags.writeable
