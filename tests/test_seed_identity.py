@@ -1,0 +1,121 @@
+"""Seeded runs and sweeps draw the same branches from one release to the next.
+
+The integers below were recorded from the code and pin, seed for seed,
+which branch each seeded ``run_protocol`` call and each README sweep
+draws.  A change to how probabilities become branch indices (the CDF
+arithmetic, the floor, the uniform read per draw) fails here even when
+every distribution-level test still passes.
+"""
+
+import csv
+
+import numpy as np
+import pytest
+
+from rspsim.cli import main
+from rspsim.protocols import ChannelSpec, TargetState, run_protocol
+from rspsim.register import derive_rng
+
+SEEDS = range(12)
+
+
+def _phased(magnitudes, rng):
+    v = np.asarray(magnitudes) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(magnitudes)))
+    return v / np.linalg.norm(v)
+
+
+def _configs():
+    """(name, protocol, channel, target, mode, stream): 25 configurations of all three protocols.
+
+    ``stream`` keys each configuration's seeds apart, so no two share uniforms.
+    """
+    rng = np.random.default_rng(20260)
+    out = []
+    for d in (2, 3, 4):
+        for k in range(5):
+            channel = ChannelSpec.of(_phased(rng.uniform(0.1, 1.0, size=d), rng))
+            target = TargetState.of(_phased(rng.uniform(0.1, 1.0, size=d), rng))
+            out.append((f"deterministic-d{d}-{k}", "deterministic", channel, target, "repaired"))
+    for k in range(3):
+        channel = ChannelSpec.of(_phased(rng.uniform(0.1, 1.0, size=2), rng))
+        target = TargetState.of(_phased(rng.uniform(0.1, 1.0, size=2), rng))
+        out.append((f"literal-{k}", "deterministic", channel, target, "literal"))
+    for k in range(4):
+        channel = ChannelSpec.of(_phased(np.sort(rng.uniform(0.1, 1.0, size=2)), rng))
+        target = TargetState.of(_phased(rng.uniform(0.1, 1.0, size=2), rng))
+        out.append((f"probabilistic-{k}", "probabilistic", channel, target, "repaired"))
+    for k in range(3):
+        target = TargetState.of(_phased(rng.uniform(0.1, 1.0, size=2), rng))
+        out.append((f"nguyen-{k}", "nguyen", None, target, "repaired"))
+    return [(*config, stream) for stream, config in enumerate(out)]
+
+
+def _code(tr):
+    """Every measured outcome index of a run, in order, as the digits after a leading 1."""
+    return int("1" + "".join(str(v) for rec in tr.measurements for v in rec.outcome))
+
+
+# Recorded codes, one per seed in SEEDS, drawn from derive_rng(seed, stream).
+PINNED = {
+    "deterministic-d2-0": [111, 111, 100, 100, 111, 111, 111, 111, 100, 111, 111, 100],
+    "deterministic-d2-1": [111, 100, 111, 100, 111, 111, 111, 111, 100, 111, 100, 100],
+    "deterministic-d2-2": [100, 100, 111, 100, 100, 100, 111, 100, 100, 100, 100, 111],
+    "deterministic-d2-3": [111, 100, 100, 100, 100, 100, 100, 111, 111, 100, 100, 111],
+    "deterministic-d2-4": [111, 111, 111, 111, 111, 111, 111, 111, 111, 111, 111, 111],
+    "deterministic-d3-0": [111, 111, 111, 100, 111, 111, 111, 100, 111, 111, 122, 100],
+    "deterministic-d3-1": [100, 100, 122, 111, 100, 111, 100, 111, 122, 111, 100, 100],
+    "deterministic-d3-2": [100, 122, 100, 122, 122, 122, 111, 111, 100, 122, 122, 122],
+    "deterministic-d3-3": [111, 100, 100, 100, 100, 122, 111, 111, 100, 100, 122, 111],
+    "deterministic-d3-4": [111, 122, 111, 122, 111, 122, 111, 122, 111, 111, 111, 122],
+    "deterministic-d4-0": [122, 122, 122, 122, 122, 100, 122, 122, 122, 100, 122, 122],
+    "deterministic-d4-1": [111, 100, 111, 122, 100, 111, 122, 100, 122, 111, 111, 122],
+    "deterministic-d4-2": [111, 133, 133, 111, 100, 133, 111, 100, 100, 133, 111, 100],
+    "deterministic-d4-3": [122, 133, 133, 122, 133, 122, 111, 122, 111, 111, 111, 122],
+    "deterministic-d4-4": [133, 133, 100, 133, 133, 133, 133, 122, 133, 133, 133, 122],
+    "literal-0": [100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 111],
+    "literal-1": [111, 111, 111, 111, 111, 111, 111, 111, 100, 111, 111, 111],
+    "literal-2": [111, 111, 111, 111, 111, 111, 111, 111, 111, 111, 111, 111],
+    "probabilistic-0": [11, 1010, 1001, 1001, 1011, 11, 1001, 11, 11, 1000, 1010, 11],
+    "probabilistic-1": [1010, 1011, 11, 1011, 1000, 1010, 1011, 11, 11, 1011, 1000, 11],
+    "probabilistic-2": [11, 11, 11, 11, 11, 1011, 11, 11, 11, 11, 11, 11],
+    "probabilistic-3": [11, 11, 11, 11, 11, 11, 11, 1010, 11, 11, 11, 11],
+    "nguyen-0": [100, 101, 101, 101, 110, 100, 111, 110, 110, 100, 100, 101],
+    "nguyen-1": [110, 111, 101, 101, 110, 111, 111, 101, 110, 111, 111, 100],
+    "nguyen-2": [100, 100, 101, 110, 100, 101, 100, 111, 111, 100, 111, 110],
+}
+
+README_SWEEPS = (
+    ["--protocol", "probabilistic", "--target", "0.6,0:0,0.8", "--theta-min", "0",
+     "--theta-max", "0.7853981633974483", "--points", "21", "--trials", "10000", "--seed", "1"],
+    ["--protocol", "deterministic", "--mode", "repaired", "--target", "0.6,0:0,0.8",
+     "--trials", "10000", "--seed", "1"],
+)
+
+# The successes column of each README sweep, row by row.
+PINNED_SWEEPS = (
+    (0, 29, 130, 252, 494, 747, 1038, 1495, 1877, 2364, 2887, 3499, 4131, 4695, 5474,
+     6195, 6956, 7656, 8400, 9198, 10000),
+    (10000, 10000, 10000, 10000, 10000, 10000, 10000, 10000, 10000, 10000, 10000, 10000,
+     10000, 10000, 10000, 10000, 10000, 10000, 10000, 10000, 10000),
+)
+
+
+def test_every_configuration_is_pinned():
+    assert sorted(PINNED) == sorted(name for name, *_ in _configs())
+
+
+@pytest.mark.parametrize("name, protocol, channel, target, mode, stream", _configs(),
+                         ids=[c[0] for c in _configs()])
+def test_seeded_runs_draw_the_pinned_branches(name, protocol, channel, target, mode, stream):
+    codes = [_code(run_protocol(protocol, channel, target, mode, derive_rng(s, stream)))
+             for s in SEEDS]
+    assert codes == PINNED[name]
+
+
+@pytest.mark.parametrize("argv, successes", zip(README_SWEEPS, PINNED_SWEEPS),
+                         ids=["fig1", "fig3"])
+def test_readme_sweeps_draw_the_pinned_successes(argv, successes, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *argv, "--out", str(out)]) == 0
+    with open(out, encoding="utf-8") as fh:
+        assert [int(row["successes"]) for row in csv.DictReader(fh)] == list(successes)
