@@ -332,7 +332,7 @@ def compare_exact(
     for out in sorted(naive):
         diff = abs(fast[out] - naive[out])
         entries.append((out, naive[out], fast[out], diff))
-    max_diff = max(d for *_, d in entries)
+    max_diff = float(np.max([d for *_, d in entries]))  # NaN propagates
     return ComparisonReport(tuple(entries), max_diff, max_diff <= EXACT_TOL)
 
 
@@ -371,5 +371,5 @@ def compare_sampled(dist: BranchDistribution, trials: int, seed: int) -> Compari
         else:
             stat = abs(obs - trials * p) / np.sqrt(trials * p * (1.0 - p))
         entries.append((out, trials * p, float(obs), float(stat)))
-    max_z = max(s for *_, s in entries)
+    max_z = float(np.max([s for *_, s in entries]))  # NaN propagates
     return ComparisonReport(tuple(entries), max_z, max_z <= 4.0)

@@ -470,15 +470,12 @@ def _walk(target: np.ndarray, reg: StateRegister, steps: list, path: _Path,
     finished together by ``_finish``.  Unlabelled branches must sum to 1.
     """
     *gates, last = steps
-    raw_norm = path.raw_norm
     for g in gates:
         reg = reg.apply(g.gate, g.targets, strict=g.strict)
         if not g.strict:
-            raw_norm = reg.norm
-            if abs(raw_norm - 1.0) > STRUCT_TOL:
-                reg = reg.normalized()
+            path = path._replace(raw_norm=reg.norm)
     if gates:
-        path = path._replace(raw_norm=raw_norm, steps=path.steps + tuple(
+        path = path._replace(steps=path.steps + tuple(
             GateStep(g.gate.name, g.targets, g.gate.defect, g.gate.defect > UNITARY_TOL)
             for g in gates))
     if last.basis is not None:
@@ -491,7 +488,7 @@ def _walk(target: np.ndarray, reg: StateRegister, steps: list, path: _Path,
         if abs(total - 1.0) > 1e-12:
             raise SimulationError(f"unlabelled branches of {last.targets} sum to {total}, not 1")
     else:
-        picks = [_draw(probs, rng)]
+        picks = [_draw(probs, rng.random())]
     outcomes = list(zip(*(ix.tolist() for ix in np.unravel_index(picks, marg.shape))))
     nxts = [last.then(outcome) for outcome in outcomes]
     leaves = [(o, nxt) for o, nxt in zip(outcomes, nxts) if isinstance(nxt, _Receive)]

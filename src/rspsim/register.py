@@ -40,18 +40,21 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _draw(probs: Sequence[float], rng: np.random.Generator) -> int:
-    """Index of one outcome drawn from Born probabilities.
+def _draw(probs: Sequence[float], u: float | np.ndarray) -> np.intp | np.ndarray:
+    """Index of the outcome that each uniform in ``u`` picks from Born probabilities.
 
     Probabilities below the floor are truncated to zero first, so
-    roundoff can never realize an impossible branch.
+    roundoff can never realize an impossible branch.  The CDF is built as
+    ``Generator.choice`` builds it, so ``_draw(p, rng.random())`` picks
+    what ``rng.choice`` would pick from the truncated, renormalized p.
     """
     p = np.array(probs)
     p[p < PROB_FLOOR] = 0.0
     total = p.sum()
-    if total < 1e-12:
+    if not total >= 1e-12:  # NaN fails too
         raise DegenerateState("register has no measurable probability mass")
-    return int(rng.choice(len(p), p=p / total))
+    cdf = np.cumsum(p / total)
+    return np.searchsorted(cdf / cdf[-1], u, side="right")
 
 
 def _basis_gates(basis: np.ndarray, d: int) -> GateMatrix:
@@ -280,7 +283,7 @@ class StateRegister:
         sampling so roundoff can never realize an impossible branch.
         """
         dist = self.born_probabilities(targets)
-        outcome, exact_p = dist[_draw([p for _, p in dist], rng)]
+        outcome, exact_p = dist[_draw([p for _, p in dist], rng.random())]
         _, collapsed = self.project(targets, outcome)
         record = MeasurementRecord(tuple(targets), outcome, exact_p)
         return record, collapsed

@@ -4,7 +4,9 @@ Each grid point parametrizes a qubit channel by alpha = sin(theta),
 beta = cos(theta).  The branch outcomes and per-branch fidelities of each
 distinct (protocol, channel) are enumerated exactly once per sweep; each
 trial then draws its branch from that exact distribution with a uniform
-derived by hashing (seed, point, trial), in blocks of a fixed size.  All
+derived by hashing (seed, point, trial), in blocks of a fixed size.  The
+uniforms become branch indices through ``register._draw``, the one rule
+that also picks every measurement outcome of a run.  All
 of a protocol's randomness lives in its measurements, so this is
 distribution-identical to re-running the full evolution per trial while
 staying schedule-independent and byte-reproducible.  The
@@ -26,12 +28,12 @@ import numpy as np
 from .errors import InvalidState
 from .protocols import (
     ChannelSpec,
-    OutcomeTable,
     TargetState,
     exact_outcome_table,
     succeeded,
     success_probability,
 )
+from .register import _draw
 
 # Trials are drawn in blocks of this many, so a sweep's memory does not grow
 # with --trials; the uniforms are hashed per trial, so blocking changes no draw.
@@ -106,7 +108,8 @@ def sweep_rows(
         raise InvalidState("sweeps parametrize qubit channels; the target must have d = 2")
     if trials < 1:
         raise InvalidState("sweeps need trials >= 1")
-    tables: dict[tuple[str, ChannelSpec], OutcomeTable] = {}  # each distinct table built once
+    # Each distinct table is built once, with its arrays for drawing and scoring trials.
+    tables: dict[tuple[str, ChannelSpec], tuple] = {}
     rows = []
     for k, theta in enumerate(grid):
         samplers = []
@@ -118,21 +121,23 @@ def sweep_rows(
                 channel = ChannelSpec.from_theta(float(theta))
                 alpha, beta = float(np.sin(theta)), float(np.cos(theta))
             if (protocol, channel) not in tables:
-                tables[protocol, channel] = exact_outcome_table(protocol, channel, target, mode)
-            table = tables[protocol, channel]
-            cum = np.cumsum([r.probability for r in table.rows])
-            ok_rows = np.array([succeeded(r.corrected, r.fidelity) for r in table.rows])
-            fids = np.array([r.fidelity for r in table.rows])
-            samplers.append((protocol, alpha, beta, table, cum, ok_rows, fids))
+                table = exact_outcome_table(protocol, channel, target, mode)
+                tables[protocol, channel] = (
+                    success_probability(table),
+                    [r.probability for r in table.rows],
+                    np.array([succeeded(r.corrected, r.fidelity) for r in table.rows]),
+                    np.array([r.fidelity for r in table.rows]),
+                )
+            samplers.append((protocol, alpha, beta, *tables[protocol, channel]))
         successes = [0] * len(samplers)
         fid_sums = [0.0] * len(samplers)
         for first in range(0, trials, _TRIAL_BLOCK):
             u = trial_uniforms(seed, k, min(_TRIAL_BLOCK, trials - first), first)
-            for i, (*_, cum, ok_rows, fids) in enumerate(samplers):
-                picks = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
+            for i, (*_, probs, ok_rows, fids) in enumerate(samplers):
+                picks = _draw(probs, u)
                 successes[i] += int(ok_rows[picks].sum())
                 fid_sums[i] += float(fids[picks].sum())
-        for (protocol, alpha, beta, table, *_), ok, fid_sum in zip(samplers, successes, fid_sums):
+        for (protocol, alpha, beta, exact, *_), ok, fid_sum in zip(samplers, successes, fid_sums):
             rows.append(
                 SweepRow(
                     theta=float(theta),
@@ -144,7 +149,7 @@ def sweep_rows(
                     trials=trials,
                     successes=ok,
                     est_prob=ok / trials,
-                    exact_prob=success_probability(table),
+                    exact_prob=exact,
                     mean_fidelity=fid_sum / trials,
                     seed=seed,
                 )

@@ -293,6 +293,19 @@ def test_probabilistic_alpha_above_beta_is_config_error(capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("run", "--protocol", "probabilistic", "--lambda", "0.7071067811865476:0.7071067811865475",
+      "--target", "0.6:0.8"), "success: true"),
+    (("sweep", "--protocol", "probabilistic", "--target", "0.6:0.8",
+      "--theta-min", "0.7853981633974484", "--theta-max", "0.7853981633974484", "--points", "1"),
+     ",10000,10000,1,1,1,"),
+], ids=["run", "sweep"])
+def test_probabilistic_alpha_equal_to_beta_within_roundoff_succeeds(capsys, argv, expected):
+    code, out, _err = run_cli(capsys, *argv)
+    assert code == 0
+    assert expected in out
+
+
 @pytest.mark.parametrize("flag", ["--theta-min", "--theta-max"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_theta_is_config_error(capsys, flag, value):

@@ -11,7 +11,7 @@ from rspsim.oracle import (
     naive_branch_fidelities,
     table_distribution,
 )
-from rspsim.protocols import ChannelSpec, TargetState, exact_outcome_table
+from rspsim.protocols import ChannelSpec, TargetState, exact_outcome_table, success_probability
 
 
 def random_target(d, rng):
@@ -94,6 +94,27 @@ def test_compare_exact_detects_milli_shift():
     report = compare_exact(other, dist)
     assert not report.passed
     assert abs(report.max_stat - 1e-3) <= 1e-12
+
+
+@pytest.mark.parametrize("nan_at", [0, 1])
+def test_compare_exact_fails_on_nan(nan_at):
+    spec = RunSpec("probabilistic", ChannelSpec.of((0.6, 0.8)), TargetState.of((0.6, 0.8)))
+    bad = BranchDistribution(tuple(((k,), float("nan") if k == nan_at else 0.5) for k in (0, 1)),
+                             spec)
+    good = BranchDistribution((((0,), 0.5), ((1,), 0.5)), spec)
+    report = compare_exact(bad, good)
+    assert np.isnan(report.max_stat) and not report.passed
+
+
+def test_alpha_equal_beta_channel_matches_the_oracle():
+    # |alpha| passes |beta| by one ulp: a maximal channel, which always succeeds.
+    channel = ChannelSpec.of((0.7071067811865476, 0.7071067811865475))
+    target = TargetState.of((0.6, 0.8j))
+    table = exact_outcome_table("probabilistic", channel, target)
+    naive = enumerate_naive("probabilistic", channel, target)
+    assert compare_exact(table_distribution(table), naive).passed
+    assert abs(success_probability(table) - 1.0) <= 1e-12
+    assert abs(naive.as_dict()[(0,)] - 1.0) <= 1e-12
 
 
 def test_compare_exact_mismatched_space():

@@ -186,13 +186,16 @@ def test_literal_mode_branch_norms_still_sum_to_one():
     # norm and the branch probability sum stay exactly 1 even though the
     # operator itself is far from unitary.
     rng = np.random.default_rng(55)
-    for _ in range(10):
+    for k in range(20):
         x0 = float(rng.uniform(0.35, 0.95))
         th = float(rng.uniform(0.3, np.pi - 0.3))
         x1 = float(np.sqrt(1 - x0 * x0))
         assert x0 * x1 * np.sin(th) > 0.0
         target = TargetState.of((x0, x1 * np.exp(1j * th)))
         channel = random_positive_channel(2, rng)
+        if k >= 10:  # complex Schmidt phases too
+            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=2))
+            channel = ChannelSpec.of(np.array(channel.lambdas) * phases)
         tr = run_protocol("deterministic", channel, target, "literal", derive_rng(1))
         assert abs(tr.raw_norm - 1.0) <= 1e-12
         table = exact_outcome_table("deterministic", channel, target, mode="literal")

@@ -25,7 +25,9 @@ from rspsim.gates import (
 from rspsim.linalg import dagger
 from rspsim.protocols import ChannelSpec
 from rspsim.register import (
+    PROB_FLOOR,
     StateRegister,
+    _draw,
     basis_register,
     channel_register,
     derive_rng,
@@ -199,6 +201,35 @@ def test_measure_frequencies_match_born():
     for outcome, p in ((0, 0.36), (1, 0.64)):
         sigma = np.sqrt(trials * p * (1 - p))
         assert abs(counts[outcome] - trials * p) <= 4 * sigma
+
+
+def test_draw_picks_what_generator_choice_picks():
+    # One rng.random() against choice's CDF arithmetic: the same index as
+    # Generator.choice on the floor-truncated, renormalized probabilities.
+    rng = np.random.default_rng(8)
+    for k in range(2000):
+        p = rng.uniform(size=int(rng.integers(2, 9))) ** 3
+        p[rng.uniform(size=p.size) < 0.2] = rng.choice([0.0, 1e-16, 1e-14])
+        if p.max() < 1e-3:
+            p[0] = 1.0
+        q = np.where(p < PROB_FLOOR, 0.0, p)
+        expected = derive_rng(k).choice(p.size, p=q / q.sum())
+        assert _draw(p, derive_rng(k).random()) == expected
+
+
+def test_draw_over_an_array_of_uniforms_is_elementwise():
+    p = [0.2, 0.0, 1e-16, 0.5, 0.3]
+    u = derive_rng(4).random(1000)
+    picks = _draw(p, u)
+    assert picks.shape == u.shape
+    assert picks.tolist() == [_draw(p, x) for x in u]
+    assert set(picks.tolist()) == {0, 3, 4}  # below-floor outcomes never drawn
+    assert _draw(p, 0.0) == 0 and _draw(p, np.nextafter(1.0, 0.0)) == 4
+
+
+def test_draw_rejects_nan_probabilities():
+    with pytest.raises(DegenerateState):
+        _draw([np.nan, 0.5], 0.5)
 
 
 def test_measure_degenerate_register():
