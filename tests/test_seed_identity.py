@@ -2,12 +2,14 @@
 
 The integers below were recorded from the code and pin, seed for seed,
 which branch each seeded ``run_protocol`` call and each README sweep
-draws.  A change to how probabilities become branch indices (the CDF
-arithmetic, the floor, the uniform read per draw) fails here even when
-every distribution-level test still passes.
+draws; the digests pin every byte of those sweeps' CSVs.  A change to how
+probabilities become branch indices (the CDF arithmetic, the floor, the
+uniform read per draw) or to how a sweep scores its trials fails here
+even when every distribution-level test still passes.
 """
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -100,6 +102,13 @@ PINNED_SWEEPS = (
 )
 
 
+# SHA-256 of each README sweep's whole CSV: every column, every digit, the line endings.
+PINNED_SWEEP_DIGESTS = (
+    "5fa07f334687e2433efd0d04073be885b35c16ee09d8f7df442fb84b66376cb2",
+    "9f398ba9d36f0c11f428b7814653dff581faa887147933078ff6f101cda7fa9f",
+)
+
+
 def test_every_configuration_is_pinned():
     assert sorted(PINNED) == sorted(name for name, *_ in _configs())
 
@@ -119,3 +128,11 @@ def test_readme_sweeps_draw_the_pinned_successes(argv, successes, tmp_path, caps
     assert main(["sweep", *argv, "--out", str(out)]) == 0
     with open(out, encoding="utf-8") as fh:
         assert [int(row["successes"]) for row in csv.DictReader(fh)] == list(successes)
+
+
+@pytest.mark.parametrize("argv, digest", zip(README_SWEEPS, PINNED_SWEEP_DIGESTS),
+                         ids=["fig1", "fig3"])
+def test_readme_sweeps_write_the_pinned_csv_bytes(argv, digest, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
