@@ -32,14 +32,15 @@ from .linalg import MAX_DIM, STRUCT_TOL, as_cvec, complete_to_unitary, dagger, u
 UNITARY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateMatrix:
     """Gate acting on one or more named subsystems.
 
     ``dims`` holds the per-subsystem dimensions in application order;
     ``defect`` caches the unitarity defect measured at construction.  A
     dense gate stores ``dense``; an index-map gate, a permutation, stores
-    its gather indices ``src``.
+    its gather indices ``src``.  Gates compare and hash by identity, so a
+    gate can key a cache.
     """
 
     dims: tuple[int, ...]

@@ -49,6 +49,7 @@ protocol declares failed never succeeds, whatever its fidelity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -290,12 +291,36 @@ def _apply_rows(matrices: np.ndarray, bobs: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kj->ki", matrices, bobs)
 
 
+def _target_gates(target: TargetState, kind: str) -> tuple[GateMatrix, ...]:
+    """The gates built from the target alone: an encoder of ``kind`` "repaired" or
+    "literal", or, for "nguyen", the phase gate and the mu and nu basis^dag rotations.
+    """
+    return _target_gates_by_bytes(np.array(target.amplitudes).tobytes(), kind, target)
+
+
+@functools.lru_cache(maxsize=4)
+def _target_gates_by_bytes(key: bytes, kind: str, target: TargetState) -> tuple[GateMatrix, ...]:
+    """``_target_gates``, memoised for traffic that repeats one target back to back.
+
+    A sweep's grid points and a sampled comparison's runs all reuse one
+    target's gates.  ``key`` is the amplitudes' bytes: TargetState equality
+    treats 0.0 and -0.0 as equal, but np.angle, which the encoder and the
+    canonical form read, does not.
+    """
+    if kind == "repaired":
+        return (encoding_unitary(target.amplitudes),)
+    if kind == "literal":
+        return (encoding_unitary_literal(*target.qubit_params()),)
+    mu, nu, phase = nguyen_bases(*target.qubit_params())
+    return phase, _basis_gates(mu, 2), _basis_gates(nu, 2)
+
+
 def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -> list:
     if channel.d != target.d:
         raise InvalidState(f"channel d={channel.d} does not match target d={target.d}")
     d = channel.d
     if mode == "repaired":
-        enc = encoding_unitary(target.amplitudes)
+        (enc,) = _target_gates(target, mode)
         chain = correction_chain(enc)
 
         def fix(a, bobs):
@@ -304,7 +329,7 @@ def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -
     elif mode == "literal":
         if d != 2:
             raise Unsupported("literal mode is defined only for d = 2")
-        enc = encoding_unitary_literal(*target.qubit_params())
+        (enc,) = _target_gates(target, mode)
         printed = PAULI_TABLE[0]  # I on a = 0, sigma_z on 1
 
         def fix(a, bobs):
@@ -337,8 +362,7 @@ def _nguyen_fixes(channel: ChannelSpec) -> np.ndarray:
 
 def _nguyen_stage(channel: ChannelSpec, target: TargetState, labelled: bool) -> list:
     """Measure A in the mu basis, phase C on mu outcome 0, measure C in nu, correct B."""
-    mu, nu, phase = nguyen_bases(*target.qubit_params())
-    mu_rot, nu_rot = _basis_gates(mu, 2), _basis_gates(nu, 2)
+    phase, mu_rot, nu_rot = _target_gates(target, "nguyen")
     fixes = _nguyen_fixes(channel)
 
     def after_mu(out_mu):

@@ -9,7 +9,9 @@ only through an explicitly passed numpy Generator.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -40,13 +42,13 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _draw(probs: Sequence[float], u: float | np.ndarray) -> np.intp | np.ndarray:
-    """Index of the outcome that each uniform in ``u`` picks from Born probabilities.
+def _cdf(probs: Sequence[float]) -> np.ndarray:
+    """CDF of Born probabilities, ending at exactly 1: what ``_draw`` searches.
 
     Probabilities below the floor are truncated to zero first, so
     roundoff can never realize an impossible branch.  The CDF is built as
-    ``Generator.choice`` builds it, so ``_draw(p, rng.random())`` picks
-    what ``rng.choice`` would pick from the truncated, renormalized p.
+    ``Generator.choice`` builds it: ``cumsum(p / total)``, divided by its
+    last entry.
     """
     p = np.array(probs)
     p[p < PROB_FLOOR] = 0.0
@@ -54,7 +56,17 @@ def _draw(probs: Sequence[float], u: float | np.ndarray) -> np.intp | np.ndarray
     if not total >= 1e-12:  # NaN fails too
         raise DegenerateState("register has no measurable probability mass")
     cdf = np.cumsum(p / total)
-    return np.searchsorted(cdf / cdf[-1], u, side="right")
+    return cdf / cdf[-1]
+
+
+def _draw(probs: Sequence[float], u: float | np.ndarray) -> np.intp | np.ndarray:
+    """Index of the outcome that each uniform in ``u`` picks from Born probabilities.
+
+    ``_draw(p, rng.random())`` picks what ``rng.choice`` would pick from the
+    truncated, renormalized p.  Uniform u picks the first i with
+    u < cdf[i].
+    """
+    return np.searchsorted(_cdf(probs), u, side="right")
 
 
 def _basis_gates(basis: np.ndarray, d: int) -> GateMatrix:
@@ -63,6 +75,21 @@ def _basis_gates(basis: np.ndarray, d: int) -> GateMatrix:
     if rot.defect > UNITARY_TOL:
         raise NonUnitaryGate(f"measurement basis defect {rot.defect:.3e}")
     return rot
+
+
+@functools.lru_cache(maxsize=8)
+def _gather_table(gate: GateMatrix, dims: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
+    """Whole-register gather of an index-map gate on ``axes``: out = amplitudes[table].
+
+    Built once per (gate, dims, axes); an entry holds one index per
+    amplitude, at most 8 MiB under the register cap.
+    """
+    perm = list(axes) + [i for i in range(len(dims)) if i not in axes]
+    idx = np.arange(math.prod(dims)).reshape(dims).transpose(perm)
+    table = np.empty(idx.size, dtype=np.intp)
+    table.reshape(dims).transpose(perm)[...] = idx.reshape(gate.dim, -1)[gate.src].reshape(idx.shape)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -190,7 +217,8 @@ class StateRegister:
         """Apply ``gate`` to the named subsystems, identity elsewhere.
 
         A dense gate is a matrix product over the target subspace; an
-        index-map gate is a row gather on it.  In strict mode a gate whose
+        index-map gate is one gather of the whole register, through a table
+        built once per (gate, dims, axes).  In strict mode a gate whose
         cached defect exceeds the unitarity tolerance is rejected; audit
         callers pass strict=False and deal with the norm themselves.
         """
@@ -207,16 +235,15 @@ class StateRegister:
                 f"gate {gate.name} has defect {gate.defect:.3e}; "
                 "apply with strict=False to audit it"
             )
+        if gate.src is not None:
+            return self._derived(self.amplitudes[_gather_table(gate, self.dims, tuple(axes))],
+                                 check_norm=strict)
         n = len(self.dims)
         rest = [i for i in range(n) if i not in axes]
         perm = axes + rest
         psi = self.amplitudes.reshape(self.dims).transpose(perm)
         shape = psi.shape
-        psi = psi.reshape(gate.dim, -1)
-        if gate.src is None:
-            psi = gate.matrix @ psi
-        else:
-            psi = psi[gate.src]
+        psi = gate.matrix @ psi.reshape(gate.dim, -1)
         # Written straight into the result's own layout: the register keeps
         # this array, so no transposed temporary and no defensive copy.
         out = np.empty(self.amplitudes.size, dtype=complex)

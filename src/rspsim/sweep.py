@@ -4,9 +4,11 @@ Each grid point parametrizes a qubit channel by alpha = sin(theta),
 beta = cos(theta).  The branch outcomes and per-branch fidelities of each
 distinct (protocol, channel) are enumerated exactly once per sweep; each
 trial then draws its branch from that exact distribution with a uniform
-derived by hashing (seed, point, trial), in blocks of a fixed size.  The
-uniforms become branch indices through ``register._draw``, the one rule
-that also picks every measurement outcome of a run.  All
+derived by hashing (seed, point, trial), in blocks of a fixed size.  A
+block is scored by how many of its uniforms fall to each branch, counted
+against the CDF ``register._cdf`` builds; that is the CDF ``register._draw``
+searches, the one rule that also picks every measurement outcome of a
+run, so each trial lands on the branch ``_draw`` would pick.  All
 of a protocol's randomness lives in its measurements, so this is
 distribution-identical to re-running the full evolution per trial while
 staying schedule-independent and byte-reproducible.  The
@@ -33,7 +35,7 @@ from .protocols import (
     succeeded,
     success_probability,
 )
-from .register import _draw
+from .register import _cdf
 
 # Trials are drawn in blocks of this many, so a sweep's memory does not grow
 # with --trials; the uniforms are hashed per trial, so blocking changes no draw.
@@ -87,6 +89,17 @@ def trial_uniforms(seed: int, point_index: int, trials: int, first: int = 0) -> 
     return (words >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
+def _counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """How many of the uniforms ``u`` in [0, 1) pick each outcome of ``cdf``.
+
+    Equals ``np.bincount(_draw(p, u), minlength=len(p))`` for ``cdf = _cdf(p)``:
+    ``_draw`` picks an index <= i exactly when u < cdf[i], so counting the
+    uniforms below each entry and differencing gives every outcome's count
+    without an index per trial.
+    """
+    return np.diff([np.count_nonzero(u < c) for c in cdf], prepend=0)
+
+
 def theta_grid(theta_min: float, theta_max: float, points: int) -> np.ndarray:
     if points < 1:
         raise InvalidState("sweep grid needs at least one point")
@@ -108,7 +121,7 @@ def sweep_rows(
         raise InvalidState("sweeps parametrize qubit channels; the target must have d = 2")
     if trials < 1:
         raise InvalidState("sweeps need trials >= 1")
-    # Each distinct table is built once, with its arrays for drawing and scoring trials.
+    # Each distinct table is built once, with its arrays for counting and scoring trials.
     tables: dict[tuple[str, ChannelSpec], tuple] = {}
     rows = []
     for k, theta in enumerate(grid):
@@ -124,7 +137,7 @@ def sweep_rows(
                 table = exact_outcome_table(protocol, channel, target, mode)
                 tables[protocol, channel] = (
                     success_probability(table),
-                    [r.probability for r in table.rows],
+                    _cdf([r.probability for r in table.rows]),
                     np.array([succeeded(r.corrected, r.fidelity) for r in table.rows]),
                     np.array([r.fidelity for r in table.rows]),
                 )
@@ -133,10 +146,10 @@ def sweep_rows(
         fid_sums = [0.0] * len(samplers)
         for first in range(0, trials, _TRIAL_BLOCK):
             u = trial_uniforms(seed, k, min(_TRIAL_BLOCK, trials - first), first)
-            for i, (*_, probs, ok_rows, fids) in enumerate(samplers):
-                picks = _draw(probs, u)
-                successes[i] += int(ok_rows[picks].sum())
-                fid_sums[i] += float(fids[picks].sum())
+            for i, (*_, cdf, ok_rows, fids) in enumerate(samplers):
+                counts = _counts(cdf, u)
+                successes[i] += int(counts[ok_rows].sum())
+                fid_sums[i] += float(counts @ fids)
         for (protocol, alpha, beta, exact, *_), ok, fid_sum in zip(samplers, successes, fid_sums):
             rows.append(
                 SweepRow(

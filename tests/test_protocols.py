@@ -549,17 +549,58 @@ def _count_constructions(monkeypatch):
 )
 def test_a_table_validates_one_register_and_builds_each_basis_once(
         monkeypatch, protocol, make_gates):
+    """A table with cold target gates builds ``make_gates`` gates; a warm one builds
+    only the channel's controlled-U, which the probabilistic protocol needs."""
+    warm_gates = {"deterministic": 0, "probabilistic": 1, "nguyen": 0}[protocol]
     channel, target = ChannelSpec.of((0.5, np.sqrt(0.75))), TargetState.of((0.6, 0.8j))
     exact_outcome_table(protocol, channel, target)  # fill the gate caches
     registers, gates = _count_constructions(monkeypatch)
     table = exact_outcome_table(protocol, channel, target)
     assert registers == [(2, 2, 2)]
-    assert len(gates) == make_gates, gates
+    assert len(gates) == warm_gates, gates
     assert len(table.rows) > 1 and all(r.fidelity >= 1.0 - 1e-10 for r in table.rows if r.corrected)
+    rspsim.protocols._target_gates_by_bytes.cache_clear()
+    del gates[:]
+    exact_outcome_table(protocol, channel, target)
+    assert len(gates) == make_gates, gates
     del registers[:]
     for seed in range(5):
         run_protocol(protocol, channel, target, rng=derive_rng(seed))
     assert registers == [(2, 2, 2)] * 5
+
+
+def _unmemoised_target_gates(target, kind):
+    if kind == "repaired":
+        return (rspsim.gates.encoding_unitary(target.amplitudes),)
+    if kind == "literal":
+        return (rspsim.gates.encoding_unitary_literal(*target.qubit_params()),)
+    mu, nu, phase = rspsim.gates.nguyen_bases(*target.qubit_params())
+    return phase, rspsim.register._basis_gates(mu, 2), rspsim.register._basis_gates(nu, 2)
+
+
+@pytest.mark.parametrize("kind", ["repaired", "literal", "nguyen"])
+def test_a_target_gate_memo_hit_returns_the_same_gates(kind):
+    amps = (0.6, 0.48 + 0.64j)
+    first = rspsim.protocols._target_gates(TargetState.of(amps), kind)
+    again = rspsim.protocols._target_gates(TargetState.of(amps), kind)
+    assert len(again) == len(first) and all(g is h for g, h in zip(again, first))
+
+
+@pytest.mark.parametrize("kind", ["repaired", "literal", "nguyen"])
+def test_targets_that_differ_in_the_sign_of_a_zero_get_their_own_gates(kind):
+    """TargetState equality cannot tell these apart; np.angle, and so the encoder, can."""
+    targets = [TargetState.of(v) for v in ((0.6, 0.8), (complex(0.6, -0.0), 0.8),
+                                           (0.6, complex(0.8, -0.0)))]
+    assert targets[0] == targets[1] == targets[2]
+    encoders = {rspsim.gates.encoding_unitary(t.amplitudes).dense.tobytes() for t in targets}
+    assert len(encoders) == 3  # the memo must not hand one target's encoder to another
+    for _ in range(2):  # cold, then warm
+        for target in targets:
+            got = rspsim.protocols._target_gates(target, kind)
+            want = _unmemoised_target_gates(target, kind)
+            assert [g.name for g in got] == [g.name for g in want]
+            assert [g.dense.tobytes() for g in got] == [g.dense.tobytes() for g in want]
+            assert [g.defect for g in got] == [g.defect for g in want]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

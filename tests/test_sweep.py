@@ -5,8 +5,9 @@ import pytest
 
 import rspsim.sweep
 
-from rspsim.errors import InvalidState
+from rspsim.errors import DegenerateState, InvalidState
 from rspsim.protocols import TargetState
+from rspsim.register import PROB_FLOOR, _cdf, _draw
 from rspsim.sweep import (
     CSV_COLUMNS,
     rows_to_csv,
@@ -151,3 +152,27 @@ def test_sweep_memory_does_not_grow_with_trials():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert row.trials == 10**6 and abs(row.est_prob - 0.5) <= 4 * np.sqrt(0.25 / 10**6)
+
+
+def test_counting_trials_against_the_cdf_equals_the_bincount_of_draw():
+    """_counts(_cdf(p), u) is bincount(_draw(p, u)) exactly, at every CDF edge included."""
+    rng = np.random.default_rng(15)
+    degenerate = 0
+    for _ in range(10_000):
+        n = int(rng.integers(1, 7))
+        p = rng.uniform(size=n)
+        p[rng.uniform(size=n) < 0.3] = 0.0
+        sub = rng.uniform(size=n) < 0.2
+        p[sub] = rng.choice([1e-16, 5e-16, np.nextafter(PROB_FLOOR, 0.0), 1e-13], size=sub.sum())
+        if p[p >= PROB_FLOOR].sum() < 1e-12:
+            degenerate += 1
+            with pytest.raises(DegenerateState):
+                _draw(p, 0.5)
+            with pytest.raises(DegenerateState):
+                _cdf(p)
+            continue
+        cdf = _cdf(p)
+        u = np.concatenate([rng.uniform(size=20), [0.0, 1.0 - 2.0**-53], cdf[cdf < 1.0]])
+        expected = np.bincount(_draw(p, u), minlength=n)
+        np.testing.assert_array_equal(rspsim.sweep._counts(cdf, u), expected)
+    assert degenerate > 100
