@@ -86,8 +86,9 @@ def _gather_table(gate: GateMatrix, dims: tuple[int, ...], axes: tuple[int, ...]
     """
     perm = list(axes) + [i for i in range(len(dims)) if i not in axes]
     idx = np.arange(math.prod(dims)).reshape(dims).transpose(perm)
+    gathered = idx.reshape(gate.dim, -1)[gate.src]
     table = np.empty(idx.size, dtype=np.intp)
-    table.reshape(dims).transpose(perm)[...] = idx.reshape(gate.dim, -1)[gate.src].reshape(idx.shape)
+    table.reshape(dims).transpose(perm)[...] = gathered.reshape(idx.shape)
     table.flags.writeable = False
     return table
 
