@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, InvalidState, MismatchedOutcomeSpace
-from .protocols import ChannelSpec, OutcomeTable, TargetState, Transcript, run_protocol
+from .protocols import ChannelSpec, OutcomeTable, TargetState, Transcript, _tree
 
 _FLOOR = 1e-15
 MAX_NAIVE_D = 8
@@ -344,20 +344,18 @@ def transcript_outcome(transcript: Transcript) -> Outcome:
 def compare_sampled(dist: BranchDistribution, trials: int, seed: int) -> ComparisonReport:
     """Monte Carlo frequencies of real protocol runs against exact probabilities.
 
-    Each trial runs the full protocol through the register sampler with a
-    seed hashed from (seed, trial).  Per-outcome z-scores must stay within
-    4; zero-probability outcomes must never be observed.
+    All trials draw from one branch tree of the configuration, each with a
+    generator seeded from (seed, trial), by the same draw a run makes.
+    Per-outcome z-scores must stay within 4; zero-probability outcomes must
+    never be observed.
     """
     if trials < 100:
         raise InvalidState("compare_sampled needs at least 100 trials")
     spec = dist.provenance
+    *_, tree = _tree(spec.protocol, spec.channel, spec.target, spec.mode or "repaired")
     counts: dict[Outcome, int] = {out: 0 for out, _ in dist.entries}
     for t in range(trials):
-        trial_rng = np.random.default_rng(np.random.SeedSequence((int(seed), t)))
-        tr = run_protocol(
-            spec.protocol, spec.channel, spec.target, spec.mode or "repaired", trial_rng
-        )
-        out = transcript_outcome(tr)
+        out = tree.draw(np.random.default_rng(np.random.SeedSequence((int(seed), t)))).label
         if out not in counts:
             raise MismatchedOutcomeSpace(f"sampled outcome {out} outside the outcome space")
         counts[out] += 1

@@ -36,10 +36,15 @@ Encoding modes for the deterministic protocol:
   the receiver applies identity or sigma_z exactly as prescribed.
 
 Each protocol is written once, as a step list over the subsystems A, B
-and C.  One interpreter walks it along every branch into an exact
-:class:`OutcomeTable`, or along one sampled path into the immutable
-:class:`Transcript` of a run.  A measurement finishes all its picked
-branches that end at the receiver as one array block.
+and C.  A configuration's branch tree is grown from it lazily: a
+measurement node applies the gates before it once, holds its Born
+probabilities, and expands each child on its first visit, finishing the
+new branches that end at the receiver as one array block.  An exact
+:class:`OutcomeTable` is the full expansion of a tree, the immutable
+:class:`Transcript` of a run is one draw from a fresh tree, and the
+oracle's sampled comparison draws all its trials from one tree.  Draws
+pick a branch by the register's one rule, with one ``rng.random()`` per
+measurement.
 
 Success is one fixed rule, :func:`succeeded`, read by runs, tables and
 sweeps alike: a branch succeeds when the protocol corrects it and its
@@ -75,7 +80,8 @@ from .register import (
     MeasurementRecord,
     StateRegister,
     _basis_gates,
-    _draw,
+    _cdf,
+    _pick,
 )
 
 PROTOCOLS = ("deterministic", "probabilistic", "nguyen")
@@ -485,13 +491,80 @@ def _finish(target: np.ndarray, reg: StateRegister,
     return zip(descs, final, (np.abs(final @ target.conj()) ** 2).tolist())
 
 
-def _walk(target: np.ndarray, reg: StateRegister, steps: list, path: _Path,
-          rng: np.random.Generator | None) -> Iterator[_Path]:
-    """Paths through ``steps``: every branch with p >= PROB_FLOOR, or one drawn with ``rng``.
+class _Node:
+    """A measurement in a configuration's branch tree, expanded on first visit.
+
+    It holds the register the measurement reads, already in its basis,
+    and the Born probabilities of the measurement, flat in row-major
+    outcome order.  ``children`` maps a flat outcome index to the subtree
+    that follows or, where the receiver gets B, to the finished leaf.  A
+    tree lives only as long as the call that built it.
+    """
+
+    def __init__(self, target: np.ndarray, reg: StateRegister, last: _Measure, path: _Path):
+        marg = reg._marginal(last.targets)
+        self.target, self.reg, self.last, self.path = target, reg, last, path
+        self.shape, self.probs = marg.shape, marg.reshape(-1)
+        self.children: dict[int, _Node | _Path] = {}
+
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """The CDF that draws search, built on the first draw."""
+        return _cdf(self.probs)
+
+    def expand(self, picks: Sequence[int]) -> list:
+        """The children at flat outcome indices ``picks``, each expanded on its first visit.
+
+        The new branches that end in a receive leaf are finished together
+        by ``_finish``.
+        """
+        last, path = self.last, self.path
+        new = [i for i in picks if i not in self.children]
+        if not new:
+            return [self.children[i] for i in picks]
+        outcomes = list(zip(*(ix.tolist() for ix in np.unravel_index(new, self.shape))))
+        nxts = [last.then(outcome) for outcome in outcomes]
+        leaves = [(o, nxt) for o, nxt in zip(outcomes, nxts) if isinstance(nxt, _Receive)]
+        if leaves:
+            finished = _finish(self.target, self.reg, leaves, last.correct)
+        for i, outcome, p, nxt in zip(new, outcomes, self.probs[new].tolist(), nxts):
+            head = (path.label + outcome if last.labelled else path.label, path.p * p, path.steps,
+                    path.records + (MeasurementRecord(last.targets, outcome, p),), path.raw_norm)
+            if isinstance(nxt, _Receive):
+                desc, bob, fidelity = next(finished)
+                self.children[i] = _Path(*head, desc, bob, fidelity, last.correct is not None)
+            else:
+                self.children[i] = _node(self.target, self.reg.project(last.targets, outcome)[1],
+                                         nxt, _Path(*head))
+        return [self.children[i] for i in picks]
+
+    def leaves(self) -> Iterator[_Path]:
+        """Every leaf with p >= PROB_FLOOR, in outcome order.  Unlabelled branches must sum to 1."""
+        picks = np.flatnonzero(self.probs >= PROB_FLOOR)
+        total = 1.0 if self.last.labelled else float(self.probs[picks].sum())
+        if abs(total - 1.0) > 1e-12:
+            raise SimulationError(
+                f"unlabelled branches of {self.last.targets} sum to {total}, not 1")
+        for child in self.expand(picks.tolist()):
+            yield from child.leaves() if isinstance(child, _Node) else (child,)
+
+    def draw(self, rng: np.random.Generator) -> _Path:
+        """One leaf, picked with one ``rng.random()`` per measurement on its path."""
+        node = self
+        while isinstance(node, _Node):
+            (node,) = node.expand([int(_pick(node.cdf, rng.random()))])
+        return node
+
+
+def _node(target: np.ndarray, reg: StateRegister, steps: list, path: _Path) -> _Node:
+    """The node of the measurement that ends ``steps``, its gates applied to ``reg`` once.
 
     A measurement in a basis rotates its target into that basis first, and
-    its branches stay there.  The branches that end in a receive leaf are
-    finished together by ``_finish``.  Unlabelled branches must sum to 1.
+    its branches stay there.  This is a function, not the node's
+    constructor: a constructor's caller holds its arguments until it
+    returns, which kept a d = 32 table's start register alive through every
+    gate (512 KiB more peak), while CPython 3.11 lets a function drop
+    ``reg`` once the first gate replaces it.
     """
     *gates, last = steps
     for g in gates:
@@ -504,39 +577,22 @@ def _walk(target: np.ndarray, reg: StateRegister, steps: list, path: _Path,
             for g in gates))
     if last.basis is not None:
         reg = reg.apply(last.basis, last.targets)
-    marg = reg._marginal(last.targets)
-    probs = marg.reshape(-1)
-    if rng is None:
-        picks = np.flatnonzero(probs >= PROB_FLOOR)
-        total = 1.0 if last.labelled else float(probs[picks].sum())
-        if abs(total - 1.0) > 1e-12:
-            raise SimulationError(f"unlabelled branches of {last.targets} sum to {total}, not 1")
-    else:
-        picks = [_draw(probs, rng.random())]
-    outcomes = list(zip(*(ix.tolist() for ix in np.unravel_index(picks, marg.shape))))
-    nxts = [last.then(outcome) for outcome in outcomes]
-    leaves = [(o, nxt) for o, nxt in zip(outcomes, nxts) if isinstance(nxt, _Receive)]
-    if leaves:
-        finished = _finish(target, reg, leaves, last.correct)
-    for outcome, p, nxt in zip(outcomes, probs[picks].tolist(), nxts):
-        label = path.label + outcome if last.labelled else path.label
-        records = path.records + (MeasurementRecord(last.targets, outcome, p),)
-        if isinstance(nxt, _Receive):
-            desc, bob, fidelity = next(finished)
-            yield path._replace(label=label, p=path.p * p, records=records, correction=desc,
-                                bob=bob, fidelity=fidelity, corrected=last.correct is not None)
-            continue
-        branch = reg.project(last.targets, outcome)[1]
-        yield from _walk(target, branch, nxt, path._replace(label=label, p=path.p * p,
-                                                            records=records), rng)
+    return _Node(target, reg, last, path)
+
+
+def _tree(protocol: str, channel: ChannelSpec | None, target: TargetState,
+          mode: str) -> tuple[str | None, ChannelSpec, _Node]:
+    """Mode, channel and unexpanded branch tree of a configuration."""
+    mode, channel, steps = _plan(protocol, channel, target, mode)
+    return mode, channel, _node(target.vector(), _start(channel), steps, _Path())
 
 
 def exact_outcome_table(protocol: str, channel: ChannelSpec | None, target: TargetState,
                         mode: str = "repaired") -> OutcomeTable:
     """Every branch, exactly; paths sharing a label fold into one row (summed p, min fidelity)."""
-    mode, channel, steps = _plan(protocol, channel, target, mode)
+    mode, channel, root = _tree(protocol, channel, target, mode)
     groups: dict[tuple[int, ...], list[_Path]] = {}
-    for path in _walk(target.vector(), _start(channel), steps, _Path(), None):
+    for path in root.leaves():
         groups.setdefault(path.label, []).append(path)
     rows = tuple(
         OutcomeRow(label, sum(q.p for q in paths), paths[0].bob,
@@ -551,9 +607,8 @@ def exact_outcome_table(protocol: str, channel: ChannelSpec | None, target: Targ
 def run_protocol(protocol: str, channel: ChannelSpec | None, target: TargetState,
                  mode: str = "repaired", rng: np.random.Generator | None = None) -> Transcript:
     """One sampled run of any protocol, with one draw per measurement."""
-    mode, channel, steps = _plan(protocol, channel, target, mode)
-    rng = rng if rng is not None else np.random.default_rng()
-    (path,) = _walk(target.vector(), _start(channel), steps, _Path(), rng)
+    mode, channel, root = _tree(protocol, channel, target, mode)
+    path = root.draw(rng if rng is not None else np.random.default_rng())
     return Transcript(
         protocol=protocol, mode=mode, channel=channel, target=target,
         steps=path.steps, measurements=path.records,

@@ -43,7 +43,7 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
 
 
 def _cdf(probs: Sequence[float]) -> np.ndarray:
-    """CDF of Born probabilities, ending at exactly 1: what ``_draw`` searches.
+    """CDF of Born probabilities, ending at exactly 1: what ``_pick`` searches.
 
     Probabilities below the floor are truncated to zero first, so
     roundoff can never realize an impossible branch.  The CDF is built as
@@ -59,14 +59,22 @@ def _cdf(probs: Sequence[float]) -> np.ndarray:
     return cdf / cdf[-1]
 
 
+def _pick(cdf: np.ndarray, u: float | np.ndarray) -> np.intp | np.ndarray:
+    """Index of the outcome that each uniform in ``u`` picks: the first i with u < cdf[i].
+
+    The one branch-pick rule: ``_draw`` and the protocols' branch tree,
+    which caches each measurement's ``_cdf``, both pick through it.
+    """
+    return np.searchsorted(cdf, u, side="right")
+
+
 def _draw(probs: Sequence[float], u: float | np.ndarray) -> np.intp | np.ndarray:
     """Index of the outcome that each uniform in ``u`` picks from Born probabilities.
 
     ``_draw(p, rng.random())`` picks what ``rng.choice`` would pick from the
-    truncated, renormalized p.  Uniform u picks the first i with
-    u < cdf[i].
+    truncated, renormalized p.
     """
-    return np.searchsorted(_cdf(probs), u, side="right")
+    return _pick(_cdf(probs), u)
 
 
 def _basis_gates(basis: np.ndarray, d: int) -> GateMatrix:

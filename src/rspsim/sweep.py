@@ -6,9 +6,9 @@ distinct (protocol, channel) are enumerated exactly once per sweep; each
 trial then draws its branch from that exact distribution with a uniform
 derived by hashing (seed, point, trial), in blocks of a fixed size.  A
 block is scored by how many of its uniforms fall to each branch, counted
-against the CDF ``register._cdf`` builds; that is the CDF ``register._draw``
+against the CDF ``register._cdf`` builds; that is the CDF ``register._pick``
 searches, the one rule that also picks every measurement outcome of a
-run, so each trial lands on the branch ``_draw`` would pick.  All
+run, so each trial lands on the branch a run's draw would pick.  All
 of a protocol's randomness lives in its measurements, so this is
 distribution-identical to re-running the full evolution per trial while
 staying schedule-independent and byte-reproducible.  The

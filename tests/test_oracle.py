@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import rspsim.oracle
+import rspsim.protocols
+import rspsim.verify
 from rspsim.errors import CapacityExceeded, InvalidState, MismatchedOutcomeSpace
 from rspsim.oracle import (
     BranchDistribution,
@@ -11,7 +14,14 @@ from rspsim.oracle import (
     naive_branch_fidelities,
     table_distribution,
 )
-from rspsim.protocols import ChannelSpec, TargetState, exact_outcome_table, success_probability
+from rspsim.protocols import (
+    ChannelSpec,
+    TargetState,
+    exact_outcome_table,
+    run_protocol,
+    success_probability,
+)
+from rspsim.register import derive_rng
 
 
 def random_target(d, rng):
@@ -199,3 +209,64 @@ def test_oracle_module_shares_no_simulator_code():
         if isinstance(node, ast.ImportFrom) and node.module
     }
     assert not any("register" in m or "gates" in m for m in modules), modules
+
+
+def _interval_measures(node, width=1.0):
+    """(label, measure) of each leaf: the product of the CDF interval widths on its path.
+
+    Those widths are the measure of the uniforms that reach the leaf, read
+    from each measurement's cached CDF.
+    """
+    for i, child in node.children.items():
+        w = width * (node.cdf[i] - (node.cdf[i - 1] if i else 0.0))
+        if isinstance(child, rspsim.protocols._Node):
+            yield from _interval_measures(child, w)
+        else:
+            yield child.label, w
+
+
+def test_the_pick_rule_reaches_each_row_with_its_naive_probability(monkeypatch):
+    """Exact audit of the draw over the 150 configurations of verify's fast-vs-naive check."""
+    naive = []
+
+    def spy(*args):
+        dist = enumerate_naive(*args)
+        naive.append(dist)
+        return dist
+
+    monkeypatch.setattr(rspsim.oracle, "enumerate_naive", spy)
+    assert rspsim.verify._check_oracle_exact(0).passed
+    assert len(naive) == 150
+    for dist in naive:
+        spec = dist.provenance
+        *_, tree = rspsim.protocols._tree(spec.protocol, spec.channel, spec.target, spec.mode)
+        leaves = list(tree.leaves())  # the full expansion
+        measured = list(_interval_measures(tree))
+        assert [label for label, _ in measured] == [leaf.label for leaf in leaves]
+        measures = dict.fromkeys(dist.as_dict(), 0.0)
+        for label, w in measured:
+            measures[label] += w
+        report = compare_exact(BranchDistribution(tuple(measures.items()), spec), dist)
+        assert report.passed, (spec, report.max_stat)
+
+
+def test_compare_sampled_plans_once_and_leaves_runs_unchanged(monkeypatch):
+    channel, target = ChannelSpec.of((0.6, 0.8)), TargetState.of((0.6, 0.8j))
+    before = [run_protocol("probabilistic", channel, target, rng=derive_rng(3, k))
+              for k in range(4)]
+    plans = []
+    plan = rspsim.protocols._plan
+
+    def counted(*args):
+        plans.append(args[0])
+        return plan(*args)
+
+    monkeypatch.setattr(rspsim.protocols, "_plan", counted)
+    for trials in (100, 2000):
+        dist = enumerate_naive("probabilistic", channel, target)
+        assert compare_sampled(dist, trials=trials, seed=11).passed
+    assert plans == ["probabilistic", "probabilistic"]
+    for k, old in enumerate(before):
+        new = run_protocol("probabilistic", channel, target, rng=derive_rng(3, k))
+        assert new.bob_state.tobytes() == old.bob_state.tobytes()
+        assert repr(new) == repr(old)
