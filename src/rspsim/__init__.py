@@ -56,6 +56,7 @@ from .protocols import (
     TargetState,
     Transcript,
     exact_outcome_table,
+    exact_outcome_tables,
     run_protocol,
     success_probability,
 )
@@ -90,7 +91,7 @@ __all__ = [
     "complete_to_unitary", "controlled_shift", "correction_unitary", "csub",
     "cu_concentration", "dagger", "derive_rng", "encoding_unitary",
     "encoding_unitary_literal", "enumerate_naive", "exact_outcome_table",
-    "fidelity_mixed", "identity", "make_gate",
+    "exact_outcome_tables", "fidelity_mixed", "identity", "make_gate",
     "naive_branch_fidelities", "nguyen_bases", "pauli_x",
     "pauli_z", "reconstruct_qubit", "run_protocol", "sample_pauli_expectations",
     "success_probability", "table_distribution", "tomograph", "trace_distance",

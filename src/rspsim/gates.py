@@ -39,8 +39,9 @@ class GateMatrix:
     ``dims`` holds the per-subsystem dimensions in application order;
     ``defect`` caches the unitarity defect measured at construction.  A
     dense gate stores ``dense``; an index-map gate, a permutation, stores
-    its gather indices ``src``.  Gates compare and hash by identity, so a
-    gate can key a cache.
+    its gather indices ``src``; a stacked dense gate (:func:`stacked`)
+    holds one matrix per batch element, shape (n, dim, dim).  Gates compare
+    and hash by identity, so a gate can key a cache.
     """
 
     dims: tuple[int, ...]
@@ -87,6 +88,20 @@ def make_gate(matrix: np.ndarray, dims: Sequence[int], name: str) -> GateMatrix:
     m = m.copy()
     m.flags.writeable = False
     return GateMatrix(dims=dims, name=name, defect=unitarity_defect(m), dense=m)
+
+
+def stacked(gates: Sequence[GateMatrix]) -> GateMatrix:
+    """One dense gate per batch element as one gate: element k of a batched register gets
+    ``gates[k]``.  Its defect is the largest of theirs; one gate stacks to itself.
+    """
+    if len(gates) == 1:
+        return gates[0]
+    if len({g.dims for g in gates}) != 1 or any(g.dense is None for g in gates):
+        raise InvalidState("stacked gates must be dense and share their dims")
+    m = np.stack([g.dense for g in gates])
+    m.flags.writeable = False
+    return GateMatrix(dims=gates[0].dims, name="|".join(dict.fromkeys(g.name for g in gates)),
+                      defect=max(g.defect for g in gates), dense=m)
 
 
 def index_gate(src: Sequence[int] | np.ndarray, dims: Sequence[int], name: str) -> GateMatrix:

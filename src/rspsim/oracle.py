@@ -352,7 +352,7 @@ def compare_sampled(dist: BranchDistribution, trials: int, seed: int) -> Compari
     if trials < 100:
         raise InvalidState("compare_sampled needs at least 100 trials")
     spec = dist.provenance
-    *_, tree = _tree(spec.protocol, spec.channel, spec.target, spec.mode or "repaired")
+    *_, tree = _tree(spec.protocol, [spec.channel], spec.target, spec.mode or "repaired")
     counts: dict[Outcome, int] = {out: 0 for out, _ in dist.entries}
     for t in range(trials):
         out = tree.draw(np.random.default_rng(np.random.SeedSequence((int(seed), t)))).label

@@ -36,15 +36,18 @@ Encoding modes for the deterministic protocol:
   the receiver applies identity or sigma_z exactly as prescribed.
 
 Each protocol is written once, as a step list over the subsystems A, B
-and C.  A configuration's branch tree is grown from it lazily: a
-measurement node applies the gates before it once, holds its Born
-probabilities, and expands each child on its first visit, finishing the
-new branches that end at the receiver as one array block.  An exact
-:class:`OutcomeTable` is the full expansion of a tree, the immutable
-:class:`Transcript` of a run is one draw from a fresh tree, and the
-oracle's sampled comparison draws all its trials from one tree.  Draws
-pick a branch by the register's one rule, with one ``rng.random()`` per
-measurement.
+and C.  A branch tree is grown from it lazily for a batch of channels
+that share the step list and a target, one register element per
+channel: a measurement node applies the gates before it once, holds
+each element's Born probabilities, and expands each child on its first
+visit for the elements that take it, finishing the new branches that end
+at the receiver as one array block.  :func:`exact_outcome_tables` fully
+expands the trees of a grid of channels, one batch per step list;
+:func:`exact_outcome_table` is its batch of one.  The immutable
+:class:`Transcript` of a run is one draw from a fresh tree of one
+channel, and the oracle's sampled comparison draws all its trials from
+one tree.  Draws pick a branch by the register's one rule, with one
+``rng.random()`` per measurement.
 
 Success is one fixed rule, :func:`succeeded`, read by runs, tables and
 sweeps alike: a branch succeeds when the protocol corrects it and its
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -73,6 +77,7 @@ from .gates import (
     encoding_unitary,
     encoding_unitary_literal,
     nguyen_bases,
+    stacked,
 )
 from .linalg import MAX_DIM, STRUCT_TOL, as_cvec
 from .register import (
@@ -81,6 +86,7 @@ from .register import (
     StateRegister,
     _basis_gates,
     _cdf,
+    _norm_defects,
     _pick,
 )
 
@@ -261,15 +267,18 @@ def success_probability(table: OutcomeTable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# protocols as step lists: gates, then one measurement.  A measurement's
-# ``then(outcome)`` returns the steps that follow, or a receive leaf; unless
-# ``labelled``, its outcome stays out of the table's row label.  A measurement
-# in a basis rotates its one target by basis^dag, and that subsystem stays in
-# the measured frame: outcome k is |k> there, so no later gate may act on it.
-# A leaf holds the indices of A and C that B's state is conditioned on.
-# The measurement corrects the B states of all its leaves as one block with
-# ``correct(outcomes, bobs) -> (descriptions, corrected rows)``, given the
-# picked outcomes as an int array of shape (k, len(targets)) and B's states
+# protocols as step lists: gates, then one measurement.  One list serves a
+# batch of channels that share it: a gate is shared, or stacked with one
+# matrix per channel.  A measurement's ``then(outcome)`` returns the steps
+# that follow, or a receive leaf; unless ``labelled``, its outcome stays out
+# of the table's row label.  A measurement in a basis rotates its one target
+# by basis^dag, and that subsystem stays in the measured frame: outcome k is
+# |k> there, so no later gate may act on it.  A leaf holds the indices of A
+# and C that B's state is conditioned on.  The measurement corrects the B
+# states of all its leaves as one block with
+# ``correct(outcomes, channels, bobs) -> (descriptions, corrected rows)``,
+# given per row the picked outcomes as an int array of shape
+# (k, len(targets)), the index of its channel in the batch, and B's state,
 # as rows of shape (k, d).  None declares those branches failed.
 
 
@@ -284,7 +293,8 @@ class _Measure(NamedTuple):
     then: Callable[[tuple[int, ...]], list | _Receive]
     basis: GateMatrix | None = None  # basis^dag, see _basis_gates
     labelled: bool = True
-    correct: Callable[[np.ndarray, np.ndarray], tuple[list[str], np.ndarray]] | None = None
+    correct: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                      tuple[list[str], np.ndarray]] | None = None
 
 
 class _Receive(NamedTuple):
@@ -321,10 +331,12 @@ def _target_gates_by_bytes(key: bytes, kind: str, target: TargetState) -> tuple[
     return phase, _basis_gates(mu, 2), _basis_gates(nu, 2)
 
 
-def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -> list:
-    if channel.d != target.d:
-        raise InvalidState(f"channel d={channel.d} does not match target d={target.d}")
-    d = channel.d
+def _deterministic_steps(channels: Sequence[ChannelSpec], target: TargetState, mode: str) -> list:
+    """The one step list of every channel: it reads the target, never the channel."""
+    for channel in channels:
+        if channel.d != target.d:
+            raise InvalidState(f"channel d={channel.d} does not match target d={target.d}")
+    d = target.d
     if mode == "repaired":
         (enc,) = _target_gates(target, mode)
         chain = correction_chain(enc)
@@ -343,7 +355,7 @@ def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -
     else:
         raise InvalidState(f"unknown mode {mode!r}; expected one of {MODES}")
 
-    def correct(outcomes, bobs):
+    def correct(outcomes, _channels, bobs):
         a, c = outcomes.T
         if (a != c).any():
             bad = np.flatnonzero(a != c)[0]
@@ -356,28 +368,30 @@ def _deterministic_steps(channel: ChannelSpec, target: TargetState, mode: str) -
             _Measure(("A", "C"), lambda outcome: _Receive(*outcome), correct=correct)]
 
 
-def _nguyen_fixes(channel: ChannelSpec) -> np.ndarray:
-    """B's correction for each message (mu, nu): the Pauli table after diag(e^{-i arg lambda}).
+def _nguyen_fixes(channels: Sequence[ChannelSpec]) -> np.ndarray:
+    """B's correction for each channel and message (mu, nu): the Pauli table after
+    diag(e^{-i arg lambda}), shape (channels, 2, 2, 2, 2).
 
     It reads only the message and the channel, which both parties share.  No
     gate acts on B before its correction, so the channel phases still sit
     on B's basis states and the diagonal can come last.
     """
-    return PAULI_TABLE * np.exp(-1j * np.angle(channel.lambdas))
+    phases = np.exp(-1j * np.angle([c.lambdas for c in channels]))
+    return PAULI_TABLE * phases[:, None, None, None, :]
 
 
-def _nguyen_stage(channel: ChannelSpec, target: TargetState, labelled: bool) -> list:
+def _nguyen_stage(channels: Sequence[ChannelSpec], target: TargetState, labelled: bool) -> list:
     """Measure A in the mu basis, phase C on mu outcome 0, measure C in nu, correct B."""
     phase, mu_rot, nu_rot = _target_gates(target, "nguyen")
-    fixes = _nguyen_fixes(channel)
+    fixes = _nguyen_fixes(channels)
 
     def after_mu(out_mu):
         (i,) = out_mu
 
-        def correct(outcomes, bobs):
+        def correct(outcomes, channels, bobs):
             j = outcomes[:, 0]
             return ([f"{PAULI_NAMES[i][n]} (mu={i}, nu={n}) after channel-phase diagonal"
-                     for n in j.tolist()], _apply_rows(fixes[i, j], bobs))
+                     for n in j.tolist()], _apply_rows(fixes[channels, i, j], bobs))
 
         measure_nu = _Measure(("C",), lambda out_nu: _Receive(i, out_nu[0]), nu_rot, labelled,
                               correct)
@@ -386,55 +400,69 @@ def _nguyen_stage(channel: ChannelSpec, target: TargetState, labelled: bool) -> 
     return [_Measure(("A",), after_mu, mu_rot, labelled)]
 
 
-def _probabilistic_steps(channel: ChannelSpec, target: TargetState) -> list:
+def _concentrates(channel: ChannelSpec) -> bool:
+    """Whether the probabilistic step list of ``channel`` holds the controlled-U."""
+    return abs(channel.lambdas[0]) > 0.0  # alpha = 0 always fails; its U ratio is ill-posed
+
+
+def _probabilistic_steps(channels: Sequence[ChannelSpec], target: TargetState) -> list:
     """Concentrate, then measure C: 1 abandons the run, 0 completes it in unlabelled steps."""
-    if channel.d != 2 or target.d != 2:
+    if target.d != 2 or any(c.d != 2 for c in channels):
         raise InvalidState("the probabilistic baseline is defined for d = 2")
-    alpha, beta = abs(channel.lambdas[0]), abs(channel.lambdas[1])
-    if alpha > beta + STRUCT_TOL:
+    pairs = [(abs(c.lambdas[0]), abs(c.lambdas[1])) for c in channels]
+    if any(alpha > beta + STRUCT_TOL for alpha, beta in pairs):
         raise InvalidState("the probabilistic baseline needs |alpha| <= |beta|")
+    concentrate = _concentrates(channels[0])
+    if any(_concentrates(c) != concentrate for c in channels):
+        raise SimulationError("a batch mixes channels with and without the controlled-U")
     steps = [_Gate(cadd(2), ("A", "C"))]
-    if alpha > 0.0:  # alpha = 0 always fails, and its controlled-U ratio is ill-posed
-        steps += [_Gate(cu_concentration(alpha, beta), ("A", "C")), _Gate(cadd(2), ("A", "C"))]
+    if concentrate:
+        cu = stacked([cu_concentration(alpha, beta) for alpha, beta in pairs])
+        steps += [_Gate(cu, ("A", "C")), _Gate(cadd(2), ("A", "C"))]
 
     def after_ancilla(outcome):
         if outcome == (1,):
             return _Receive(1, 1)
-        return [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(channel, target, labelled=False)]
+        return [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(channels, target, labelled=False)]
 
     return steps + [_Measure(("C",), after_ancilla)]
 
 
-def _plan(protocol: str, channel: ChannelSpec | None, target: TargetState, mode: str) -> tuple:
-    """Mode, channel and step list of a configuration.
+def _plan(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetState,
+          mode: str) -> tuple:
+    """Mode, channels and the one step list of a batch of channels.
 
-    The register cap is checked first, so a d over it fails before any gate is built.
+    The register cap is checked first, on the whole batch, so a d over it
+    fails before any gate is built.
     """
     if protocol == "nguyen":
         if target.d != 2:
             raise InvalidState("this baseline prepares qubit targets only")
-        channel, mode = ChannelSpec.maximal(2), None
+        channels, mode = (ChannelSpec.maximal(2),) * len(channels), None
     elif protocol not in PROTOCOLS:
         raise InvalidState(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    elif channel is None:
+    elif None in channels:
         raise InvalidState(f"the {protocol} protocol needs a channel")
-    if channel.d**3 > MAX_DIM:
-        raise CapacityExceeded(f"register dimension {channel.d**3} exceeds cap {MAX_DIM}")
+    size = len(channels) * channels[0].d**3
+    if size > MAX_DIM:
+        raise CapacityExceeded(f"register dimension {size} exceeds cap {MAX_DIM}")
     if protocol == "nguyen":
-        steps = [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(channel, target, labelled=True)]
+        steps = [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(channels, target, labelled=True)]
     elif protocol == "deterministic":
-        steps = _deterministic_steps(channel, target, mode)
+        steps = _deterministic_steps(channels, target, mode)
     else:
-        mode, steps = None, _probabilistic_steps(channel, target)
-    return mode, channel, steps
+        mode, steps = None, _probabilistic_steps(channels, target)
+    return mode, tuple(channels), steps
 
 
-def _start(channel: ChannelSpec) -> StateRegister:
-    """The channel on A and B, ancilla C in |0>: lambda_m at |m, m, 0>.  _plan checked its cap."""
-    d = channel.d
-    amps = np.zeros(d**3, dtype=complex)
-    amps[np.arange(d) * (d * d + d)] = channel.lambdas
-    return StateRegister((d, d, d), amps, ("A", "B", "C"))
+def _start(channels: Sequence[ChannelSpec]) -> StateRegister:
+    """One element per channel: the channel on A and B, ancilla C in |0>, so lambda_m
+    at |m, m, 0>.  _plan checked the cap.
+    """
+    d = channels[0].d
+    amps = np.zeros((len(channels), d**3), dtype=complex)
+    amps[:, :: d * d + d] = [channel.lambdas for channel in channels]
+    return StateRegister((d, d, d), amps, ("A", "B", "C"), batch=len(channels))
 
 
 # ---------------------------------------------------------------------------
@@ -442,75 +470,96 @@ def _start(channel: ChannelSpec) -> StateRegister:
 
 
 class _Path(NamedTuple):
-    """One path from the root: what it accumulated, then what the receiver got."""
+    """One path from the root, for the batch elements that reach it with mass.
 
+    ``members`` are those elements' indices in the batch, and every
+    per-element field is a tuple aligned with them.  A record holds a
+    measurement's targets, its outcome and the probability of each element
+    that took it.
+    """
+
+    members: tuple[int, ...]
+    p: tuple[float, ...]  # per element: product of every measurement probability on the path
     label: tuple[int, ...] = ()
-    p: float = 1.0  # product of every measurement probability on the path
     steps: tuple[GateStep, ...] = ()
-    records: tuple[MeasurementRecord, ...] = ()
-    raw_norm: float | None = None
-    correction: str = ""
-    bob: np.ndarray | None = None
-    fidelity: float = 0.0
+    records: tuple[tuple[tuple[str, ...], tuple[int, ...], tuple[float, ...]], ...] = ()
+    raw_norm: tuple[float, ...] | None = None
+    correction: tuple[str, ...] = ()
+    bob: tuple[np.ndarray, ...] = ()
+    fidelity: tuple[float, ...] = ()
     corrected: bool = False
 
 
-def _received(reg: StateRegister, leaves: Sequence[_Receive]) -> np.ndarray:
-    """B's unnormalized state given A's and C's indices, one row per leaf: one gather.
+def _received(reg: StateRegister, rows: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """B's unnormalized state in element ``rows[k]`` given A = a[k] and C = c[k]: one gather.
 
     Taken from the measured register, never a collapsed copy.  A subsystem
     measured in a basis stays in that basis, so index i of A reads basis
     column mu_i: <i|<j| (mu^dag x nu^dag) psi = <mu_i|<nu_j| psi.
     """
-    psi = reg.amplitudes.reshape(reg.dims).transpose(reg.axis("A"), reg.axis("C"), reg.axis("B"))
-    a, c = np.array(leaves).T
-    return psi[a, c]
+    psi = reg.amplitudes.reshape((reg.batch,) + reg.dims)
+    return psi.transpose(0, 1 + reg.axis("A"), 1 + reg.axis("C"), 1 + reg.axis("B"))[rows, a, c]
 
 
-def _finish(target: np.ndarray, reg: StateRegister,
-            leaves: Sequence[tuple[tuple[int, ...], _Receive]],
-            correct: Callable | None) -> Iterator[tuple[str, np.ndarray, float]]:
-    """(description, corrected B state, fidelity) of each (outcome, leaf), as one block.
+def _finish(target: np.ndarray, reg: StateRegister, members: tuple[int, ...],
+            leaves: Sequence[tuple[tuple[int, ...], _Receive, list[int]]],
+            correct: Callable | None) -> list[tuple[tuple, tuple, tuple]]:
+    """(descriptions, corrected B states, fidelities) of each (outcome, leaf, keep), as one block.
 
-    Every corrected row must be finite and normalized before its fidelity is
-    taken.  The rows are views of one read-only block, so no two share
-    writable memory.
+    ``keep`` lists the positions of the register's elements that reach the
+    leaf, whose batch indices ``members`` gives, and each triple holds one
+    entry per kept element.  Every corrected row must be finite and
+    normalized before its fidelity is taken.  The rows are views of one
+    read-only block, so no two share writable memory.
     """
-    outcomes, states = zip(*leaves)
-    bobs = _received(reg, states)
+    outcomes, receives, keeps = zip(*leaves)
+    # One row per kept (leaf, element): its element, A and C indices, then its batch index.
+    picks = np.array([(j, leaf.a, leaf.c, members[j]) for leaf, keep in zip(receives, keeps)
+                      for j in keep]).T
+    bobs = _received(reg, *picks[:3])
     n = np.linalg.norm(bobs, axis=1)
     if n.min() < PROB_FLOOR:
         raise SimulationError("conditional state has no amplitude mass")
     bobs /= n[:, None]
     descs, final = ["none (failure branch)"] * len(bobs), bobs
     if correct is not None:
-        descs, final = correct(np.array(outcomes), bobs)
-        if not np.abs(np.linalg.norm(final, axis=1) - 1.0).max() <= STRUCT_TOL:  # NaN fails too
-            raise InvalidState("corrected states must be finite and normalized")
+        descs, final = correct(np.array([o for o, keep in zip(outcomes, keeps) for _ in keep]),
+                               picks[3], bobs)
+        if not all(x <= STRUCT_TOL for x in _norm_defects(final, len(final))):
+            raise InvalidState("corrected states must be finite and normalized")  # NaN too
     final.flags.writeable = False
-    return zip(descs, final, (np.abs(final @ target.conj()) ** 2).tolist())
+    fids = (np.abs(final @ target.conj()) ** 2).tolist()
+    states, out, start = list(final), [], 0
+    for keep in keeps:
+        end = start + len(keep)
+        out.append((tuple(descs[start:end]), tuple(states[start:end]), tuple(fids[start:end])))
+        start = end
+    return out
 
 
 class _Node:
-    """A measurement in a configuration's branch tree, expanded on first visit.
+    """A measurement in a batch's branch tree, expanded on first visit.
 
     It holds the register the measurement reads, already in its basis,
-    and the Born probabilities of the measurement, flat in row-major
-    outcome order.  ``children`` maps a flat outcome index to the subtree
-    that follows or, where the receiver gets B, to the finished leaf.  A
-    tree lives only as long as the call that built it.
+    with one element per batch member that reaches it, and their Born
+    probabilities, one row per element, flat in row-major outcome order.
+    ``children`` maps a flat outcome index to the subtree that follows or,
+    where the receiver gets B, to the finished leaf; an outcome is a child
+    when some element takes it with p >= PROB_FLOOR, and the elements below
+    the floor do not follow it.  A tree lives only as long as the call
+    that built it.
     """
 
     def __init__(self, target: np.ndarray, reg: StateRegister, last: _Measure, path: _Path):
         marg = reg._marginal(last.targets)
         self.target, self.reg, self.last, self.path = target, reg, last, path
-        self.shape, self.probs = marg.shape, marg.reshape(-1)
+        self.shape, self.probs = marg.shape[1:], marg.reshape(reg.batch, -1)
         self.children: dict[int, _Node | _Path] = {}
 
     @functools.cached_property
     def cdf(self) -> np.ndarray:
-        """The CDF that draws search, built on the first draw."""
-        return _cdf(self.probs)
+        """The CDF that draws search, built on the first draw.  Draws read a tree of one channel."""
+        return _cdf(self.probs[0])
 
     def expand(self, picks: Sequence[int]) -> list:
         """The children at flat outcome indices ``picks``, each expanded on its first visit.
@@ -524,28 +573,39 @@ class _Node:
             return [self.children[i] for i in picks]
         outcomes = list(zip(*(ix.tolist() for ix in np.unravel_index(new, self.shape))))
         nxts = [last.then(outcome) for outcome in outcomes]
-        leaves = [(o, nxt) for o, nxt in zip(outcomes, nxts) if isinstance(nxt, _Receive)]
-        if leaves:
-            finished = _finish(self.target, self.reg, leaves, last.correct)
-        for i, outcome, p, nxt in zip(new, outcomes, self.probs[new].tolist(), nxts):
-            head = (path.label + outcome if last.labelled else path.label, path.p * p, path.steps,
-                    path.records + (MeasurementRecord(last.targets, outcome, p),), path.raw_norm)
-            if isinstance(nxt, _Receive):
-                desc, bob, fidelity = next(finished)
-                self.children[i] = _Path(*head, desc, bob, fidelity, last.correct is not None)
+        qs = self.probs.T[new].tolist()  # per new outcome, each element's probability
+        keeps = [[j for j, q in enumerate(row) if q >= PROB_FLOOR] for row in qs]
+        ends = [(o, nxt, keep) for o, nxt, keep in zip(outcomes, nxts, keeps)
+                if isinstance(nxt, _Receive)]
+        finished = iter(_finish(self.target, self.reg, path.members, ends, last.correct)
+                        if ends else ())
+        for i, outcome, nxt, row, keep in zip(new, outcomes, nxts, qs, keeps):
+            if len(keep) == len(row):  # every element takes it: nothing to pick out
+                members, p, q, raw_norm = path.members, path.p, tuple(row), path.raw_norm
             else:
-                self.children[i] = _node(self.target, self.reg.project(last.targets, outcome)[1],
-                                         nxt, _Path(*head))
+                members, p, q = (tuple(v[j] for j in keep) for v in (path.members, path.p, row))
+                raw_norm = path.raw_norm and tuple(path.raw_norm[j] for j in keep)
+            head = (members, tuple(map(operator.mul, p, q)),
+                    path.label + outcome if last.labelled else path.label, path.steps,
+                    path.records + ((last.targets, outcome, q),), raw_norm)
+            if isinstance(nxt, _Receive):
+                self.children[i] = _Path(*head, *next(finished), last.correct is not None)
+                continue
+            _, reg = self.reg.project(last.targets, outcome)
+            if reg is None or reg.batch != len(keep):
+                raise SimulationError(f"outcome {outcome} of {last.targets} lost mass in projection")
+            self.children[i] = _node(self.target, reg, nxt, _Path(*head))
         return [self.children[i] for i in picks]
 
     def leaves(self) -> Iterator[_Path]:
-        """Every leaf with p >= PROB_FLOOR, in outcome order.  Unlabelled branches must sum to 1."""
-        picks = np.flatnonzero(self.probs >= PROB_FLOOR)
-        total = 1.0 if self.last.labelled else float(self.probs[picks].sum())
-        if abs(total - 1.0) > 1e-12:
-            raise SimulationError(
-                f"unlabelled branches of {self.last.targets} sum to {total}, not 1")
-        for child in self.expand(picks.tolist()):
+        """Every leaf, in outcome order.  Each element's unlabelled branches must sum to 1."""
+        live = self.probs >= PROB_FLOOR
+        if not self.last.labelled:
+            for total in np.where(live, self.probs, 0.0).sum(axis=1).tolist():
+                if abs(total - 1.0) > 1e-12:
+                    raise SimulationError(
+                        f"unlabelled branches of {self.last.targets} sum to {total}, not 1")
+        for child in self.expand(np.flatnonzero(live.any(axis=0)).tolist()):
             yield from child.leaves() if isinstance(child, _Node) else (child,)
 
     def draw(self, rng: np.random.Generator) -> _Path:
@@ -569,8 +629,9 @@ def _node(target: np.ndarray, reg: StateRegister, steps: list, path: _Path) -> _
     *gates, last = steps
     for g in gates:
         reg = reg.apply(g.gate, g.targets, strict=g.strict)
-        if not g.strict:
-            path = path._replace(raw_norm=reg.norm)
+        if not g.strict:  # each element's norm by ``norm``'s own formula, so a run's bits stay
+            path = path._replace(raw_norm=tuple(
+                float(np.linalg.norm(e)) for e in reg.amplitudes.reshape(reg.batch, -1)))
     if gates:
         path = path._replace(steps=path.steps + tuple(
             GateStep(g.gate.name, g.targets, g.gate.defect, g.gate.defect > UNITARY_TOL)
@@ -580,41 +641,87 @@ def _node(target: np.ndarray, reg: StateRegister, steps: list, path: _Path) -> _
     return _Node(target, reg, last, path)
 
 
-def _tree(protocol: str, channel: ChannelSpec | None, target: TargetState,
-          mode: str) -> tuple[str | None, ChannelSpec, _Node]:
-    """Mode, channel and unexpanded branch tree of a configuration."""
-    mode, channel, steps = _plan(protocol, channel, target, mode)
-    return mode, channel, _node(target.vector(), _start(channel), steps, _Path())
+def _tree(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetState,
+          mode: str) -> tuple[str | None, tuple[ChannelSpec, ...], _Node]:
+    """Mode, channels and unexpanded branch tree of a batch of channels that share a step list."""
+    mode, channels, steps = _plan(protocol, channels, target, mode)
+    n = len(channels)
+    return mode, channels, _node(target.vector(), _start(channels), steps,
+                                 _Path(tuple(range(n)), (1.0,) * n))
+
+
+# A batched walk's register holds at most this many amplitudes, a quarter of the
+# cap: an apply holds the register, a transposed copy and the product at once.
+_BATCH_AMPLITUDES = MAX_DIM // 4
+
+
+def _walk_tables(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetState,
+                 mode: str) -> list[OutcomeTable]:
+    """The tables of channels that share a step list, from one fully expanded tree.
+
+    Paths sharing a label fold into one row (summed p, min fidelity).  The
+    tree dies on return, so a chunk's registers never outlive its walk.
+    """
+    mode, channels, root = _tree(protocol, channels, target, mode)
+    groups: list[dict[tuple[int, ...], list]] = [{} for _ in channels]
+    for path in root.leaves():
+        for j, p, bob, fidelity in zip(path.members, path.p, path.bob, path.fidelity):
+            groups[j].setdefault(path.label, []).append((p, bob, fidelity, path.corrected))
+    pairs = tuple(itertools.product(range(channels[0].d), repeat=2))
+    space = ((0,), (1,)) if protocol == "probabilistic" else pairs
+    tables = []
+    for channel, group in zip(channels, groups):
+        rows = []
+        for label, entries in group.items():
+            ps, bobs, fidelities, corrected = zip(*entries)
+            rows.append(OutcomeRow(label, sum(ps), bobs[0], min(fidelities), all(corrected)))
+        tables.append(OutcomeTable(protocol, mode, channel, target, tuple(rows), space))
+    return tables
+
+
+def exact_outcome_tables(protocol: str, channels: Sequence[ChannelSpec | None],
+                         target: TargetState, mode: str = "repaired") -> list[OutcomeTable]:
+    """The exact table of each channel, every branch exactly, from batched walks.
+
+    Channels walk together when they share a step list, so a probabilistic
+    channel with alpha = 0, which skips the controlled-U, walks apart from
+    the rest.  A walk holds at most _BATCH_AMPLITUDES amplitudes (one
+    channel at least), so a longer batch is walked in chunks.
+    """
+    channels = list(channels)
+    batches: dict[bool, list[int]] = {}
+    for k, channel in enumerate(channels):
+        key = protocol == "probabilistic" and channel is not None and _concentrates(channel)
+        batches.setdefault(key, []).append(k)
+    chunk = max(1, _BATCH_AMPLITUDES // target.d**3)
+    tables: list[OutcomeTable | None] = [None] * len(channels)
+    for ks in batches.values():
+        for first in range(0, len(ks), chunk):
+            part = ks[first:first + chunk]
+            for k, table in zip(part, _walk_tables(protocol, [channels[k] for k in part],
+                                                   target, mode)):
+                tables[k] = table
+    return tables
 
 
 def exact_outcome_table(protocol: str, channel: ChannelSpec | None, target: TargetState,
                         mode: str = "repaired") -> OutcomeTable:
     """Every branch, exactly; paths sharing a label fold into one row (summed p, min fidelity)."""
-    mode, channel, root = _tree(protocol, channel, target, mode)
-    groups: dict[tuple[int, ...], list[_Path]] = {}
-    for path in root.leaves():
-        groups.setdefault(path.label, []).append(path)
-    rows = tuple(
-        OutcomeRow(label, sum(q.p for q in paths), paths[0].bob,
-                   min(q.fidelity for q in paths), all(q.corrected for q in paths))
-        for label, paths in groups.items()
-    )
-    pairs = tuple(itertools.product(range(channel.d), repeat=2))
-    space = ((0,), (1,)) if protocol == "probabilistic" else pairs
-    return OutcomeTable(protocol, mode, channel, target, rows, space)
+    (table,) = exact_outcome_tables(protocol, [channel], target, mode)
+    return table
 
 
 def run_protocol(protocol: str, channel: ChannelSpec | None, target: TargetState,
                  mode: str = "repaired", rng: np.random.Generator | None = None) -> Transcript:
     """One sampled run of any protocol, with one draw per measurement."""
-    mode, channel, root = _tree(protocol, channel, target, mode)
+    mode, (channel,), root = _tree(protocol, [channel], target, mode)
     path = root.draw(rng if rng is not None else np.random.default_rng())
+    records = tuple(MeasurementRecord(t, o, q[0]) for t, o, q in path.records)
     return Transcript(
         protocol=protocol, mode=mode, channel=channel, target=target,
-        steps=path.steps, measurements=path.records,
-        messages=tuple(ClassicalMessage(r.subsystems, r.outcome) for r in path.records),
-        outcome=path.label, correction=path.correction, bob_state=path.bob,
-        fidelity=path.fidelity,
-        success=succeeded(path.corrected, path.fidelity), raw_norm=path.raw_norm,
+        steps=path.steps, measurements=records,
+        messages=tuple(ClassicalMessage(r.subsystems, r.outcome) for r in records),
+        outcome=path.label, correction=path.correction[0], bob_state=path.bob[0],
+        fidelity=path.fidelity[0], success=succeeded(path.corrected, path.fidelity[0]),
+        raw_norm=None if path.raw_norm is None else path.raw_norm[0],
     )
-

@@ -133,67 +133,109 @@ class DensityMatrix:
         return cls(entries=m, dim=m.shape[0])
 
 
-class StateRegister:
-    """Normalized pure state over an ordered list of labeled qudits."""
+def _norm_defects(amps: np.ndarray, batch: int) -> list[float]:
+    """|norm - 1| of each of the ``batch`` equal slices of a contiguous complex array.
 
-    __slots__ = ("dims", "labels", "amplitudes")
+    A slice with a non-finite entry gets a non-finite defect.
+    """
+    parts = amps.view(np.float64).reshape(batch, 1, -1)
+    squares = (parts @ parts.transpose(0, 2, 1)).ravel().tolist()
+    return [abs(math.sqrt(s) - 1.0) for s in squares]
+
+
+class StateRegister:
+    """Normalized pure state over an ordered list of labeled qudits, or a batch of them.
+
+    A batch holds ``batch`` states over the same subsystems, element k in
+    ``amplitudes[k * D:(k + 1) * D]`` for D the product of the dims; the cap
+    counts all of them.  ``apply``, ``project`` and ``_marginal`` act on
+    every element at once.  The methods that read the register as one
+    state (``norm``, ``tensor``, ``born_probabilities``, ``contract``,
+    ``reduced_density``) need ``batch == 1``.
+    """
+
+    __slots__ = ("dims", "labels", "amplitudes", "batch")
 
     def __init__(
         self,
         dims: Sequence[int],
         amplitudes: Sequence[complex] | np.ndarray,
         labels: Sequence[str] | None = None,
+        batch: int = 1,
     ):
         dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in dims) or not dims:
             raise ShapeError("every subsystem dimension must be >= 1")
-        total = int(np.prod(dims))
+        if batch < 1:
+            raise ShapeError("a batch holds at least one state")
+        total = int(np.prod(dims)) * int(batch)
         if total > MAX_DIM:
             raise CapacityExceeded(f"register dimension {total} exceeds cap {MAX_DIM}")
         amps = as_cvec(amplitudes)
         if amps.size != total:
             raise ShapeError(f"amplitude length {amps.size} != product of dims {total}")
-        if abs(np.linalg.norm(amps) - 1.0) > STRUCT_TOL:
-            raise InvalidState(f"register norm {np.linalg.norm(amps)} is not 1")
+        amps = amps.copy()
+        defects = _norm_defects(amps, batch)
+        if not all(x <= STRUCT_TOL for x in defects):
+            raise InvalidState(f"register norm is off 1 by {max(defects)}")
         if labels is None:
             labels = tuple(f"q{i}" for i in range(len(dims)))
         labels = tuple(str(s) for s in labels)
         if len(labels) != len(dims) or len(set(labels)) != len(labels):
             raise ShapeError("labels must be distinct and match dims")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "batch", int(batch))
 
     def _derived(self, amps: np.ndarray, check_norm: bool = True) -> "StateRegister":
         """Register over this one's subsystems holding ``amps``, computed from it.
 
-        ``amps`` must be a fresh complex vector of this register's size that
-        no one else holds; it is frozen in place, not copied.  This register
-        already guarantees dims, cap, shape and labels, so only finiteness
-        and (with ``check_norm``) the norm are checked here.
+        ``amps`` must be a fresh contiguous complex vector of whole elements
+        that no one else holds; it is frozen in place, not copied.  This
+        register already guarantees dims, cap, shape and labels, so only
+        finiteness and (with ``check_norm``) each element's norm are checked
+        here.
         """
-        if not np.all(np.isfinite(amps)):
+        reg = self._unchecked(amps)
+        defects = _norm_defects(amps, reg.batch)
+        # Finite defects mean finite entries; only an overflow of huge ones needs the scan.
+        if not all(map(math.isfinite, defects)) and not np.all(np.isfinite(amps)):
             raise InvalidState("vector entries must be finite")
-        if check_norm and abs(np.linalg.norm(amps) - 1.0) > STRUCT_TOL:
-            raise InvalidState(f"register norm {np.linalg.norm(amps)} is not 1")
+        if check_norm and not all(x <= STRUCT_TOL for x in defects):
+            raise InvalidState(f"register norm is off 1 by {max(defects)}")
+        return reg
+
+    def _unchecked(self, amps: np.ndarray) -> "StateRegister":
+        """``_derived`` without its checks, for amplitudes that are already known good."""
         amps.flags.writeable = False
         reg = object.__new__(StateRegister)
         object.__setattr__(reg, "dims", self.dims)
         object.__setattr__(reg, "labels", self.labels)
         object.__setattr__(reg, "amplitudes", amps)
+        object.__setattr__(reg, "batch", amps.size // math.prod(self.dims))
         return reg
+
+    def _single(self, what: str) -> None:
+        if self.batch != 1:
+            raise ShapeError(f"{what} reads one state; this register holds {self.batch}")
+
+    @property
+    def _shape(self) -> tuple[int, ...]:
+        """The amplitudes' shape with one axis per subsystem, after the batch axis."""
+        return (self.batch,) + self.dims
 
     def __setattr__(self, name, value):
         raise AttributeError("StateRegister is immutable")
 
     def __repr__(self) -> str:
         sub = ", ".join(f"{s}:{d}" for s, d in zip(self.labels, self.dims))
-        return f"StateRegister({sub})"
+        return f"StateRegister({sub})" if self.batch == 1 else f"StateRegister({sub}; x{self.batch})"
 
     @property
     def norm(self) -> float:
+        self._single("norm")
         return float(np.linalg.norm(self.amplitudes))
 
     def normalized(self) -> "StateRegister":
@@ -210,6 +252,8 @@ class StateRegister:
 
     def tensor(self, other: "StateRegister") -> "StateRegister":
         """Product register; labels must not collide."""
+        self._single("tensor")
+        other._single("tensor")
         if set(self.labels) & set(other.labels):
             raise ShapeError("tensor operands share subsystem labels")
         return StateRegister(
@@ -223,13 +267,17 @@ class StateRegister:
     def apply(
         self, gate: GateMatrix, targets: Sequence[str], strict: bool = True
     ) -> "StateRegister":
-        """Apply ``gate`` to the named subsystems, identity elsewhere.
+        """Apply ``gate`` to the named subsystems of every element, identity elsewhere.
 
-        A dense gate is a matrix product over the target subspace; an
-        index-map gate is one gather of the whole register, through a table
-        built once per (gate, dims, axes).  In strict mode a gate whose
-        cached defect exceeds the unitarity tolerance is rejected; audit
-        callers pass strict=False and deal with the norm themselves.
+        A dense gate is a matrix product over the target subspace; a gate
+        whose matrix is stacked (see ``gates.stacked``) applies its k-th
+        matrix to element k.  An index-map gate is one gather of each
+        element, through a table built once per (gate, dims, axes); it only
+        permutes amplitudes this register already checked, so its result
+        skips the finiteness and norm checks that a product gets.  In strict
+        mode a gate whose cached defect exceeds the unitarity tolerance is
+        rejected; audit callers pass strict=False and deal with the norm
+        themselves.
         """
         axes = [self.axis(t) for t in targets]
         if len(set(axes)) != len(axes):
@@ -245,32 +293,36 @@ class StateRegister:
                 "apply with strict=False to audit it"
             )
         if gate.src is not None:
-            return self._derived(self.amplitudes[_gather_table(gate, self.dims, tuple(axes))],
-                                 check_norm=strict)
-        n = len(self.dims)
-        rest = [i for i in range(n) if i not in axes]
-        perm = axes + rest
-        psi = self.amplitudes.reshape(self.dims).transpose(perm)
+            table = _gather_table(gate, self.dims, tuple(axes))
+            return self._unchecked(
+                self.amplitudes.reshape(self.batch, -1).take(table, axis=1).reshape(-1))
+        if gate.matrix.ndim == 3 and len(gate.matrix) != self.batch:
+            raise ShapeError(f"gate {gate.name} stacks {len(gate.matrix)} matrices "
+                             f"for a batch of {self.batch}")
+        rest = [i for i in range(len(self.dims)) if i not in axes]
+        perm = [0] + [1 + i for i in axes + rest]
+        psi = self.amplitudes.reshape(self._shape).transpose(perm)
         shape = psi.shape
-        psi = gate.matrix @ psi.reshape(gate.dim, -1)
+        psi = gate.matrix @ psi.reshape(self.batch, gate.dim, -1)
         # Written straight into the result's own layout: the register keeps
         # this array, so no transposed temporary and no defensive copy.
         out = np.empty(self.amplitudes.size, dtype=complex)
-        out.reshape(self.dims).transpose(perm)[...] = psi.reshape(shape)
+        out.reshape(self._shape).transpose(perm)[...] = psi.reshape(shape)
         return self._derived(out, check_norm=strict)
 
     # -- measurement -----------------------------------------------------
 
     def _marginal(self, targets: Sequence[str]) -> np.ndarray:
-        """Born probabilities of measuring ``targets``, one axis per target in the order given."""
+        """Born probabilities of measuring ``targets``: the batch axis, then one axis per
+        target in the order given."""
         axes = [self.axis(t) for t in targets]
         if len(set(axes)) != len(axes):
             raise ShapeError("measurement targets must be distinct")
-        weights = np.abs(self.amplitudes.reshape(self.dims)) ** 2
-        keep = tuple(i for i in range(len(self.dims)) if i not in axes)
-        marg = weights.sum(axis=keep) if keep else weights
+        weights = np.abs(self.amplitudes.reshape(self._shape)) ** 2
+        summed = tuple(1 + i for i in range(len(self.dims)) if i not in axes)
+        marg = weights.sum(axis=summed) if summed else weights
         ranked = sorted(axes)
-        return marg.transpose([ranked.index(a) for a in axes])  # order as requested
+        return marg.transpose([0] + [1 + ranked.index(a) for a in axes])  # order as requested
 
     def born_probabilities(self, targets: Sequence[str]) -> list[tuple[tuple[int, ...], float]]:
         """Exact outcome distribution for measuring ``targets`` computationally.
@@ -278,7 +330,8 @@ class StateRegister:
         Every outcome tuple of the target subspace is listed, zeros
         included, in row-major order over the targets as given.
         """
-        marg = self._marginal(targets)
+        self._single("born_probabilities")
+        marg = self._marginal(targets)[0]
         outcomes = itertools.product(*(range(n) for n in marg.shape))
         return list(zip(outcomes, marg.reshape(-1).tolist()))
 
@@ -288,7 +341,9 @@ class StateRegister:
         """Exact Born probability of ``outcome`` and the collapsed register.
 
         Deterministic counterpart of :meth:`measure`; returns (p, None)
-        when the branch carries no probability mass.
+        when the branch carries no probability mass.  On a batch, p holds
+        each element's probability, and the collapsed register holds, in
+        order, only the elements where the outcome has mass.
         """
         axes = [self.axis(t) for t in targets]
         outcome = tuple(int(v) for v in outcome)
@@ -297,16 +352,20 @@ class StateRegister:
         for v, a in zip(outcome, axes):
             if not 0 <= v < self.dims[a]:
                 raise IndexOutOfRange(f"outcome {v} out of range for dim {self.dims[a]}")
-        psi = self.amplitudes.reshape(self.dims)
-        sel: list[object] = [slice(None)] * len(self.dims)
+        sel: list[object] = [slice(None)] * (1 + len(self.dims))
         for v, a in zip(outcome, axes):
-            sel[a] = v
-        branch = psi[tuple(sel)]
-        p = float(np.sum(np.abs(branch) ** 2))
-        if p < PROB_FLOOR:
-            return p, None
-        collapsed = np.zeros_like(psi)
-        collapsed[tuple(sel)] = branch / np.sqrt(p)
+            sel[1 + a] = v
+        branch = self.amplitudes.reshape(self._shape)[tuple(sel)]
+        weights = (np.abs(branch) ** 2).sum(axis=tuple(range(1, branch.ndim)))
+        listed = weights.tolist()
+        p = listed[0] if self.batch == 1 else weights
+        if min(listed) < PROB_FLOOR:
+            keep = [w >= PROB_FLOOR for w in listed]
+            if not any(keep):
+                return p, None
+            branch, weights = branch[keep], weights[keep]
+        collapsed = np.zeros((len(weights),) + self.dims, dtype=complex)
+        collapsed[tuple(sel)] = branch / np.sqrt(weights).reshape((-1,) + (1,) * (branch.ndim - 1))
         return p, self._derived(collapsed.reshape(-1))
 
     def measure(
@@ -341,6 +400,7 @@ class StateRegister:
 
     def reduced_density(self, keep: Sequence[str]) -> DensityMatrix:
         """Partial trace over everything but ``keep``."""
+        self._single("reduced_density")
         if not keep:
             raise ShapeError("keep must name at least one subsystem")
         axes = [self.axis(t) for t in keep]
@@ -362,6 +422,7 @@ class StateRegister:
         not a contraction.  Not normalized; useful for extracting an exact
         conditional state, phase included, after basis measurements.
         """
+        self._single("contract")
         psi = self.amplitudes.reshape(self.dims)
         for label in sorted(states, key=self.axis, reverse=True):
             state, axis = states[label], self.axis(label)

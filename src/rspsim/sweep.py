@@ -2,7 +2,8 @@
 
 Each grid point parametrizes a qubit channel by alpha = sin(theta),
 beta = cos(theta).  The branch outcomes and per-branch fidelities of each
-distinct (protocol, channel) are enumerated exactly once per sweep; each
+distinct (protocol, channel) are enumerated exactly once per sweep, the
+tables of a protocol's whole grid in one batched call; each
 trial then draws its branch from that exact distribution with a uniform
 derived by hashing (seed, point, trial), in blocks of a fixed size.  A
 block is scored by how many of its uniforms fall to each branch, counted
@@ -31,7 +32,7 @@ from .errors import InvalidState
 from .protocols import (
     ChannelSpec,
     TargetState,
-    exact_outcome_table,
+    exact_outcome_tables,
     succeeded,
     success_probability,
 )
@@ -121,27 +122,30 @@ def sweep_rows(
         raise InvalidState("sweeps parametrize qubit channels; the target must have d = 2")
     if trials < 1:
         raise InvalidState("sweeps need trials >= 1")
-    # Each distinct table is built once, with its arrays for counting and scoring trials.
-    tables: dict[tuple[str, ChannelSpec], tuple] = {}
+    channels = [ChannelSpec.from_theta(float(theta)) for theta in grid]
+    maximal = ChannelSpec.maximal(2)
+    # One batched call per protocol builds each distinct table once, then the
+    # arrays that count and score its trials.
+    scored: dict[tuple[str, ChannelSpec], tuple] = {}
+    for protocol in dict.fromkeys(protocols):
+        distinct = [maximal] if protocol == "nguyen" else list(dict.fromkeys(channels))
+        for channel, table in zip(distinct, exact_outcome_tables(protocol, distinct, target, mode)):
+            scored[protocol, channel] = (
+                success_probability(table),
+                _cdf([r.probability for r in table.rows]),
+                np.array([succeeded(r.corrected, r.fidelity) for r in table.rows]),
+                np.array([r.fidelity for r in table.rows]),
+            )
     rows = []
-    for k, theta in enumerate(grid):
+    for k, (theta, channel) in enumerate(zip(grid, channels)):
         samplers = []
         for protocol in protocols:
             if protocol == "nguyen":
-                channel = ChannelSpec.maximal(2)
                 alpha = beta = float(1.0 / np.sqrt(2.0))
+                samplers.append((protocol, alpha, beta, *scored[protocol, maximal]))
             else:
-                channel = ChannelSpec.from_theta(float(theta))
                 alpha, beta = float(np.sin(theta)), float(np.cos(theta))
-            if (protocol, channel) not in tables:
-                table = exact_outcome_table(protocol, channel, target, mode)
-                tables[protocol, channel] = (
-                    success_probability(table),
-                    _cdf([r.probability for r in table.rows]),
-                    np.array([succeeded(r.corrected, r.fidelity) for r in table.rows]),
-                    np.array([r.fidelity for r in table.rows]),
-                )
-            samplers.append((protocol, alpha, beta, *tables[protocol, channel]))
+                samplers.append((protocol, alpha, beta, *scored[protocol, channel]))
         successes = [0] * len(samplers)
         fid_sums = [0.0] * len(samplers)
         for first in range(0, trials, _TRIAL_BLOCK):

@@ -21,6 +21,7 @@ from .protocols import (
     ChannelSpec,
     TargetState,
     exact_outcome_table,
+    exact_outcome_tables,
     run_protocol,
     success_probability,
 )
@@ -176,10 +177,11 @@ def _check_deterministic_exact(seed: int) -> CheckResult:
 def _check_probabilistic_curve(seed: int) -> CheckResult:
     rng = derive_rng(seed, 202)
     target = _random_target(2, rng)
-    errs = []
-    for theta in np.linspace(0.0, np.pi / 4.0, 21):
-        table = exact_outcome_table("probabilistic", ChannelSpec.from_theta(theta), target)
-        errs.append(abs(success_probability(table) - 2.0 * np.sin(theta) ** 2))
+    thetas = np.linspace(0.0, np.pi / 4.0, 21)
+    tables = exact_outcome_tables("probabilistic", [ChannelSpec.from_theta(t) for t in thetas],
+                                  target)
+    errs = [abs(success_probability(table) - 2.0 * np.sin(theta) ** 2)
+            for theta, table in zip(thetas, tables)]
     return _judged("protocols.probabilistic_success_2sin2", [("max|P-2sin^2|", errs, 1e-12)])
 
 

@@ -239,7 +239,7 @@ def test_the_pick_rule_reaches_each_row_with_its_naive_probability(monkeypatch):
     assert len(naive) == 150
     for dist in naive:
         spec = dist.provenance
-        *_, tree = rspsim.protocols._tree(spec.protocol, spec.channel, spec.target, spec.mode)
+        *_, tree = rspsim.protocols._tree(spec.protocol, [spec.channel], spec.target, spec.mode)
         leaves = list(tree.leaves())  # the full expansion
         measured = list(_interval_measures(tree))
         assert [label for label, _ in measured] == [leaf.label for leaf in leaves]

@@ -126,7 +126,7 @@ def test_sampled_run_lands_on_a_table_row_with_its_probability(config, seed):
 
 def nu_corrections(protocol, channel, target):
     """Descriptions and matrix (applied to the rows of I) of each (mu, nu) message's correction."""
-    _mode, _channel, steps = _plan(protocol, channel, target, "repaired")
+    _mode, _channels, steps = _plan(protocol, [channel], target, "repaired")
     if protocol == "probabilistic":
         steps = steps[-1].then((0,))  # the completed branch
     measure_mu = steps[-1]
@@ -134,7 +134,7 @@ def nu_corrections(protocol, channel, target):
     for i in range(2):
         measure_nu = measure_mu.then((i,))[-1]
         for j in range(2):
-            out[i, j] = measure_nu.correct(np.full((2, 1), j), np.eye(2, dtype=complex))
+            out[i, j] = measure_nu.correct(np.full((2, 1), j), np.zeros(2, int), np.eye(2, dtype=complex))
     return out
 
 

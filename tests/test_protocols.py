@@ -14,6 +14,7 @@ from rspsim.protocols import (
     ChannelSpec,
     TargetState,
     exact_outcome_table,
+    exact_outcome_tables,
     run_protocol,
     success_probability,
 )
@@ -436,8 +437,9 @@ def test_probabilistic_row_fidelity_sees_a_dropped_phase_diagonal(monkeypatch):
     target = TargetState.of((0.6, 0.8j))
     rows = {r.outcome: r for r in exact_outcome_table("probabilistic", channel, target).rows}
     assert rows[(0,)].fidelity >= 1.0 - 1e-10
+    table = rspsim.protocols.PAULI_TABLE
     monkeypatch.setattr(rspsim.protocols, "_nguyen_fixes",
-                        lambda channel: rspsim.protocols.PAULI_TABLE)
+                        lambda channels: np.broadcast_to(table, (len(channels),) + table.shape))
     rows = {r.outcome: r for r in exact_outcome_table("probabilistic", channel, target).rows}
     assert rows[(0,)].fidelity < 1.0 - 1e-3
 
@@ -608,7 +610,7 @@ def test_start_register_is_the_channel_times_the_ancilla(d):
     rng = np.random.default_rng(40 + d)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     channel = ChannelSpec.of(v / np.linalg.norm(v))
-    start = rspsim.protocols._start(channel)
+    start = rspsim.protocols._start([channel])
     ancilla = rspsim.register.basis_register((d,), (0,), labels=("C",))
     expected = rspsim.register.channel_register(channel).tensor(ancilla)
     assert (start.dims, start.labels) == (expected.dims, expected.labels)
@@ -650,7 +652,7 @@ def _reference_paths(protocol, channel, target, mode="repaired"):
     pre-measurement register with the basis columns its indices name.  Each
     yielded path is (label, p, corrected, final state, fidelity, measurement outcomes).
     """
-    mode, channel, steps = rspsim.protocols._plan(protocol, channel, target, mode)
+    mode, (channel,), steps = rspsim.protocols._plan(protocol, [channel], target, mode)
     to = target.vector()
     if protocol == "deterministic" and mode == "repaired":
         chain = rspsim.gates.correction_chain(rspsim.gates.encoding_unitary(target.amplitudes))
@@ -700,7 +702,7 @@ def _reference_paths(protocol, channel, target, mode="repaired"):
                 branch = branch.apply(back, last.targets)
             yield from walk(branch, nxt, branch_label, p * q, outcomes + (outcome,), bases)
 
-    return list(walk(rspsim.protocols._start(channel), steps, (), 1.0, (), {}))
+    return list(walk(rspsim.protocols._start([channel]), steps, (), 1.0, (), {}))
 
 
 def _random_channel(d, rng, phases):
@@ -788,7 +790,7 @@ def test_no_gate_acts_on_a_subsystem_left_in_its_measured_basis(protocol, channe
     """A basis-measured branch is never rotated back, so no later gate may touch that subsystem."""
     d = 2 if channel is None else channel.d
     target = TargetState.of(np.full(d, 1 / np.sqrt(d)) * np.exp(0.3j * np.arange(d)))
-    _, _, steps = rspsim.protocols._plan(protocol, channel, target, mode)
+    _, _, steps = rspsim.protocols._plan(protocol, [channel], target, mode)
     seen = []
     assert _frame_violations(steps, d, seen=seen) == []
     assert seen == basis_measured
@@ -837,16 +839,121 @@ def test_block_rows_keep_their_own_state_and_fidelity(kind):
     """Uncorrected leaves of distinct fidelity: a row swapped anywhere in the block shows."""
     rng = np.random.default_rng(17)
     channel, target = _random_channel(8, rng, True), random_target(8, rng)
-    _, _, steps = rspsim.protocols._plan("deterministic", channel, target, "repaired")
-    reg = rspsim.protocols._start(channel)
+    _, _, steps = rspsim.protocols._plan("deterministic", [channel], target, "repaired")
+    reg = rspsim.protocols._start([channel])
     for g in steps[:-1]:
         reg = reg.apply(g.gate, g.targets)
-    leaves = [((m, m), rspsim.protocols._Receive(m, m)) for m in (5, 0, 3, 6)]
-    rows = list(rspsim.protocols._finish(target.vector(), reg, leaves, None))
-    for (_, leaf), (desc, bob, fidelity) in zip(leaves, rows):
+    leaves = [((m, m), rspsim.protocols._Receive(m, m), [0]) for m in (5, 0, 3, 6)]
+    rows = [(desc, bob, fidelity) for (desc,), (bob,), (fidelity,)
+            in rspsim.protocols._finish(target.vector(), reg, (0,), leaves, None)]
+    for (_, leaf, _), (desc, bob, fidelity) in zip(leaves, rows):
         ref = reg.contract({"A": leaf.a, "C": leaf.c})
         ref = ref / np.linalg.norm(ref)
         assert desc == "none (failure branch)"
         np.testing.assert_allclose(bob, ref, rtol=0, atol=1e-12)
         assert abs(fidelity - abs(np.vdot(ref, target.vector())) ** 2) <= 1e-12
     assert len({round(f, 6) for _, _, f in rows}) == len(rows)
+
+
+# -- batched tables -------------------------------------------------------------
+
+
+def assert_tables_agree(batched, alone):
+    """One channel's table from a batched walk against its own walk: rows, flags, space."""
+    assert (batched.protocol, batched.mode, batched.channel, batched.target) == (
+        alone.protocol, alone.mode, alone.channel, alone.target)
+    assert batched.outcome_space == alone.outcome_space
+    assert [r.outcome for r in batched.rows] == [r.outcome for r in alone.rows]
+    for got, want in zip(batched.rows, alone.rows):
+        assert got.corrected == want.corrected
+        assert abs(got.probability - want.probability) <= 2e-15
+        assert abs(got.fidelity - want.fidelity) <= 2e-15
+        np.testing.assert_allclose(got.bob_state, want.bob_state, rtol=0, atol=2e-15)
+
+
+def _batch_cases():
+    """(protocol, channels, target, mode) batches over 400+ random channels."""
+    rng = np.random.default_rng(1717)
+    cases = []
+    for k in range(60):
+        d = 2 + k % 4
+        cases.append(("deterministic", [_random_channel(d, rng, True) for _ in range(1 + k % 5)],
+                      random_target(d, rng), "repaired"))
+    for k in range(20):
+        cases.append(("deterministic", [_random_channel(2, rng, k % 2 == 0) for _ in range(4)],
+                      random_target(2, rng), "literal"))
+    for k in range(30):
+        thetas = rng.uniform(0.0, np.pi / 4, size=2 + k % 4)
+        channels = [ChannelSpec.from_theta(t) for t in thetas]
+        channels += [ChannelSpec.of((np.sin(t), np.cos(t) * np.exp(2j * np.pi * rng.uniform())))
+                     for t in thetas[:2]]
+        if k % 3 == 0:
+            channels += [ChannelSpec.from_theta(0.0), ChannelSpec.from_theta(np.pi / 4)]
+        cases.append(("probabilistic", channels, random_target(2, rng), "repaired"))
+    for k in range(10):
+        cases.append(("nguyen", [None] * (1 + k % 3), random_target(2, rng), "repaired"))
+    return cases
+
+
+def test_batched_tables_equal_the_tables_of_one_channel():
+    cases = _batch_cases()
+    assert sum(len(channels) for _, channels, _, _ in cases) >= 400
+    for protocol, channels, target, mode in cases:
+        tables = exact_outcome_tables(protocol, channels, target, mode)
+        assert len(tables) == len(channels)
+        for channel, table in zip(channels, tables):
+            assert_tables_agree(table, exact_outcome_table(protocol, channel, target, mode))
+
+
+def test_a_mixed_probabilistic_batch_has_no_nan_and_no_massless_row():
+    """alpha = 0 skips the controlled-U and walks apart; at theta = pi/4 failure has no mass."""
+    target = TargetState.of((0.6, 0.8j))
+    channels = [ChannelSpec.from_theta(t) for t in np.linspace(0.0, np.pi / 4, 5)]
+    channels += [ChannelSpec.of((0.0, 1j)), ChannelSpec.of((0.6, 0.8))]
+    tables = exact_outcome_tables("probabilistic", channels, target)
+    for channel, table in zip(channels, tables):
+        for row in table.rows:
+            assert row.probability >= rspsim.register.PROB_FLOOR
+            assert np.isfinite(row.fidelity) and np.all(np.isfinite(row.bob_state))
+        assert_tables_agree(table, exact_outcome_table("probabilistic", channel, target))
+    assert [r.outcome for r in tables[0].rows] == [(1,)]  # theta = 0 always fails
+    assert [r.outcome for r in tables[4].rows] == [(0,)]  # theta = pi/4 always completes
+    assert [r.outcome for r in tables[5].rows] == [(1,)]
+
+
+def test_a_batch_with_duplicate_channels_gives_each_its_table():
+    rng = np.random.default_rng(5)
+    a, b, target = _random_channel(3, rng, True), _random_channel(3, rng, True), random_target(3, rng)
+    channels = [a, b, a, a, b]
+    tables = exact_outcome_tables("deterministic", channels, target)
+    for channel, table in zip(channels, tables):
+        assert_tables_agree(table, exact_outcome_table("deterministic", channel, target))
+    assert exact_outcome_tables("deterministic", [], target) == []
+
+
+def test_a_batch_over_the_cap_is_walked_in_chunks(monkeypatch):
+    """33 channels at d = 32 hold 33 * 32^3 > 2^20 amplitudes: chunked, bounded, unchanged."""
+    rng = np.random.default_rng(33)
+    d, target = 32, random_target(32, rng)
+    channels = [random_positive_channel(d, rng) for _ in range(33)]
+    assert len(channels) * d**3 > rspsim.linalg.MAX_DIM
+    alone = [exact_outcome_table("deterministic", channel, target) for channel in channels]
+    walks = []
+    start = rspsim.protocols._start
+
+    def counted(chunk):
+        walks.append(len(chunk))
+        return start(chunk)
+
+    monkeypatch.setattr(rspsim.protocols, "_start", counted)
+    tracemalloc.start()
+    try:
+        tables = exact_outcome_tables("deterministic", channels, target)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(walks) == 33 and len(walks) > 1
+    assert max(walks) * d**3 <= rspsim.linalg.MAX_DIM
+    assert peak < held + 2**20 * 16  # 2^20 complex amplitudes beyond the tables themselves
+    for table, want in zip(tables, alone):
+        assert_tables_agree(table, want)

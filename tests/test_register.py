@@ -21,6 +21,7 @@ from rspsim.gates import (
     make_gate,
     pauli_x,
     pauli_z,
+    stacked,
 )
 from rspsim.linalg import dagger
 from rspsim.protocols import ChannelSpec
@@ -457,3 +458,68 @@ def test_derived_register_rejects_non_finite_amplitudes():
         once = KET(0).apply(gate, ["q0"], strict=False)
         with pytest.raises(InvalidState):
             once.apply(gate, ["q0"], strict=False)  # 1e400 overflows to inf
+
+
+# -- batches --------------------------------------------------------------------
+
+
+def random_batch(dims, labels, rng, n):
+    """``n`` random registers over ``dims``, alone and as one batch."""
+    alone = [random_register(dims, labels, rng) for _ in range(n)]
+    return alone, StateRegister(dims, np.concatenate([r.amplitudes for r in alone]), labels, batch=n)
+
+
+def test_a_batch_acts_on_each_element_as_a_lone_register():
+    rng = np.random.default_rng(21)
+    labels = ("A", "B", "C")
+    alone, batch = random_batch((2, 3, 2), labels, rng, 4)
+    per = [make_gate(np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0],
+                     (3,), f"R{k}") for k in range(4)]
+    for gate, targets, each in ((cadd(2), ("C", "A"), [cadd(2)] * 4), (per[1], ("B",), [per[1]] * 4),
+                                (stacked(per), ("B",), per)):
+        got = batch.apply(gate, targets).amplitudes.reshape(4, -1)
+        for k, reg in enumerate(alone):
+            np.testing.assert_allclose(got[k], reg.apply(each[k], targets).amplitudes,
+                                       rtol=0, atol=1e-15, err_msg=gate.name)
+    marg = batch._marginal(("C", "B"))
+    for k, reg in enumerate(alone):
+        np.testing.assert_allclose(marg[k], reg._marginal(("C", "B"))[0], rtol=0, atol=1e-15)
+    # An element without mass on the outcome leaves the collapsed batch.
+    alone[2] = basis_register((2, 3, 2), (1, 0, 1), labels)
+    batch = StateRegister((2, 3, 2), np.concatenate([r.amplitudes for r in alone]), labels, batch=4)
+    p, collapsed = batch.project(["B"], (2,))
+    assert p[2] == 0.0 and collapsed.batch == 3
+    for k, amps in zip((0, 1, 3), collapsed.amplitudes.reshape(3, -1)):
+        q, want = alone[k].project(["B"], (2,))
+        assert abs(p[k] - q) <= 1e-15
+        np.testing.assert_allclose(amps, want.amplitudes, rtol=0, atol=1e-15)
+    with pytest.raises(ShapeError):
+        batch.norm
+
+
+def test_strict_apply_rejects_a_non_unitary_gate_on_a_batch():
+    _, batch = random_batch((2, 3, 2), ("A", "B", "C"), np.random.default_rng(22), 3)
+    bad = make_gate(np.array([[1, 1], [0, 1]]), (2,), "bad")
+    one = make_gate(np.eye(2), (2,), "I")
+    for gate in (bad, stacked([one, bad, one])):
+        with pytest.raises(NonUnitaryGate):
+            batch.apply(gate, ["A"])
+        assert batch.apply(gate, ["A"], strict=False).batch == 3  # audit mode lets it through
+    with pytest.raises(ShapeError):
+        batch.apply(stacked([one, bad]), ["A"], strict=False)
+
+
+def test_a_product_is_rechecked_and_a_gather_is_not():
+    """Products check finiteness and each element's norm; a gather only permutes checked amplitudes."""
+    rng = np.random.default_rng(23)
+    _, batch = random_batch((2, 3, 2), ("A", "B", "C"), rng, 3)
+    spin = make_gate(np.linalg.qr(rng.normal(size=(3, 3)))[0], (3,), "R")
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = make_gate(np.diag([1e200, 1.0]), (2,), "huge")
+        loose = batch.apply(huge, ["A"], strict=False)  # finite, far from norm 1
+        with pytest.raises(InvalidState):
+            loose.apply(huge, ["A"], strict=False)  # 1e400 overflows to inf
+        with pytest.raises(InvalidState):
+            loose.apply(spin, ["B"])
+    moved = loose.apply(cadd(2), ["A", "C"])
+    np.testing.assert_array_equal(np.sort(np.abs(moved.amplitudes)), np.sort(np.abs(loose.amplitudes)))

@@ -116,13 +116,13 @@ def test_trial_uniforms_block_matches_the_whole_run():
 
 def test_sweep_builds_each_distinct_table_once(monkeypatch):
     builds = []
-    original = rspsim.sweep.exact_outcome_table
+    original = rspsim.sweep.exact_outcome_tables
 
-    def counted(protocol, channel, target, mode):
-        builds.append((protocol, channel))
-        return original(protocol, channel, target, mode)
+    def counted(protocol, channels, target, mode):
+        builds.extend((protocol, channel) for channel in channels)
+        return original(protocol, channels, target, mode)
 
-    monkeypatch.setattr(rspsim.sweep, "exact_outcome_table", counted)
+    monkeypatch.setattr(rspsim.sweep, "exact_outcome_tables", counted)
     n = 6
     rows = sweep_rows(["deterministic", "probabilistic", "nguyen"], TARGET,
                       theta_grid(0.1, 0.7, n), trials=200, seed=3)
