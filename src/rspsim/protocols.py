@@ -651,7 +651,9 @@ def _tree(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetS
 
 
 # A batched walk's register holds at most this many amplitudes, a quarter of the
-# cap: an apply holds the register, a transposed copy and the product at once.
+# cap.  An apply on a run of axes in order holds the register and its product
+# only, but one on other targets (the qubit controlled-U on A and C) also holds
+# the transposed result it writes into, so three arrays at once.
 _BATCH_AMPLITUDES = MAX_DIM // 4
 
 

@@ -271,7 +271,13 @@ class StateRegister:
 
         A dense gate is a matrix product over the target subspace; a gate
         whose matrix is stacked (see ``gates.stacked``) applies its k-th
-        matrix to element k.  An index-map gate is one gather of each
+        matrix to element k.  When the targets are a run of adjacent axes in
+        ascending order, the product ``matrix @ amplitudes.reshape(batch,
+        left, dim, right)`` is already in the register's layout and becomes
+        the result as it is, so the apply holds only the register and its
+        product.  Other targets are transposed to the front, multiplied and
+        written back through a transposed view of a fresh result, which holds
+        a third array while it runs.  An index-map gate is one gather of each
         element, through a table built once per (gate, dims, axes); it only
         permutes amplitudes this register already checked, so its result
         skips the finiteness and norm checks that a product gets.  In strict
@@ -299,6 +305,12 @@ class StateRegister:
         if gate.matrix.ndim == 3 and len(gate.matrix) != self.batch:
             raise ShapeError(f"gate {gate.name} stacks {len(gate.matrix)} matrices "
                              f"for a batch of {self.batch}")
+        if axes and axes == list(range(axes[0], axes[0] + len(axes))):
+            # A run of axes in order: the product is already in the register's layout.
+            matrix = gate.matrix if gate.matrix.ndim == 2 else gate.matrix[:, None]
+            left = math.prod(self.dims[:axes[0]])
+            psi = matrix @ self.amplitudes.reshape(self.batch, left, gate.dim, -1)
+            return self._derived(psi.reshape(-1), check_norm=strict)
         rest = [i for i in range(len(self.dims)) if i not in axes]
         perm = [0] + [1 + i for i in axes + rest]
         psi = self.amplitudes.reshape(self._shape).transpose(perm)

@@ -369,6 +369,25 @@ def test_deterministic_table_d48_stays_small():
         assert row.fidelity >= 1.0 - 1e-10
 
 
+def test_a_warm_d32_table_holds_no_whole_register_temporary():
+    """The encoder's product is the next register: a warm d = 32 table peaks under 2.75 registers.
+
+    Copying the product into a separate result peaks at about 3 registers.  Most of the
+    rest above 2 is a gather's copy of its index table.
+    """
+    rng = np.random.default_rng(32)
+    channel, target = random_positive_channel(32, rng), random_target(32, rng)
+    want = exact_outcome_table("deterministic", channel, target)  # warms the gate caches
+    tracemalloc.start()
+    try:
+        table = exact_outcome_table("deterministic", channel, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * 32**3 * 16
+    assert_tables_agree(table, want)
+
+
 def _count_defect_checks(monkeypatch):
     """Count linalg.unitarity_defect calls made through any rspsim module."""
     calls = []

@@ -523,3 +523,51 @@ def test_a_product_is_rechecked_and_a_gather_is_not():
             loose.apply(spin, ["B"])
     moved = loose.apply(cadd(2), ["A", "C"])
     np.testing.assert_array_equal(np.sort(np.abs(moved.amplitudes)), np.sort(np.abs(loose.amplitudes)))
+
+
+# -- dense layouts -------------------------------------------------------------
+
+
+def random_unitary(n, rng):
+    return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+
+def kron_reference(matrix, dims, axes):
+    """The whole-register matrix of ``matrix`` on ``axes``: kron(matrix, 1) over the
+    basis ordered (axes, rest), with rows and columns moved back to the register's order."""
+    rest = [i for i in range(len(dims)) if i not in axes]
+    order = np.arange(int(np.prod(dims))).reshape(dims).transpose(list(axes) + rest).reshape(-1)
+    full = np.kron(matrix, np.eye(int(np.prod([dims[i] for i in rest]))))
+    out = np.empty_like(full)
+    out[np.ix_(order, order)] = full
+    return out
+
+
+LAYOUTS = [
+    ((2, 3, 4), [("A",), ("A", "B"), ("A", "B", "C"), ("B",), ("B", "C"), ("C",),
+                 ("A", "C"), ("B", "A"), ("C", "A")]),
+    ((3, 2, 2, 2), [("A",), ("A", "B"), ("B", "C"), ("B", "C", "D"), ("C", "D"), ("D",),
+                    ("A", "C"), ("B", "D"), ("D", "B"), ("C", "B", "A")]),
+]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("dims, layouts", LAYOUTS)
+def test_a_dense_gate_on_any_layout_equals_its_kronecker_matrix(dims, layouts, n):
+    """Leading, middle and trailing runs, non-adjacent and reversed targets, shared and stacked."""
+    rng = np.random.default_rng(sum(dims) * 10 + n)
+    labels = "ABCD"[: len(dims)]
+    alone, batch = random_batch(dims, labels, rng, n)
+    for targets in layouts:
+        axes = [labels.index(t) for t in targets]
+        sub = tuple(dims[a] for a in axes)
+        per = [make_gate(random_unitary(int(np.prod(sub)), rng), sub, f"U{k}") for k in range(n)]
+        for gate, each in ((per[0], [per[0]] * n), (stacked(per), per)):
+            out = batch.apply(gate, targets)
+            assert not out.amplitudes.flags.writeable
+            assert not np.shares_memory(out.amplitudes, batch.amplitudes)
+            assert not np.shares_memory(out.amplitudes, gate.matrix)
+            for k, (reg, g) in enumerate(zip(alone, each)):
+                want = kron_reference(g.matrix, dims, axes) @ reg.amplitudes
+                np.testing.assert_allclose(out.amplitudes.reshape(n, -1)[k], want, rtol=0,
+                                           atol=1e-15, err_msg=f"{targets} {gate.name}")
