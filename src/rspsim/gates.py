@@ -173,14 +173,13 @@ def cu_concentration(alpha: float, beta: float) -> GateMatrix:
 
     Identity when the control is |0>; when |1>, the target block sends
     |0> -> (a/b)|0> - sqrt(1 - a^2/b^2)|1> and |1> -> (a/b)|1> +
-    sqrt(1 - a^2/b^2)|0>.  Requires 0 < |alpha| <= |beta| + STRUCT_TOL
-    and alpha^2 + beta^2 = 1; a/b is clamped to [-1, 1].
+    sqrt(1 - a^2/b^2)|0>.  Requires 0 <= |alpha| <= |beta| + STRUCT_TOL
+    and alpha^2 + beta^2 = 1; a/b is clamped to [-1, 1].  At alpha = 0 the
+    block is exactly [[0, 1], [-1, 0]].
     """
     alpha, beta = float(alpha), float(beta)
     if abs(alpha**2 + beta**2 - 1.0) > STRUCT_TOL:
         raise InvalidState("cu_concentration needs alpha^2 + beta^2 = 1")
-    if alpha == 0.0:
-        raise InvalidState("cu_concentration needs alpha != 0")
     if abs(alpha) > abs(beta) + STRUCT_TOL:
         raise InvalidState("cu_concentration needs |alpha| <= |beta|")
     r = float(np.clip(alpha / beta, -1.0, 1.0))  # |alpha| may pass |beta| by roundoff

@@ -42,8 +42,9 @@ channel: a measurement node applies the gates before it once, holds
 each element's Born probabilities, and expands each child on its first
 visit for the elements that take it, finishing the new branches that end
 at the receiver as one array block.  :func:`exact_outcome_tables` fully
-expands the trees of a grid of channels, one batch per step list;
-:func:`exact_outcome_table` is its batch of one.  The immutable
+expands the tree of a grid of channels, one batch in chunks under the
+cap; :func:`exact_outcome_table` is its batch of one.  Every tree builds
+the gates of its target once, with its step list.  The immutable
 :class:`Transcript` of a run is one draw from a fresh tree of one
 channel, and the oracle's sampled comparison draws all its trials from
 one tree.  Draws pick a branch by the register's one rule, with one
@@ -307,30 +308,6 @@ def _apply_rows(matrices: np.ndarray, bobs: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kj->ki", matrices, bobs)
 
 
-def _target_gates(target: TargetState, kind: str) -> tuple[GateMatrix, ...]:
-    """The gates built from the target alone: an encoder of ``kind`` "repaired" or
-    "literal", or, for "nguyen", the phase gate and the mu and nu basis^dag rotations.
-    """
-    return _target_gates_by_bytes(np.array(target.amplitudes).tobytes(), kind, target)
-
-
-@functools.lru_cache(maxsize=4)
-def _target_gates_by_bytes(key: bytes, kind: str, target: TargetState) -> tuple[GateMatrix, ...]:
-    """``_target_gates``, memoised for traffic that repeats one target back to back.
-
-    A sweep's grid points and a sampled comparison's runs all reuse one
-    target's gates.  ``key`` is the amplitudes' bytes: TargetState equality
-    treats 0.0 and -0.0 as equal, but np.angle, which the encoder and the
-    canonical form read, does not.
-    """
-    if kind == "repaired":
-        return (encoding_unitary(target.amplitudes),)
-    if kind == "literal":
-        return (encoding_unitary_literal(*target.qubit_params()),)
-    mu, nu, phase = nguyen_bases(*target.qubit_params())
-    return phase, _basis_gates(mu, 2), _basis_gates(nu, 2)
-
-
 def _deterministic_steps(channels: Sequence[ChannelSpec], target: TargetState, mode: str) -> list:
     """The one step list of every channel: it reads the target, never the channel."""
     for channel in channels:
@@ -338,7 +315,7 @@ def _deterministic_steps(channels: Sequence[ChannelSpec], target: TargetState, m
             raise InvalidState(f"channel d={channel.d} does not match target d={target.d}")
     d = target.d
     if mode == "repaired":
-        (enc,) = _target_gates(target, mode)
+        enc = encoding_unitary(target.amplitudes)
         chain = correction_chain(enc)
 
         def fix(a, bobs):
@@ -347,7 +324,7 @@ def _deterministic_steps(channels: Sequence[ChannelSpec], target: TargetState, m
     elif mode == "literal":
         if d != 2:
             raise Unsupported("literal mode is defined only for d = 2")
-        (enc,) = _target_gates(target, mode)
+        enc = encoding_unitary_literal(*target.qubit_params())
         printed = PAULI_TABLE[0]  # I on a = 0, sigma_z on 1
 
         def fix(a, bobs):
@@ -382,7 +359,8 @@ def _nguyen_fixes(channels: Sequence[ChannelSpec]) -> np.ndarray:
 
 def _nguyen_stage(channels: Sequence[ChannelSpec], target: TargetState, labelled: bool) -> list:
     """Measure A in the mu basis, phase C on mu outcome 0, measure C in nu, correct B."""
-    phase, mu_rot, nu_rot = _target_gates(target, "nguyen")
+    mu, nu, phase = nguyen_bases(*target.qubit_params())
+    mu_rot, nu_rot = _basis_gates(mu, 2), _basis_gates(nu, 2)
     fixes = _nguyen_fixes(channels)
 
     def after_mu(out_mu):
@@ -400,25 +378,19 @@ def _nguyen_stage(channels: Sequence[ChannelSpec], target: TargetState, labelled
     return [_Measure(("A",), after_mu, mu_rot, labelled)]
 
 
-def _concentrates(channel: ChannelSpec) -> bool:
-    """Whether the probabilistic step list of ``channel`` holds the controlled-U."""
-    return abs(channel.lambdas[0]) > 0.0  # alpha = 0 always fails; its U ratio is ill-posed
-
-
 def _probabilistic_steps(channels: Sequence[ChannelSpec], target: TargetState) -> list:
-    """Concentrate, then measure C: 1 abandons the run, 0 completes it in unlabelled steps."""
+    """Concentrate, then measure C: 1 abandons the run, 0 completes it in unlabelled steps.
+
+    Every channel has the same list.  At alpha = 0 the controlled-U block is
+    exact, so the run ends at C = 1 with all the mass, as it must.
+    """
     if target.d != 2 or any(c.d != 2 for c in channels):
         raise InvalidState("the probabilistic baseline is defined for d = 2")
     pairs = [(abs(c.lambdas[0]), abs(c.lambdas[1])) for c in channels]
     if any(alpha > beta + STRUCT_TOL for alpha, beta in pairs):
         raise InvalidState("the probabilistic baseline needs |alpha| <= |beta|")
-    concentrate = _concentrates(channels[0])
-    if any(_concentrates(c) != concentrate for c in channels):
-        raise SimulationError("a batch mixes channels with and without the controlled-U")
-    steps = [_Gate(cadd(2), ("A", "C"))]
-    if concentrate:
-        cu = stacked([cu_concentration(alpha, beta) for alpha, beta in pairs])
-        steps += [_Gate(cu, ("A", "C")), _Gate(cadd(2), ("A", "C"))]
+    cu = stacked([cu_concentration(alpha, beta) for alpha, beta in pairs])
+    steps = [_Gate(cadd(2), ("A", "C")), _Gate(cu, ("A", "C")), _Gate(cadd(2), ("A", "C"))]
 
     def after_ancilla(outcome):
         if outcome == (1,):
@@ -643,7 +615,7 @@ def _node(target: np.ndarray, reg: StateRegister, steps: list, path: _Path) -> _
 
 def _tree(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetState,
           mode: str) -> tuple[str | None, tuple[ChannelSpec, ...], _Node]:
-    """Mode, channels and unexpanded branch tree of a batch of channels that share a step list."""
+    """Mode, channels and unexpanded branch tree of a batch of channels."""
     mode, channels, steps = _plan(protocol, channels, target, mode)
     n = len(channels)
     return mode, channels, _node(target.vector(), _start(channels), steps,
@@ -659,7 +631,7 @@ _BATCH_AMPLITUDES = MAX_DIM // 4
 
 def _walk_tables(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetState,
                  mode: str) -> list[OutcomeTable]:
-    """The tables of channels that share a step list, from one fully expanded tree.
+    """The tables of a batch of channels, from one fully expanded tree.
 
     Paths sharing a label fold into one row (summed p, min fidelity).  The
     tree dies on return, so a chunk's registers never outlive its walk.
@@ -685,25 +657,14 @@ def exact_outcome_tables(protocol: str, channels: Sequence[ChannelSpec | None],
                          target: TargetState, mode: str = "repaired") -> list[OutcomeTable]:
     """The exact table of each channel, every branch exactly, from batched walks.
 
-    Channels walk together when they share a step list, so a probabilistic
-    channel with alpha = 0, which skips the controlled-U, walks apart from
-    the rest.  A walk holds at most _BATCH_AMPLITUDES amplitudes (one
+    Every channel of a protocol shares its step list, so the batch walks
+    together.  A walk holds at most _BATCH_AMPLITUDES amplitudes (one
     channel at least), so a longer batch is walked in chunks.
     """
     channels = list(channels)
-    batches: dict[bool, list[int]] = {}
-    for k, channel in enumerate(channels):
-        key = protocol == "probabilistic" and channel is not None and _concentrates(channel)
-        batches.setdefault(key, []).append(k)
     chunk = max(1, _BATCH_AMPLITUDES // target.d**3)
-    tables: list[OutcomeTable | None] = [None] * len(channels)
-    for ks in batches.values():
-        for first in range(0, len(ks), chunk):
-            part = ks[first:first + chunk]
-            for k, table in zip(part, _walk_tables(protocol, [channels[k] for k in part],
-                                                   target, mode)):
-                tables[k] = table
-    return tables
+    return [table for first in range(0, len(channels), chunk)
+            for table in _walk_tables(protocol, channels[first:first + chunk], target, mode)]
 
 
 def exact_outcome_table(protocol: str, channel: ChannelSpec | None, target: TargetState,

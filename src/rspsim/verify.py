@@ -178,8 +178,9 @@ def _check_probabilistic_curve(seed: int) -> CheckResult:
     rng = derive_rng(seed, 202)
     target = _random_target(2, rng)
     thetas = np.linspace(0.0, np.pi / 4.0, 21)
-    tables = exact_outcome_tables("probabilistic", [ChannelSpec.from_theta(t) for t in thetas],
-                                  target)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=thetas.size))  # Schmidt phases
+    channels = [ChannelSpec.of((np.sin(t), np.cos(t) * ph)) for t, ph in zip(thetas, phases)]
+    tables = exact_outcome_tables("probabilistic", channels, target)
     errs = [abs(success_probability(table) - 2.0 * np.sin(theta) ** 2)
             for theta, table in zip(thetas, tables)]
     return _judged("protocols.probabilistic_success_2sin2", [("max|P-2sin^2|", errs, 1e-12)])

@@ -124,9 +124,15 @@ def test_cu_concentration_three_amplitude_structure():
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
+def test_cu_concentration_at_alpha_zero_is_an_exact_swap_block():
+    g = cu_concentration(0.0, 1.0)
+    assert g.name == "CU(0,1)" and g.defect == 0.0
+    want = np.eye(4)
+    want[2:, 2:] = [[0, 1], [-1, 0]]
+    np.testing.assert_array_equal(g.matrix, want)
+
+
 def test_cu_concentration_guards():
-    with pytest.raises(InvalidState):
-        cu_concentration(0.0, 1.0)
     with pytest.raises(InvalidState):
         cu_concentration(0.8, 0.6)
     with pytest.raises(InvalidState):

@@ -273,6 +273,10 @@ def test_probabilistic_alpha_zero_always_fails():
     tr = run_protocol("probabilistic", ChannelSpec.of((0.0, 1.0)), TargetState.of((0.6, 0.8)),
                       rng=derive_rng(0))
     assert not tr.success
+    # The one probabilistic step list: its controlled-U is exact at alpha = 0.
+    assert [s.name for s in tr.steps] == ["CADD2", "CU(0,1)", "CADD2"]
+    assert all(s.targets == ("A", "C") and s.defect == 0.0 for s in tr.steps)
+    assert tr.outcome == (1,) and tr.measurements[0].probability == 1.0
 
 
 def test_probabilistic_rejects_alpha_above_beta():
@@ -570,58 +574,22 @@ def _count_constructions(monkeypatch):
 )
 def test_a_table_validates_one_register_and_builds_each_basis_once(
         monkeypatch, protocol, make_gates):
-    """A table with cold target gates builds ``make_gates`` gates; a warm one builds
-    only the channel's controlled-U, which the probabilistic protocol needs."""
-    warm_gates = {"deterministic": 0, "probabilistic": 1, "nguyen": 0}[protocol]
+    """Every table and every run builds its own ``make_gates`` gates once: the target's
+    gates, and for the probabilistic protocol the channel's controlled-U too."""
     channel, target = ChannelSpec.of((0.5, np.sqrt(0.75))), TargetState.of((0.6, 0.8j))
-    exact_outcome_table(protocol, channel, target)  # fill the gate caches
     registers, gates = _count_constructions(monkeypatch)
-    table = exact_outcome_table(protocol, channel, target)
-    assert registers == [(2, 2, 2)]
-    assert len(gates) == warm_gates, gates
+    for _ in range(2):
+        del registers[:], gates[:]
+        table = exact_outcome_table(protocol, channel, target)
+        assert registers == [(2, 2, 2)]
+        assert len(gates) == make_gates, gates
     assert len(table.rows) > 1 and all(r.fidelity >= 1.0 - 1e-10 for r in table.rows if r.corrected)
-    rspsim.protocols._target_gates_by_bytes.cache_clear()
-    del gates[:]
-    exact_outcome_table(protocol, channel, target)
-    assert len(gates) == make_gates, gates
-    del registers[:]
-    for seed in range(5):
-        run_protocol(protocol, channel, target, rng=derive_rng(seed))
+    del registers[:], gates[:]
+    runs = [run_protocol(protocol, channel, target, rng=derive_rng(seed)) for seed in range(5)]
     assert registers == [(2, 2, 2)] * 5
-
-
-def _unmemoised_target_gates(target, kind):
-    if kind == "repaired":
-        return (rspsim.gates.encoding_unitary(target.amplitudes),)
-    if kind == "literal":
-        return (rspsim.gates.encoding_unitary_literal(*target.qubit_params()),)
-    mu, nu, phase = rspsim.gates.nguyen_bases(*target.qubit_params())
-    return phase, rspsim.register._basis_gates(mu, 2), rspsim.register._basis_gates(nu, 2)
-
-
-@pytest.mark.parametrize("kind", ["repaired", "literal", "nguyen"])
-def test_a_target_gate_memo_hit_returns_the_same_gates(kind):
-    amps = (0.6, 0.48 + 0.64j)
-    first = rspsim.protocols._target_gates(TargetState.of(amps), kind)
-    again = rspsim.protocols._target_gates(TargetState.of(amps), kind)
-    assert len(again) == len(first) and all(g is h for g, h in zip(again, first))
-
-
-@pytest.mark.parametrize("kind", ["repaired", "literal", "nguyen"])
-def test_targets_that_differ_in_the_sign_of_a_zero_get_their_own_gates(kind):
-    """TargetState equality cannot tell these apart; np.angle, and so the encoder, can."""
-    targets = [TargetState.of(v) for v in ((0.6, 0.8), (complex(0.6, -0.0), 0.8),
-                                           (0.6, complex(0.8, -0.0)))]
-    assert targets[0] == targets[1] == targets[2]
-    encoders = {rspsim.gates.encoding_unitary(t.amplitudes).dense.tobytes() for t in targets}
-    assert len(encoders) == 3  # the memo must not hand one target's encoder to another
-    for _ in range(2):  # cold, then warm
-        for target in targets:
-            got = rspsim.protocols._target_gates(target, kind)
-            want = _unmemoised_target_gates(target, kind)
-            assert [g.name for g in got] == [g.name for g in want]
-            assert [g.dense.tobytes() for g in got] == [g.dense.tobytes() for g in want]
-            assert [g.defect for g in got] == [g.defect for g in want]
+    # A probabilistic run that fails at C = 1 never builds the nguyen stage's 3 gates.
+    skipped = sum(3 for tr in runs if protocol == "probabilistic" and tr.outcome == (1,))
+    assert len(gates) == 5 * make_gates - skipped, gates
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -925,7 +893,7 @@ def test_batched_tables_equal_the_tables_of_one_channel():
 
 
 def test_a_mixed_probabilistic_batch_has_no_nan_and_no_massless_row():
-    """alpha = 0 skips the controlled-U and walks apart; at theta = pi/4 failure has no mass."""
+    """alpha = 0 walks with the rest and always fails; at theta = pi/4 failure has no mass."""
     target = TargetState.of((0.6, 0.8j))
     channels = [ChannelSpec.from_theta(t) for t in np.linspace(0.0, np.pi / 4, 5)]
     channels += [ChannelSpec.of((0.0, 1j)), ChannelSpec.of((0.6, 0.8))]
@@ -938,6 +906,28 @@ def test_a_mixed_probabilistic_batch_has_no_nan_and_no_massless_row():
     assert [r.outcome for r in tables[0].rows] == [(1,)]  # theta = 0 always fails
     assert [r.outcome for r in tables[4].rows] == [(0,)]  # theta = pi/4 always completes
     assert [r.outcome for r in tables[5].rows] == [(1,)]
+
+
+def _count_walks(monkeypatch):
+    """The batch size of each walk, one entry per start register."""
+    walks = []
+    start = rspsim.protocols._start
+
+    def counted(chunk):
+        walks.append(len(chunk))
+        return start(chunk)
+
+    monkeypatch.setattr(rspsim.protocols, "_start", counted)
+    return walks
+
+
+def test_a_probabilistic_grid_from_alpha_zero_is_walked_in_one_batch(monkeypatch):
+    """The 21-point theta grid of the paper's curve, theta = 0 included, is one walk."""
+    channels = [ChannelSpec.from_theta(t) for t in np.linspace(0.0, np.pi / 4, 21)]
+    walks = _count_walks(monkeypatch)
+    tables = exact_outcome_tables("probabilistic", channels, TargetState.of((0.6, 0.8j)))
+    assert walks == [21]
+    assert [r.outcome for r in tables[0].rows] == [(1,)]
 
 
 def test_a_batch_with_duplicate_channels_gives_each_its_table():
@@ -957,14 +947,7 @@ def test_a_batch_over_the_cap_is_walked_in_chunks(monkeypatch):
     channels = [random_positive_channel(d, rng) for _ in range(33)]
     assert len(channels) * d**3 > rspsim.linalg.MAX_DIM
     alone = [exact_outcome_table("deterministic", channel, target) for channel in channels]
-    walks = []
-    start = rspsim.protocols._start
-
-    def counted(chunk):
-        walks.append(len(chunk))
-        return start(chunk)
-
-    monkeypatch.setattr(rspsim.protocols, "_start", counted)
+    walks = _count_walks(monkeypatch)
     tracemalloc.start()
     try:
         tables = exact_outcome_tables("deterministic", channels, target)

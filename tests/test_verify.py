@@ -1,6 +1,11 @@
-import numpy as np
+import hashlib
 
+import numpy as np
+import pytest
+
+import rspsim.protocols
 import rspsim.verify
+from rspsim.cli import main
 from rspsim.protocols import TargetState
 from rspsim.verify import _judged, format_report, run_suite
 
@@ -39,3 +44,23 @@ def test_one_ulp_on_every_random_target_leaves_the_report_unchanged(monkeypatch)
 
     monkeypatch.setattr(rspsim.verify, "_random_target", nudged)
     assert format_report(run_suite("gates", 0) + run_suite("protocols", 0)) == before
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+def test_the_probabilistic_curve_sees_a_dropped_phase_diagonal(monkeypatch, seed):
+    """The curve's channels carry Schmidt phases, so B's phase diagonal is not the identity."""
+    def bare(channels):
+        return np.broadcast_to(rspsim.protocols.PAULI_TABLE, (len(channels), 2, 2, 2, 2))
+
+    monkeypatch.setattr(rspsim.protocols, "_nguyen_fixes", bare)
+    failed = [r.name for r in run_suite("protocols", seed) if not r.passed]
+    assert failed == ["protocols.probabilistic_success_2sin2"]
+
+
+def test_the_verify_all_report_is_pinned(capsys):
+    """Every verdict and every printed figure of ``verify all --seed 0``, byte for byte."""
+    assert main(["verify", "all", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("16/16 checks passed\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d4840e226199694705beeb694472ef34d792aaf9a75652a2bb34e944f4381dce")
