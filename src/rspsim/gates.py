@@ -39,7 +39,7 @@ class GateMatrix:
     ``dims`` holds the per-subsystem dimensions in application order;
     ``defect`` caches the unitarity defect measured at construction.  A
     dense gate stores ``dense``; an index-map gate, a permutation, stores
-    its gather indices ``src``; a stacked dense gate (:func:`stacked`)
+    its gather indices ``src``; a stacked dense gate (see :func:`make_gate`)
     holds one matrix per batch element, shape (n, dim, dim).  Gates compare
     and hash by identity, so a gate can key a cache.
     """
@@ -79,29 +79,19 @@ class GateMatrix:
 
 
 def make_gate(matrix: np.ndarray, dims: Sequence[int], name: str) -> GateMatrix:
-    """Freeze a matrix into a dense GateMatrix, recording its unitarity defect."""
-    m = np.asarray(matrix, dtype=complex)
+    """Freeze a matrix, or a stack of them, into a dense GateMatrix with its unitarity defect.
+
+    A stack, shape (n, dim, dim), is one gate per batch element: element k of
+    a batched register gets matrix k.  Its defect is one norm over the whole
+    stack (see ``unitarity_defect``), so it bounds every matrix's defect.
+    """
+    m = np.array(matrix, dtype=complex)
     dims = tuple(int(d) for d in dims)
     expected = int(np.prod(dims))
-    if m.shape != (expected, expected):
+    if m.ndim not in (2, 3) or m.shape[-2:] != (expected, expected):
         raise InvalidState(f"gate {name}: matrix shape {m.shape} != product of dims {dims}")
-    m = m.copy()
     m.flags.writeable = False
     return GateMatrix(dims=dims, name=name, defect=unitarity_defect(m), dense=m)
-
-
-def stacked(gates: Sequence[GateMatrix]) -> GateMatrix:
-    """One dense gate per batch element as one gate: element k of a batched register gets
-    ``gates[k]``.  Its defect is the largest of theirs; one gate stacks to itself.
-    """
-    if len(gates) == 1:
-        return gates[0]
-    if len({g.dims for g in gates}) != 1 or any(g.dense is None for g in gates):
-        raise InvalidState("stacked gates must be dense and share their dims")
-    m = np.stack([g.dense for g in gates])
-    m.flags.writeable = False
-    return GateMatrix(dims=gates[0].dims, name="|".join(dict.fromkeys(g.name for g in gates)),
-                      defect=max(g.defect for g in gates), dense=m)
 
 
 def index_gate(src: Sequence[int] | np.ndarray, dims: Sequence[int], name: str) -> GateMatrix:
@@ -168,26 +158,33 @@ def csub(d: int) -> GateMatrix:
     return controlled_shift(d, tuple((-i) % d for i in range(d)), name=f"CSUB{d}")
 
 
-def cu_concentration(alpha: float, beta: float) -> GateMatrix:
+def cu_concentration(alpha: float | np.ndarray, beta: float | np.ndarray) -> GateMatrix:
     """Controlled-U that concentrates a partial qubit channel.
 
     Identity when the control is |0>; when |1>, the target block sends
     |0> -> (a/b)|0> - sqrt(1 - a^2/b^2)|1> and |1> -> (a/b)|1> +
     sqrt(1 - a^2/b^2)|0>.  Requires 0 <= |alpha| <= |beta| + STRUCT_TOL
     and alpha^2 + beta^2 = 1; a/b is clamped to [-1, 1].  At alpha = 0 the
-    block is exactly [[0, 1], [-1, 0]].
+    block is exactly [[0, 1], [-1, 0]].  Arrays of n > 1 pairs give one
+    stacked gate, matrix k for pair k; one pair gives a plain 4x4 gate.
     """
-    alpha, beta = float(alpha), float(beta)
-    if abs(alpha**2 + beta**2 - 1.0) > STRUCT_TOL:
+    pairs = list(zip(np.asarray(alpha, dtype=float).reshape(-1).tolist(),
+                     np.asarray(beta, dtype=float).reshape(-1).tolist(), strict=True))
+    if not pairs:
+        raise InvalidState("cu_concentration needs at least one (alpha, beta) pair")
+    if any(abs(a * a + b * b - 1.0) > STRUCT_TOL for a, b in pairs):
         raise InvalidState("cu_concentration needs alpha^2 + beta^2 = 1")
-    if abs(alpha) > abs(beta) + STRUCT_TOL:
+    if any(abs(a) > abs(b) + STRUCT_TOL for a, b in pairs):
         raise InvalidState("cu_concentration needs |alpha| <= |beta|")
-    r = float(np.clip(alpha / beta, -1.0, 1.0))  # |alpha| may pass |beta| by roundoff
-    t = np.sqrt(max(0.0, 1.0 - r * r))
-    block = np.array([[r, t], [-t, r]], dtype=complex)
-    m = np.eye(4, dtype=complex)
-    m[2:, 2:] = block
-    return make_gate(m, (2, 2), f"CU({alpha:.6g},{beta:.6g})")
+    r = [min(max(a / b, -1.0), 1.0) for a, b in pairs]  # |alpha| may pass |beta| by roundoff
+    t = [math.sqrt(max(0.0, 1.0 - x * x)) for x in r]
+    m = np.zeros((len(r), 4, 4))  # real: make_gate's one copy makes it complex
+    m[:, 0, 0] = m[:, 1, 1] = 1.0
+    m[:, 2, 2] = m[:, 3, 3] = r
+    m[:, 2, 3] = t
+    m[:, 3, 2] = [-x for x in t]
+    name = "|".join(dict.fromkeys(f"CU({a:.6g},{b:.6g})" for a, b in pairs))
+    return make_gate(m[0] if len(r) == 1 else m, (2, 2), name)
 
 
 def encoding_unitary_literal(x0: float, x1mag: float, theta: float) -> GateMatrix:

@@ -24,7 +24,7 @@ def as_cvec(entries: Sequence[complex] | np.ndarray) -> np.ndarray:
     v = np.asarray(entries, dtype=complex).reshape(-1)
     if v.size < 1:
         raise ShapeError("vector must have at least one entry")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidState("vector entries must be finite")
     return v
 
@@ -34,7 +34,7 @@ def as_cmat(entries: Sequence[Sequence[complex]] | np.ndarray) -> np.ndarray:
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidState("matrix entries must be finite")
     return m
 
@@ -45,9 +45,18 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    """Frobenius norm of m^dag m - I; zero iff m is unitary."""
-    m = as_cmat(m)
-    return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
+    """Frobenius norm of m^dag m - I; zero iff m is unitary.
+
+    A stack of square matrices, shape (n, e, e), gets one norm over all n
+    products M_k^dag M_k - I, so it bounds the defect of every matrix in it.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim == 3 and m.shape[1] == m.shape[2]:
+        if not np.isfinite(m).all():
+            raise InvalidState("matrix entries must be finite")
+    else:
+        m = as_cmat(m)
+    return float(np.linalg.norm(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])))
 
 
 def complete_to_unitary(col0: Sequence[complex] | np.ndarray) -> np.ndarray:

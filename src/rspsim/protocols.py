@@ -78,7 +78,6 @@ from .gates import (
     encoding_unitary,
     encoding_unitary_literal,
     nguyen_bases,
-    stacked,
 )
 from .linalg import MAX_DIM, STRUCT_TOL, as_cvec
 from .register import (
@@ -381,15 +380,16 @@ def _nguyen_stage(channels: Sequence[ChannelSpec], target: TargetState, labelled
 def _probabilistic_steps(channels: Sequence[ChannelSpec], target: TargetState) -> list:
     """Concentrate, then measure C: 1 abandons the run, 0 completes it in unlabelled steps.
 
-    Every channel has the same list.  At alpha = 0 the controlled-U block is
-    exact, so the run ends at C = 1 with all the mass, as it must.
+    Every channel has the same list, and one ``cu_concentration`` call builds
+    the controlled-U of the whole batch.  At alpha = 0 its block is exact,
+    so the run ends at C = 1 with all the mass, as it must.
     """
     if target.d != 2 or any(c.d != 2 for c in channels):
         raise InvalidState("the probabilistic baseline is defined for d = 2")
     pairs = [(abs(c.lambdas[0]), abs(c.lambdas[1])) for c in channels]
     if any(alpha > beta + STRUCT_TOL for alpha, beta in pairs):
         raise InvalidState("the probabilistic baseline needs |alpha| <= |beta|")
-    cu = stacked([cu_concentration(alpha, beta) for alpha, beta in pairs])
+    cu = cu_concentration(*np.array(pairs).T)
     steps = [_Gate(cadd(2), ("A", "C")), _Gate(cu, ("A", "C")), _Gate(cadd(2), ("A", "C"))]
 
     def after_ancilla(outcome):

@@ -270,7 +270,7 @@ class StateRegister:
         """Apply ``gate`` to the named subsystems of every element, identity elsewhere.
 
         A dense gate is a matrix product over the target subspace; a gate
-        whose matrix is stacked (see ``gates.stacked``) applies its k-th
+        whose matrix is stacked (see ``gates.make_gate``) applies its k-th
         matrix to element k.  When the targets are a run of adjacent axes in
         ascending order, the product ``matrix @ amplitudes.reshape(batch,
         left, dim, right)`` is already in the register's layout and becomes

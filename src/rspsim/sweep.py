@@ -5,11 +5,14 @@ beta = cos(theta).  The branch outcomes and per-branch fidelities of each
 distinct (protocol, channel) are enumerated exactly once per sweep, the
 tables of a protocol's whole grid in one batched call; each
 trial then draws its branch from that exact distribution with a uniform
-derived by hashing (seed, point, trial), in blocks of a fixed size.  A
-block is scored by how many of its uniforms fall to each branch, counted
-against the CDF ``register._cdf`` builds; that is the CDF ``register._pick``
-searches, the one rule that also picks every measurement outcome of a
-run, so each trial lands on the branch a run's draw would pick.  All
+derived by hashing (seed, point, trial), in blocks of a fixed size.  Each
+point's hash base is computed once in Python integers; only the trial
+words are hashed as arrays.  A block is scored by how many of its
+uniforms fall to each branch, counted against the CDF ``register._cdf``
+builds; that is the CDF ``register._pick`` searches, the one rule that
+also picks every measurement outcome of a run, so each trial lands on the
+branch a run's draw would pick.  The CDF's last entry is exactly 1, above
+every uniform, so it is counted as the whole block without a pass.  All
 of a protocol's randomness lives in its measurements, so this is
 distribution-identical to re-running the full evolution per trial while
 staying schedule-independent and byte-reproducible.  The
@@ -64,15 +67,31 @@ class SweepRow:
     seed: int
 
 
+# splitmix64: the increment and the two multipliers of its finalizer.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+
+
 def _mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer; uint64 arithmetic wraps mod 2^64 by design."""
     x = x.astype(np.uint64)
     x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x *= np.uint64(_MIX1)
     x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
+    x *= np.uint64(_MIX2)
     x ^= x >> np.uint64(31)
     return x
+
+
+def _mix64_int(x: int) -> int:
+    """The same finalizer on one Python integer, masked to 64 bits at every product."""
+    x &= _MASK64
+    x ^= x >> 30
+    x = (x * _MIX1) & _MASK64
+    x ^= x >> 27
+    x = (x * _MIX2) & _MASK64
+    return x ^ (x >> 31)
 
 
 def trial_uniforms(seed: int, point_index: int, trials: int, first: int = 0) -> np.ndarray:
@@ -80,13 +99,12 @@ def trial_uniforms(seed: int, point_index: int, trials: int, first: int = 0) -> 
 
     Covers trials ``first`` .. ``first + trials - 1`` of the point, so a run
     cut into blocks draws the same uniforms as one call over all of them.
+    The point's base is hashed in Python integers; only the trial words are
+    arrays.
     """
-    golden = np.uint64(0x9E3779B97F4A7C15)
-    seed_arr = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    point_arr = np.array([(int(point_index) + 1) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    base = _mix64(_mix64(seed_arr) + golden * point_arr)
+    base = _mix64_int(_mix64_int(int(seed)) + _GOLDEN * (int(point_index) + 1))
     idx = np.arange(first + 1, first + trials + 1, dtype=np.uint64)
-    words = _mix64(base + golden * idx)
+    words = _mix64(np.uint64(base) + np.uint64(_GOLDEN) * idx)
     return (words >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
@@ -96,9 +114,12 @@ def _counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     Equals ``np.bincount(_draw(p, u), minlength=len(p))`` for ``cdf = _cdf(p)``:
     ``_draw`` picks an index <= i exactly when u < cdf[i], so counting the
     uniforms below each entry and differencing gives every outcome's count
-    without an index per trial.
+    without an index per trial.  The last entry is exactly 1, above every
+    uniform, so its count is ``u.size`` without a pass.
     """
-    return np.diff([np.count_nonzero(u < c) for c in cdf], prepend=0)
+    below = [np.count_nonzero(u < c) for c in cdf[:-1].tolist()]
+    below.append(u.size)
+    return np.array([n - m for m, n in zip([0, *below], below)])
 
 
 def theta_grid(theta_min: float, theta_max: float, points: int) -> np.ndarray:

@@ -139,6 +139,36 @@ def test_cu_concentration_guards():
         cu_concentration(0.5, 0.5)
 
 
+def test_an_array_cu_concentration_stacks_the_scalar_builds():
+    rng = np.random.default_rng(20)
+    alphas = np.concatenate([[0.0, 1 / np.sqrt(2)], rng.uniform(0.0, 1 / np.sqrt(2), size=58)])
+    betas = np.sqrt(1.0 - alphas * alphas)
+    each = [cu_concentration(a, b) for a, b in zip(alphas, betas)]
+    g = cu_concentration(alphas, betas)
+    assert g.dims == (2, 2) and g.matrix.shape == (60, 4, 4) and not g.matrix.flags.writeable
+    assert g.matrix.tobytes() == np.stack([e.matrix for e in each]).tobytes()
+    assert g.name == "|".join(dict.fromkeys(e.name for e in each))
+    assert g.defect >= max(e.defect for e in each) and g.defect <= 1e-10
+    for a, b, e in zip(alphas[:5], betas[:5], each):
+        one = cu_concentration(np.array([a]), np.array([b]))
+        assert one.matrix.shape == (4, 4) and one.matrix.tobytes() == e.matrix.tobytes()
+        assert (one.name, one.defect) == (e.name, e.defect)
+        assert unitarity_defect(e.matrix[None]) == e.defect  # a stack of one: the same norm
+
+
+@pytest.mark.parametrize("bad", [(0.8, 0.6), (0.5, 0.5)])
+def test_one_bad_pair_fails_an_array_cu_concentration(bad):
+    with pytest.raises(InvalidState) as alone:
+        cu_concentration(*bad)
+    for k in (0, 4, 9):
+        alphas = np.full(10, 0.6)
+        betas = np.full(10, 0.8)
+        alphas[k], betas[k] = bad
+        with pytest.raises(InvalidState) as batch:
+            cu_concentration(alphas, betas)
+        assert str(batch.value) == str(alone.value)
+
+
 def test_encoding_literal_real_rotation():
     g = encoding_unitary_literal(0.6, 0.8, 0.0)
     np.testing.assert_allclose(g.matrix, [[0.6, -0.8], [0.8, 0.6]], atol=1e-15)

@@ -21,7 +21,6 @@ from rspsim.gates import (
     make_gate,
     pauli_x,
     pauli_z,
-    stacked,
 )
 from rspsim.linalg import dagger
 from rspsim.protocols import ChannelSpec
@@ -475,8 +474,9 @@ def test_a_batch_acts_on_each_element_as_a_lone_register():
     alone, batch = random_batch((2, 3, 2), labels, rng, 4)
     per = [make_gate(np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0],
                      (3,), f"R{k}") for k in range(4)]
+    stack = make_gate(np.stack([g.matrix for g in per]), (3,), "R0|R1|R2|R3")
     for gate, targets, each in ((cadd(2), ("C", "A"), [cadd(2)] * 4), (per[1], ("B",), [per[1]] * 4),
-                                (stacked(per), ("B",), per)):
+                                (stack, ("B",), per)):
         got = batch.apply(gate, targets).amplitudes.reshape(4, -1)
         for k, reg in enumerate(alone):
             np.testing.assert_allclose(got[k], reg.apply(each[k], targets).amplitudes,
@@ -501,12 +501,13 @@ def test_strict_apply_rejects_a_non_unitary_gate_on_a_batch():
     _, batch = random_batch((2, 3, 2), ("A", "B", "C"), np.random.default_rng(22), 3)
     bad = make_gate(np.array([[1, 1], [0, 1]]), (2,), "bad")
     one = make_gate(np.eye(2), (2,), "I")
-    for gate in (bad, stacked([one, bad, one])):
+    for gate in (bad, make_gate(np.stack([one.matrix, bad.matrix, one.matrix]), (2,), "I|bad")):
         with pytest.raises(NonUnitaryGate):
             batch.apply(gate, ["A"])
         assert batch.apply(gate, ["A"], strict=False).batch == 3  # audit mode lets it through
     with pytest.raises(ShapeError):
-        batch.apply(stacked([one, bad]), ["A"], strict=False)
+        batch.apply(make_gate(np.stack([one.matrix, bad.matrix]), (2,), "I|bad"), ["A"],
+                    strict=False)
 
 
 def test_a_product_is_rechecked_and_a_gather_is_not():
@@ -562,7 +563,8 @@ def test_a_dense_gate_on_any_layout_equals_its_kronecker_matrix(dims, layouts, n
         axes = [labels.index(t) for t in targets]
         sub = tuple(dims[a] for a in axes)
         per = [make_gate(random_unitary(int(np.prod(sub)), rng), sub, f"U{k}") for k in range(n)]
-        for gate, each in ((per[0], [per[0]] * n), (stacked(per), per)):
+        stack = make_gate(np.stack([g.matrix for g in per]), sub, "|".join(g.name for g in per))
+        for gate, each in ((per[0], [per[0]] * n), (stack, per)):
             out = batch.apply(gate, targets)
             assert not out.amplitudes.flags.writeable
             assert not np.shares_memory(out.amplitudes, batch.amplitudes)

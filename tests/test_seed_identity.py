@@ -17,6 +17,7 @@ import pytest
 from rspsim.cli import main
 from rspsim.protocols import ChannelSpec, TargetState, run_protocol
 from rspsim.register import derive_rng
+from rspsim.sweep import rows_to_csv, sweep_rows, theta_grid
 
 SEEDS = range(12)
 
@@ -136,3 +137,14 @@ def test_readme_sweeps_write_the_pinned_csv_bytes(argv, digest, tmp_path, capsys
     out = tmp_path / "sweep.csv"
     assert main(["sweep", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of a three-protocol sweep's CSV: nguyen rows, a grid from theta = 0 (massless
+# branches), 70 000 trials (two blocks of trials) and a negative seed.
+PINNED_THREE_PROTOCOL_DIGEST = "2f539302a3e0a7958e6fede42ea931dee42c191efdc9c97f44b11358ad9b1912"
+
+
+def test_a_three_protocol_sweep_writes_the_pinned_csv_bytes():
+    rows = sweep_rows(["deterministic", "probabilistic", "nguyen"], TargetState.of((0.6, 0.8j)),
+                      theta_grid(0.0, np.pi / 4, 5), 70_000, -20)
+    assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == PINNED_THREE_PROTOCOL_DIGEST

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -176,3 +177,62 @@ def test_counting_trials_against_the_cdf_equals_the_bincount_of_draw():
         expected = np.bincount(_draw(p, u), minlength=n)
         np.testing.assert_array_equal(rspsim.sweep._counts(cdf, u), expected)
     assert degenerate > 100
+
+
+def _uint64_base_uniforms(seed, point_index, trials, first=0):
+    """The per-point base hashed as a one-element uint64 array: the reference for the integer base."""
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    seed_arr = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    point_arr = np.array([(int(point_index) + 1) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    base = rspsim.sweep._mix64(rspsim.sweep._mix64(seed_arr) + golden * point_arr)
+    idx = np.arange(first + 1, first + trials + 1, dtype=np.uint64)
+    words = rspsim.sweep._mix64(base + golden * idx)
+    return (words >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
+# (seed, point, trials, first) and the float.hex of each uniform, recorded from the
+# uint64-array base: a negative seed, a seed past 2^64, a point past 2^32, and a run
+# of trials across the first _TRIAL_BLOCK boundary.
+PINNED_UNIFORMS = {
+    (-1, 0, 3, 0): ["0x1.2d1a3d8043fedp-1", "0x1.e4eaab419ddcdp-1", "0x1.3a07b36e7e6a1p-1"],
+    (2**64 + 5, 4, 3, 0): ["0x1.3f738c4d95394p-3", "0x1.5c758bfe7bf60p-3", "0x1.eb19766b18458p-4"],
+    (9, 2**32 + 7, 3, 0): ["0x1.72f3960419ad8p-2", "0x1.5c0ac03ddf004p-3", "0x1.ce6ec48802f9dp-1"],
+    (2001, 5, 12, 65_530): [
+        "0x1.88a868bd8ba1bp-1", "0x1.641ec08e979f4p-1", "0x1.4089151c6ec70p-3",
+        "0x1.65f5da0abbb0cp-1", "0x1.d03eb4ee067a2p-1", "0x1.41f0fa760fcf3p-1",
+        "0x1.c7eb83175eb2ap-2", "0x1.8d515f8829dd1p-1", "0x1.83b89fa901575p-1",
+        "0x1.827b7d40c3f60p-4", "0x1.2199a1c80f7a0p-4", "0x1.788ac2eb67e99p-1",
+    ],
+}
+
+
+@pytest.mark.parametrize("args", PINNED_UNIFORMS, ids=["seed-1", "seed2^64+5", "point2^32+7",
+                                                      "across-a-block"])
+def test_trial_uniforms_keep_the_pinned_values(args):
+    _seed, _point, trials, first = args
+    if first:
+        assert first < rspsim.sweep._TRIAL_BLOCK < first + trials
+    assert [float(x).hex() for x in trial_uniforms(*args)] == PINNED_UNIFORMS[args]
+
+
+def test_the_integer_base_equals_the_uint64_array_base():
+    rng = random.Random(20)
+    for _ in range(500):
+        seed = rng.choice([rng.randint(-2**70, 2**70), rng.randint(-9, 9)])
+        point = rng.choice([rng.randint(0, 40), rng.randint(-3, 2**66)])
+        first, trials = rng.randint(0, 2**20), rng.randint(1, 40)
+        got = trial_uniforms(seed, point, trials, first)
+        assert got.tobytes() == _uint64_base_uniforms(seed, point, trials, first).tobytes()
+
+
+@pytest.mark.parametrize("p, u, massless_tail", [
+    ([0.25, 0.5, 0.25], [1.0 - 2.0**-53, 0.0, 0.75, 0.2], False),  # the largest uniform
+    ([0.5, 0.5, 0.0, 0.0], [1.0 - 2.0**-53, 0.5, 0.49, 0.0], True),
+    ([1.0], [1.0 - 2.0**-53, 0.0, 0.5], False),
+], ids=["largest-uniform", "massless-tail", "one-entry"])
+def test_counting_at_the_cdf_edges_equals_the_bincount_of_draw(p, u, massless_tail):
+    """The last CDF entry is exactly 1 and counted as every uniform, even where cdf[-2] is 1 too."""
+    cdf, u = _cdf(p), np.array(u)
+    assert cdf[-1] == 1.0 and (len(cdf) > 1 and cdf[-2] == 1.0) == massless_tail
+    np.testing.assert_array_equal(rspsim.sweep._counts(cdf, u),
+                                  np.bincount(_draw(p, u), minlength=len(p)))
