@@ -236,12 +236,11 @@ def _naive_probabilistic(channel: ChannelSpec, target: TargetState):
         _e(2, 1), _e(2, 1), _e(2, 0)
     )
     psi = cnot @ psi
-    if alpha > 0.0:
-        r = alpha / beta
-        tt = np.sqrt(max(0.0, 1.0 - r * r))
-        block = np.array([[r, tt], [-tt, r]], dtype=complex)
-        cu = _kron3(_proj(2, 0), eye, eye) + _kron3(_proj(2, 1), eye, block)
-        psi = cnot @ cu @ psi
+    r = alpha / beta  # 0 at alpha = 0, where beta = 1
+    tt = np.sqrt(max(0.0, 1.0 - r * r))
+    block = np.array([[r, tt], [-tt, r]], dtype=complex)
+    cu = _kron3(_proj(2, 0), eye, eye) + _kron3(_proj(2, 1), eye, block)
+    psi = cnot @ cu @ psi
     results = []
     for c_out in range(2):
         p_mat = _kron3(eye, eye, _proj(2, c_out))

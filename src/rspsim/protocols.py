@@ -35,8 +35,8 @@ Encoding modes for the deterministic protocol:
   flagged in the transcript, the pre-measurement norm is recorded, and
   the receiver applies identity or sigma_z exactly as prescribed.
 
-Each protocol is written once, as a step list over the subsystems A, B
-and C.  A branch tree is grown from it lazily for a batch of channels
+Each protocol is written once, as a step list over the register of
+``_LAYOUT``.  A branch tree is grown from it lazily for a batch of channels
 that share the step list and a target, one register element per
 channel: a measurement node applies the gates before it once, holds
 each element's Born probabilities, and expands each child on its first
@@ -273,13 +273,27 @@ def success_probability(table: OutcomeTable) -> float:
 # that follow, or a receive leaf; unless ``labelled``, its outcome stays out
 # of the table's row label.  A measurement in a basis rotates its one target
 # by basis^dag, and that subsystem stays in the measured frame: outcome k is
-# |k> there, so no later gate may act on it.  A leaf holds the indices of A
-# and C that B's state is conditioned on.  The measurement corrects the B
-# states of all its leaves as one block with
+# |k> there, so no later gate may act on it.  A leaf is the index tuple, one
+# per subsystem but the receiver's, that B's state is conditioned on
+# (_Layout.leaf).  The measurement corrects the B states of all its leaves
+# as one block with
 # ``correct(outcomes, channels, bobs) -> (descriptions, corrected rows)``,
 # given per row the picked outcomes as an int array of shape
 # (k, len(targets)), the index of its channel in the batch, and B's state,
 # as rows of shape (k, d).  None declares those branches failed.
+
+
+class _Layout(NamedTuple):
+    labels: tuple[str, ...]  # in axis order; every subsystem has dimension d
+    channel: tuple[str, str]  # the pair that starts in the channel
+    receiver: str
+
+    def leaf(self, **indices: int) -> tuple[int, ...]:
+        """A receive leaf: the index of each subsystem but the receiver's, in axis order."""
+        return tuple([indices[label] for label in self.labels if label != self.receiver])
+
+
+_LAYOUT = _Layout(("A", "B", "C"), ("A", "B"), "B")  # of every step list; A, C: the sender's
 
 
 class _Gate(NamedTuple):
@@ -290,16 +304,10 @@ class _Gate(NamedTuple):
 
 class _Measure(NamedTuple):
     targets: tuple[str, ...]  # a single target when measured in a basis
-    then: Callable[[tuple[int, ...]], list | _Receive]
+    then: Callable[[tuple[int, ...]], list | tuple[int, ...]]  # steps, or a leaf
     basis: GateMatrix | None = None  # basis^dag, see _basis_gates
     labelled: bool = True
-    correct: Callable[[np.ndarray, np.ndarray, np.ndarray],
-                      tuple[list[str], np.ndarray]] | None = None
-
-
-class _Receive(NamedTuple):
-    a: int
-    c: int
+    correct: Callable[..., tuple[list[str], np.ndarray]] | None = None  # see above
 
 
 def _apply_rows(matrices: np.ndarray, bobs: np.ndarray) -> np.ndarray:
@@ -341,7 +349,7 @@ def _deterministic_steps(channels: Sequence[ChannelSpec], target: TargetState, m
 
     return [_Gate(cadd(d), ("A", "C")), _Gate(enc, ("A",), strict=mode == "repaired"),
             _Gate(csub(d), ("A", "B")), _Gate(cadd(d), ("B", "A")),
-            _Measure(("A", "C"), lambda outcome: _Receive(*outcome), correct=correct)]
+            _Measure(("A", "C"), lambda ac: _LAYOUT.leaf(A=ac[0], C=ac[1]), correct=correct)]
 
 
 def _nguyen_fixes(channels: Sequence[ChannelSpec]) -> np.ndarray:
@@ -370,8 +378,8 @@ def _nguyen_stage(channels: Sequence[ChannelSpec], target: TargetState, labelled
             return ([f"{PAULI_NAMES[i][n]} (mu={i}, nu={n}) after channel-phase diagonal"
                      for n in j.tolist()], _apply_rows(fixes[channels, i, j], bobs))
 
-        measure_nu = _Measure(("C",), lambda out_nu: _Receive(i, out_nu[0]), nu_rot, labelled,
-                              correct)
+        measure_nu = _Measure(("C",), lambda out_nu: _LAYOUT.leaf(A=i, C=out_nu[0]), nu_rot,
+                              labelled, correct)
         return [_Gate(phase, ("C",)), measure_nu] if i == 0 else [measure_nu]
 
     return [_Measure(("A",), after_mu, mu_rot, labelled)]
@@ -393,8 +401,8 @@ def _probabilistic_steps(channels: Sequence[ChannelSpec], target: TargetState) -
     steps = [_Gate(cadd(2), ("A", "C")), _Gate(cu, ("A", "C")), _Gate(cadd(2), ("A", "C"))]
 
     def after_ancilla(outcome):
-        if outcome == (1,):
-            return _Receive(1, 1)
+        if outcome == (1,):  # A is never measured, but this branch is |1, 1, 1>
+            return _LAYOUT.leaf(A=1, C=1)
         return [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(channels, target, labelled=False)]
 
     return steps + [_Measure(("C",), after_ancilla)]
@@ -415,7 +423,7 @@ def _plan(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetS
         raise InvalidState(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     elif None in channels:
         raise InvalidState(f"the {protocol} protocol needs a channel")
-    size = len(channels) * channels[0].d**3
+    size = len(channels) * channels[0].d ** len(_LAYOUT.labels)
     if size > MAX_DIM:
         raise CapacityExceeded(f"register dimension {size} exceeds cap {MAX_DIM}")
     if protocol == "nguyen":
@@ -428,13 +436,12 @@ def _plan(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetS
 
 
 def _start(channels: Sequence[ChannelSpec]) -> StateRegister:
-    """One element per channel: the channel on A and B, ancilla C in |0>, so lambda_m
-    at |m, m, 0>.  _plan checked the cap.
-    """
-    d = channels[0].d
-    amps = np.zeros((len(channels), d**3), dtype=complex)
-    amps[:, :: d * d + d] = [channel.lambdas for channel in channels]
-    return StateRegister((d, d, d), amps, ("A", "B", "C"), batch=len(channels))
+    """Per channel, lambda_m at |m, m> on the channel pair, |0> elsewhere; cap checked by _plan."""
+    d, labels = channels[0].d, _LAYOUT.labels
+    step = sum(d ** (len(labels) - 1 - labels.index(label)) for label in _LAYOUT.channel)
+    amps = np.zeros((len(channels), d ** len(labels)), dtype=complex)
+    amps[:, : d * step : step] = [channel.lambdas for channel in channels]
+    return StateRegister((d,) * len(labels), amps, labels, batch=len(channels))
 
 
 # ---------------------------------------------------------------------------
@@ -462,21 +469,22 @@ class _Path(NamedTuple):
     corrected: bool = False
 
 
-def _received(reg: StateRegister, rows: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """B's unnormalized state in element ``rows[k]`` given A = a[k] and C = c[k]: one gather.
+def _received(reg: StateRegister, rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Unnormalized received state of element ``rows[k]`` at leaf ``others[:, k]``: one gather.
 
     Taken from the measured register, never a collapsed copy.  A subsystem
     measured in a basis stays in that basis, so index i of A reads basis
     column mu_i: <i|<j| (mu^dag x nu^dag) psi = <mu_i|<nu_j| psi.
     """
     psi = reg.amplitudes.reshape((reg.batch,) + reg.dims)
-    return psi.transpose(0, 1 + reg.axis("A"), 1 + reg.axis("C"), 1 + reg.axis("B"))[rows, a, c]
+    last = 1 + reg.axis(_LAYOUT.receiver)  # the receiver's axis, moved last
+    return psi.transpose([*range(last), *range(last + 1, psi.ndim), last])[(rows, *others)]
 
 
 def _finish(target: np.ndarray, reg: StateRegister, members: tuple[int, ...],
-            leaves: Sequence[tuple[tuple[int, ...], _Receive, list[int]]],
+            leaves: Sequence[tuple[tuple[int, ...], tuple[int, ...], list[int]]],
             correct: Callable | None) -> list[tuple[tuple, tuple, tuple]]:
-    """(descriptions, corrected B states, fidelities) of each (outcome, leaf, keep), as one block.
+    """(descriptions, corrected states, fidelities) of each (outcome, leaf, keep), as one block.
 
     ``keep`` lists the positions of the register's elements that reach the
     leaf, whose batch indices ``members`` gives, and each triple holds one
@@ -485,10 +493,10 @@ def _finish(target: np.ndarray, reg: StateRegister, members: tuple[int, ...],
     read-only block, so no two share writable memory.
     """
     outcomes, receives, keeps = zip(*leaves)
-    # One row per kept (leaf, element): its element, A and C indices, then its batch index.
-    picks = np.array([(j, leaf.a, leaf.c, members[j]) for leaf, keep in zip(receives, keeps)
+    # One row per kept (leaf, element): its element, the leaf's indices, then its batch index.
+    picks = np.array([(j, *leaf, members[j]) for leaf, keep in zip(receives, keeps)
                       for j in keep]).T
-    bobs = _received(reg, *picks[:3])
+    bobs = _received(reg, picks[0], picks[1:-1])
     n = np.linalg.norm(bobs, axis=1)
     if n.min() < PROB_FLOOR:
         raise SimulationError("conditional state has no amplitude mass")
@@ -496,17 +504,14 @@ def _finish(target: np.ndarray, reg: StateRegister, members: tuple[int, ...],
     descs, final = ["none (failure branch)"] * len(bobs), bobs
     if correct is not None:
         descs, final = correct(np.array([o for o, keep in zip(outcomes, keeps) for _ in keep]),
-                               picks[3], bobs)
+                               picks[-1], bobs)
         if not all(x <= STRUCT_TOL for x in _norm_defects(final, len(final))):
             raise InvalidState("corrected states must be finite and normalized")  # NaN too
     final.flags.writeable = False
     fids = (np.abs(final @ target.conj()) ** 2).tolist()
-    states, out, start = list(final), [], 0
-    for keep in keeps:
-        end = start + len(keep)
-        out.append((tuple(descs[start:end]), tuple(states[start:end]), tuple(fids[start:end])))
-        start = end
-    return out
+    states, ends = list(final), list(itertools.accumulate(map(len, keeps)))
+    return [(tuple(descs[a:b]), tuple(states[a:b]), tuple(fids[a:b]))
+            for a, b in zip([0, *ends], ends)]
 
 
 class _Node:
@@ -548,7 +553,7 @@ class _Node:
         qs = self.probs.T[new].tolist()  # per new outcome, each element's probability
         keeps = [[j for j, q in enumerate(row) if q >= PROB_FLOOR] for row in qs]
         ends = [(o, nxt, keep) for o, nxt, keep in zip(outcomes, nxts, keeps)
-                if isinstance(nxt, _Receive)]
+                if isinstance(nxt, tuple)]
         finished = iter(_finish(self.target, self.reg, path.members, ends, last.correct)
                         if ends else ())
         for i, outcome, nxt, row, keep in zip(new, outcomes, nxts, qs, keeps):
@@ -560,7 +565,7 @@ class _Node:
             head = (members, tuple(map(operator.mul, p, q)),
                     path.label + outcome if last.labelled else path.label, path.steps,
                     path.records + ((last.targets, outcome, q),), raw_norm)
-            if isinstance(nxt, _Receive):
+            if isinstance(nxt, tuple):
                 self.children[i] = _Path(*head, *next(finished), last.correct is not None)
                 continue
             _, reg = self.reg.project(last.targets, outcome)
@@ -592,11 +597,9 @@ def _node(target: np.ndarray, reg: StateRegister, steps: list, path: _Path) -> _
     """The node of the measurement that ends ``steps``, its gates applied to ``reg`` once.
 
     A measurement in a basis rotates its target into that basis first, and
-    its branches stay there.  This is a function, not the node's
-    constructor: a constructor's caller holds its arguments until it
-    returns, which kept a d = 32 table's start register alive through every
-    gate (512 KiB more peak), while CPython 3.11 lets a function drop
-    ``reg`` once the first gate replaces it.
+    its branches stay there.  Not the node's constructor: a constructor's
+    caller holds ``reg`` until it returns (a d = 32 start register, 512 KiB
+    more peak), while CPython 3.11 lets a function drop it after one gate.
     """
     *gates, last = steps
     for g in gates:
@@ -622,10 +625,9 @@ def _tree(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetS
                                  _Path(tuple(range(n)), (1.0,) * n))
 
 
-# A batched walk's register holds at most this many amplitudes, a quarter of the
-# cap.  An apply on a run of axes in order holds the register and its product
-# only, but one on other targets (the qubit controlled-U on A and C) also holds
-# the transposed result it writes into, so three arrays at once.
+# A batched walk's register holds at most this many amplitudes, a quarter of the cap:
+# an apply on targets that are not a run of axes in order (the qubit controlled-U on A
+# and C) holds the register, its product and the transposed result, three arrays at once.
 _BATCH_AMPLITUDES = MAX_DIM // 4
 
 
@@ -641,8 +643,7 @@ def _walk_tables(protocol: str, channels: Sequence[ChannelSpec | None], target: 
     for path in root.leaves():
         for j, p, bob, fidelity in zip(path.members, path.p, path.bob, path.fidelity):
             groups[j].setdefault(path.label, []).append((p, bob, fidelity, path.corrected))
-    pairs = tuple(itertools.product(range(channels[0].d), repeat=2))
-    space = ((0,), (1,)) if protocol == "probabilistic" else pairs
+    space = tuple(itertools.product(range(channels[0].d), repeat=len(path.label)))  # all one length
     tables = []
     for channel, group in zip(channels, groups):
         rows = []
@@ -662,7 +663,7 @@ def exact_outcome_tables(protocol: str, channels: Sequence[ChannelSpec | None],
     channel at least), so a longer batch is walked in chunks.
     """
     channels = list(channels)
-    chunk = max(1, _BATCH_AMPLITUDES // target.d**3)
+    chunk = max(1, _BATCH_AMPLITUDES // target.d ** len(_LAYOUT.labels))
     return [table for first in range(0, len(channels), chunk)
             for table in _walk_tables(protocol, channels[first:first + chunk], target, mode)]
 
@@ -670,8 +671,7 @@ def exact_outcome_tables(protocol: str, channels: Sequence[ChannelSpec | None],
 def exact_outcome_table(protocol: str, channel: ChannelSpec | None, target: TargetState,
                         mode: str = "repaired") -> OutcomeTable:
     """Every branch, exactly; paths sharing a label fold into one row (summed p, min fidelity)."""
-    (table,) = exact_outcome_tables(protocol, [channel], target, mode)
-    return table
+    return exact_outcome_tables(protocol, [channel], target, mode)[0]
 
 
 def run_protocol(protocol: str, channel: ChannelSpec | None, target: TargetState,

@@ -1,22 +1,25 @@
 """Named invariant checks behind the CLI ``verify`` subcommand.
 
-Each check measures something concrete and gives its verdict through one
-rule, :func:`_judged`: a roundoff residual passes iff it is at most its
-tolerance, and prints as ``label<=tol`` when it passes and with its value
-when it fails.  So the report changes only when a verdict does, and a
-failure names the broken invariant.  Figures that are not roundoff, such
-as z-scores and tomography medians, print their values.  All randomness
-is seeded, so a report is byte-stable for a given (suite, seed, trials).
+Each check is named once, in ``_SUITE_CHECKS``, measures something
+concrete and gives its verdict through one rule, :func:`_judged`: a
+roundoff residual passes iff it is at most its tolerance, and prints as
+``label<=tol`` when it passes and with its value when it fails.  So the
+report changes only when a verdict does, and a failure names the broken
+invariant.  Figures that are not roundoff, such as z-scores and
+tomography medians, print their values.  A check that raises an rspsim
+error fails with that error, and the suite goes on.  All randomness is
+seeded, so a report is byte-stable for a given (suite, seed, trials).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates, oracle, tomography
+from .errors import SimulationError
 from .protocols import (
     ChannelSpec,
     TargetState,
@@ -62,9 +65,10 @@ def _random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _judged(name: str, residuals: Sequence[tuple[str, float | Sequence[float], float]],
-            *figures: str, holds: bool = True) -> CheckResult:
-    """The one verdict rule: pass iff ``holds`` and each residual is at most its tolerance.
+def _judged(residuals: Sequence[tuple[str, float | Sequence[float], float]],
+            *figures: str, holds: bool = True) -> tuple[bool, str]:
+    """The one verdict rule, as (passed, measured): pass iff ``holds`` and each residual
+    is at most its tolerance.
 
     A residual is (label, value or values, tolerance), judged by its
     largest value; NaN fails.  A passing residual prints as ``label<=tol``
@@ -77,16 +81,16 @@ def _judged(name: str, residuals: Sequence[tuple[str, float | Sequence[float], f
         within = value <= tol
         passed = passed and within
         shown.append(f"{label}<={tol:g}" if within else f"{label}={value:.3e}>{tol:g}")
-    return CheckResult(name, passed, " ".join(shown))
+    return passed, " ".join(shown)
 
 
-def _check_pauli_cyclic(seed: int) -> CheckResult:
+def _check_pauli_cyclic(seed: int) -> tuple[bool, str]:
     errs = [np.abs(np.linalg.matrix_power(g.matrix, d) - np.eye(d)).max()
             for d in (2, 3, 5) for g in (gates.pauli_x(d), gates.pauli_z(d))]
-    return _judged("gates.pauli_cyclic_order_d", [("max|G^d - I|", errs, 1e-12)])
+    return _judged([("max|G^d - I|", errs, 1e-12)])
 
 
-def _check_shift_permutation(seed: int) -> CheckResult:
+def _check_shift_permutation(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 101)
     ok = True
     for d in (2, 3, 5, 7):
@@ -100,10 +104,10 @@ def _check_shift_permutation(seed: int) -> CheckResult:
                 and np.all(m.sum(axis=1) == 1.0)
             )
             ok = ok and bool(is_perm)
-    return _judged("gates.controlled_shift_is_permutation", (), f"permutation={ok}", holds=ok)
+    return _judged((), f"permutation={ok}", holds=ok)
 
 
-def _check_literal_defect(seed: int) -> CheckResult:
+def _check_literal_defect(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 102)
     errs = []
     for _ in range(100):
@@ -112,10 +116,10 @@ def _check_literal_defect(seed: int) -> CheckResult:
         th = float(rng.uniform(-np.pi, np.pi))
         g = gates.encoding_unitary_literal(x0, x1, th)
         errs.append(abs(g.defect - 2.0 * np.sqrt(2.0) * x0 * x1 * abs(np.sin(th))))
-    return _judged("gates.literal_defect_closed_form", [("max|defect-closed|", errs, 1e-10)])
+    return _judged([("max|defect-closed|", errs, 1e-10)])
 
 
-def _check_encoder_completion(seed: int) -> CheckResult:
+def _check_encoder_completion(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 103)
     defects, col_errs = [], []
     for d in range(2, 9):
@@ -123,11 +127,10 @@ def _check_encoder_completion(seed: int) -> CheckResult:
         g = gates.encoding_unitary(t.amplitudes)
         defects.append(g.defect)
         col_errs.append(np.abs(g.matrix[:, 0] - t.vector()).max())
-    return _judged("gates.encoder_column_and_unitarity",
-                   [("max defect", defects, 1e-12), ("max column error", col_errs, 0.0)])
+    return _judged([("max defect", defects, 1e-12), ("max column error", col_errs, 0.0)])
 
 
-def _check_correction_exactness(seed: int) -> CheckResult:
+def _check_correction_exactness(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 104)
     errs = []
     for d in range(2, 9):
@@ -139,10 +142,10 @@ def _check_correction_exactness(seed: int) -> CheckResult:
                 b[(m - n) % d] += u.matrix[n, m]
             vb = fix(np.array([m]), b[None])[0]
             errs.append(np.abs(vb - u.matrix[:, 0]).max())
-    return _judged("gates.correction_maps_branch_to_target", [("max|V b - U e0|", errs, 1e-11)])
+    return _judged([("max|V b - U e0|", errs, 1e-11)])
 
 
-def _check_concentration_structure(seed: int) -> CheckResult:
+def _check_concentration_structure(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 105)
     errs = []
     for _ in range(20):
@@ -157,10 +160,10 @@ def _check_concentration_structure(seed: int) -> CheckResult:
         expected[0b111] = alpha
         expected[0b110] = np.sqrt(beta * beta - alpha * alpha)
         errs.append(np.abs(reg.amplitudes - expected).max())
-    return _judged("gates.concentration_three_amplitudes", [("max amp error", errs, 1e-12)])
+    return _judged([("max amp error", errs, 1e-12)])
 
 
-def _check_deterministic_exact(seed: int) -> CheckResult:
+def _check_deterministic_exact(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 201)
     p_errs, f_errs = [], []
     for d in range(2, 9):
@@ -170,11 +173,10 @@ def _check_deterministic_exact(seed: int) -> CheckResult:
             )
             p_errs.append(abs(success_probability(table) - 1.0))
             f_errs += [1.0 - r.fidelity for r in table.rows]
-    return _judged("protocols.deterministic_success_is_1",
-                   [("max|P-1|", p_errs, 1e-12), ("1-min fidelity", f_errs, 1e-10)])
+    return _judged([("max|P-1|", p_errs, 1e-12), ("1-min fidelity", f_errs, 1e-10)])
 
 
-def _check_probabilistic_curve(seed: int) -> CheckResult:
+def _check_probabilistic_curve(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 202)
     target = _random_target(2, rng)
     thetas = np.linspace(0.0, np.pi / 4.0, 21)
@@ -183,10 +185,10 @@ def _check_probabilistic_curve(seed: int) -> CheckResult:
     tables = exact_outcome_tables("probabilistic", channels, target)
     errs = [abs(success_probability(table) - 2.0 * np.sin(theta) ** 2)
             for theta, table in zip(thetas, tables)]
-    return _judged("protocols.probabilistic_success_2sin2", [("max|P-2sin^2|", errs, 1e-12)])
+    return _judged([("max|P-2sin^2|", errs, 1e-12)])
 
 
-def _check_nguyen_quarters(seed: int) -> CheckResult:
+def _check_nguyen_quarters(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 203)
     p_errs, f_errs, rows = [], [], set()
     for _ in range(10):
@@ -194,12 +196,11 @@ def _check_nguyen_quarters(seed: int) -> CheckResult:
         p_errs += [abs(r.probability - 0.25) for r in table.rows]
         f_errs += [1.0 - r.fidelity for r in table.rows]
         rows.add(len(table.rows))
-    return _judged("protocols.nguyen_four_quarters",
-                   [("max|p-1/4|", p_errs, 1e-12), ("1-min fidelity", f_errs, 1e-10)],
+    return _judged([("max|p-1/4|", p_errs, 1e-12), ("1-min fidelity", f_errs, 1e-10)],
                    holds=rows == {4})
 
 
-def _check_literal_theta0(seed: int) -> CheckResult:
+def _check_literal_theta0(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 204)
     diffs = []
     for _ in range(10):
@@ -210,10 +211,10 @@ def _check_literal_theta0(seed: int) -> CheckResult:
         rep = exact_outcome_table("deterministic", channel, target, mode="repaired")
         for a, b in zip(lit.rows, rep.rows):
             diffs += [abs(a.probability - b.probability), abs(a.fidelity - b.fidelity)]
-    return _judged("protocols.literal_equals_repaired_at_theta0", [("max diff", diffs, 1e-12)])
+    return _judged([("max diff", diffs, 1e-12)])
 
 
-def _check_literal_flag(seed: int) -> CheckResult:
+def _check_literal_flag(seed: int) -> tuple[bool, str]:
     target = TargetState.of((1 / np.sqrt(2), 1j / np.sqrt(2)))
     tr = run_protocol(
         "deterministic", ChannelSpec.of((0.6, 0.8)), target, "literal", derive_rng(seed, 205)
@@ -221,14 +222,11 @@ def _check_literal_flag(seed: int) -> CheckResult:
     defect = max(s.defect for s in tr.steps if s.non_unitary) if tr.has_non_unitary_step else 0.0
     # The printed operator acts norm-preservingly on the protocol states,
     # so the raw norm stays 1 even though the operator defect is large.
-    return _judged(
-        "protocols.literal_mode_flags_defect",
-        [("|raw_norm-1|", abs((tr.raw_norm or 0.0) - 1.0), 1e-12)],
-        f"flagged defect={defect:.6f}", holds=tr.has_non_unitary_step and defect > 1e-6,
-    )
+    return _judged([("|raw_norm-1|", abs((tr.raw_norm or 0.0) - 1.0), 1e-12)],
+                   f"flagged defect={defect:.6f}", holds=tr.has_non_unitary_step and defect > 1e-6)
 
 
-def _check_oracle_exact(seed: int) -> CheckResult:
+def _check_oracle_exact(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 301)
     reports = []
     for d in (2, 3, 4):
@@ -254,12 +252,11 @@ def _check_oracle_exact(seed: int) -> CheckResult:
             oracle.table_distribution(exact_outcome_table("nguyen", None, target)),
             oracle.enumerate_naive("nguyen", None, target),
         ))
-    return _judged("oracle.fast_vs_naive_agreement",
-                   [("max|dp|", [rep.max_stat for rep in reports], oracle.EXACT_TOL)],
+    return _judged([("max|dp|", [rep.max_stat for rep in reports], oracle.EXACT_TOL)],
                    f"cases={len(reports)}")
 
 
-def _check_oracle_sampled(seed: int, trials: int = 10_000) -> CheckResult:
+def _check_oracle_sampled(seed: int, trials: int = 10_000) -> tuple[bool, str]:
     rng = derive_rng(seed, 302)
     reports = []
     specs = [
@@ -272,11 +269,11 @@ def _check_oracle_sampled(seed: int, trials: int = 10_000) -> CheckResult:
         dist = oracle.enumerate_naive(protocol, channel, target)
         reports.append(oracle.compare_sampled(dist, trials=trials, seed=seed + 7000 + k))
     worst = max(rep.max_stat for rep in reports)
-    return _judged("oracle.sampled_frequencies_4sigma", (), f"trials={trials}",
-                   f"max|z|={worst:.3f}", holds=all(rep.passed for rep in reports))
+    return _judged((), f"trials={trials}", f"max|z|={worst:.3f}",
+                   holds=all(rep.passed for rep in reports))
 
 
-def _check_bloch_formulas(seed: int) -> CheckResult:
+def _check_bloch_formulas(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 401)
     errs = []
     for _ in range(20):
@@ -287,10 +284,10 @@ def _check_bloch_formulas(seed: int) -> CheckResult:
         rx, ry, rz = tomography.exact_bloch(StateRegister((2,), psi))
         errs += [abs(rx - 2 * x0 * x1 * np.cos(th)), abs(ry - 2 * x0 * x1 * np.sin(th)),
                  abs(rz - (x0 * x0 - x1 * x1))]
-    return _judged("tomo.bloch_matches_analytic", [("max err", errs, 1e-12)])
+    return _judged([("max err", errs, 1e-12)])
 
 
-def _check_tomo_physicality(seed: int) -> CheckResult:
+def _check_tomo_physicality(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 402)
     trace_errs, negative_eigs, herm_errs = [], [], []
     for _ in range(200):
@@ -301,54 +298,58 @@ def _check_tomo_physicality(seed: int) -> CheckResult:
         trace_errs.append(abs(float(np.trace(rho).real) - 1.0))
         negative_eigs.append(max(0.0, float(-np.linalg.eigvalsh(rho).min())))
         herm_errs.append(np.abs(rho - rho.conj().T).max())
-    return _judged("tomo.projection_physicality", [
+    return _judged([
         ("max|tr-1|", trace_errs, 1e-10), ("max negative eig", negative_eigs, 1e-10),
         ("max|rho-rho^dag|", herm_errs, 1e-10),
     ])
 
 
-def _check_tomo_convergence(seed: int) -> CheckResult:
+def _check_tomo_convergence(seed: int) -> tuple[bool, str]:
     reg = StateRegister((2,), np.array([0.6, 0.8j]))
     medians = []
     for k, shots in enumerate((10**3, 10**4, 10**5, 10**6)):
         dists = [tomography.tomograph(reg, shots, derive_rng(seed, 403, k, s)).trace_distance
                  for s in range(50)]
         medians.append(float(np.median(dists)))
-    return _judged("tomo.median_distance_decreases_with_shots", (),
-                   "medians=" + "/".join(f"{m:.2e}" for m in medians),
+    return _judged((), "medians=" + "/".join(f"{m:.2e}" for m in medians),
                    holds=all(b < a for a, b in zip(medians, medians[1:])))
 
 
-_SUITE_CHECKS = {
-    "gates": (
-        _check_pauli_cyclic,
-        _check_shift_permutation,
-        _check_literal_defect,
-        _check_encoder_completion,
-        _check_correction_exactness,
-        _check_concentration_structure,
-    ),
-    "protocols": (
-        _check_deterministic_exact,
-        _check_probabilistic_curve,
-        _check_nguyen_quarters,
-        _check_literal_theta0,
-        _check_literal_flag,
-    ),
-    "oracle": (
-        _check_oracle_exact,
-        _check_oracle_sampled,
-    ),
-    "tomo": (
-        _check_bloch_formulas,
-        _check_tomo_physicality,
-        _check_tomo_convergence,
-    ),
+# Every check under its one name, by suite; a check returns (passed, measured).
+_SUITE_CHECKS: dict[str, dict[str, Callable[..., tuple[bool, str]]]] = {
+    "gates": {
+        "gates.pauli_cyclic_order_d": _check_pauli_cyclic,
+        "gates.controlled_shift_is_permutation": _check_shift_permutation,
+        "gates.literal_defect_closed_form": _check_literal_defect,
+        "gates.encoder_column_and_unitarity": _check_encoder_completion,
+        "gates.correction_maps_branch_to_target": _check_correction_exactness,
+        "gates.concentration_three_amplitudes": _check_concentration_structure,
+    },
+    "protocols": {
+        "protocols.deterministic_success_is_1": _check_deterministic_exact,
+        "protocols.probabilistic_success_2sin2": _check_probabilistic_curve,
+        "protocols.nguyen_four_quarters": _check_nguyen_quarters,
+        "protocols.literal_equals_repaired_at_theta0": _check_literal_theta0,
+        "protocols.literal_mode_flags_defect": _check_literal_flag,
+    },
+    "oracle": {
+        "oracle.fast_vs_naive_agreement": _check_oracle_exact,
+        "oracle.sampled_frequencies_4sigma": _check_oracle_sampled,
+    },
+    "tomo": {
+        "tomo.bloch_matches_analytic": _check_bloch_formulas,
+        "tomo.projection_physicality": _check_tomo_physicality,
+        "tomo.median_distance_decreases_with_shots": _check_tomo_convergence,
+    },
 }
 
 
 def run_suite(suite: str, seed: int = 0, oracle_trials: int = 10_000) -> list[CheckResult]:
-    """Run one named suite, or all of them."""
+    """Run every check of one named suite, or of all of them.
+
+    A check that raises an rspsim error fails with ``<type>: <message>``, so
+    one broken invariant does not hide the verdicts of the other checks.
+    """
     if suite == "all":
         names = SUITES
     elif suite in _SUITE_CHECKS:
@@ -357,11 +358,13 @@ def run_suite(suite: str, seed: int = 0, oracle_trials: int = 10_000) -> list[Ch
         raise ValueError(f"unknown suite {suite!r}; expected all or one of {SUITES}")
     results = []
     for name in names:
-        for check in _SUITE_CHECKS[name]:
-            if check is _check_oracle_sampled:
-                results.append(check(seed, trials=oracle_trials))
-            else:
-                results.append(check(seed))
+        for check_name, check in _SUITE_CHECKS[name].items():
+            kwargs = {"trials": oracle_trials} if check is _check_oracle_sampled else {}
+            try:
+                passed, measured = check(seed, **kwargs)
+            except SimulationError as exc:
+                passed, measured = False, f"{type(exc).__name__}: {exc}"
+            results.append(CheckResult(check_name, passed, measured))
     return results
 
 

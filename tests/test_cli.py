@@ -236,9 +236,9 @@ def test_verify_nguyen_quarters_checks_every_table(monkeypatch):
         calls.append(args)
         return dataclasses.replace(table, rows=table.rows[:3]) if len(calls) == 1 else table
 
-    assert rspsim.verify._check_nguyen_quarters(0).passed
+    assert rspsim.verify._check_nguyen_quarters(0)[0]
     monkeypatch.setattr(rspsim.verify, "exact_outcome_table", first_table_loses_a_row)
-    assert not rspsim.verify._check_nguyen_quarters(0).passed
+    assert not rspsim.verify._check_nguyen_quarters(0)[0]
     assert len(calls) == 10
 
 

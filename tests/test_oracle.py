@@ -158,6 +158,22 @@ def test_fast_vs_naive_probabilistic_and_nguyen():
         assert compare_exact(fast, enumerate_naive("nguyen", None, target)).passed
 
 
+@pytest.mark.parametrize("lambdas", [(0.0, 1.0), (0.0, np.exp(0.7j)),
+                                     (1 / np.sqrt(2), 1 / np.sqrt(2))],
+                         ids=["alpha0", "alpha0-beta-phase", "alpha-equals-beta"])
+def test_fast_vs_naive_probabilistic_at_the_ends_of_the_curve(lambdas):
+    """Both paths run CNOT, controlled-U, CNOT at every alpha; rows and fidelities agree."""
+    channel = ChannelSpec.of(lambdas)
+    for target in (TargetState.of((0.6, 0.8j)), random_target(2, np.random.default_rng(11))):
+        table = exact_outcome_table("probabilistic", channel, target)
+        naive = enumerate_naive("probabilistic", channel, target)
+        assert compare_exact(table_distribution(table), naive).max_stat <= 1e-15
+        fidelities = naive_branch_fidelities("probabilistic", channel, target)
+        assert sorted(fidelities) == [row.outcome for row in table.rows]
+        for row in table.rows:
+            assert abs(row.fidelity - fidelities[row.outcome]) <= 1e-12
+
+
 def test_compare_sampled_deterministic():
     dist = enumerate_naive(
         "deterministic", ChannelSpec.of((0.6, 0.8)), TargetState.of((0.6, 0.8j))
@@ -235,7 +251,7 @@ def test_the_pick_rule_reaches_each_row_with_its_naive_probability(monkeypatch):
         return dist
 
     monkeypatch.setattr(rspsim.oracle, "enumerate_naive", spy)
-    assert rspsim.verify._check_oracle_exact(0).passed
+    assert rspsim.verify._check_oracle_exact(0)[0]
     assert len(naive) == 150
     for dist in naive:
         spec = dist.provenance

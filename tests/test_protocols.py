@@ -676,7 +676,7 @@ def _reference_paths(protocol, channel, target, mode="repaired"):
                 continue
             nxt = last.then(outcome)
             branch_label = label + outcome if last.labelled else label
-            if isinstance(nxt, rspsim.protocols._Receive):
+            if isinstance(nxt, tuple):  # a leaf: the indices of A and C
                 bob = reg.contract({s: bases[s][:, k] if s in bases else k
                                     for s, k in zip(("A", "C"), nxt)})
                 bob = bob / np.linalg.norm(bob)
@@ -760,7 +760,7 @@ def _frame_violations(steps, d, measured=frozenset(), seen=None):
             seen.extend(last.targets)
     for outcome in itertools.product(range(d), repeat=len(last.targets)):
         nxt = last.then(outcome)
-        if not isinstance(nxt, rspsim.protocols._Receive):
+        if not isinstance(nxt, tuple):  # not a leaf
             bad += _frame_violations(nxt, d, measured, seen)
     return bad
 
@@ -787,7 +787,7 @@ def test_frame_guard_sees_a_gate_after_a_basis_measurement():
     _Gate, _Measure = rspsim.protocols._Gate, rspsim.protocols._Measure
     rot = rspsim.register._basis_gates(np.eye(2), 2)
     late = [_Gate(rspsim.gates.pauli_x(2), ("A",)),
-            _Measure(("C",), lambda outcome: rspsim.protocols._Receive(0, outcome[0]))]
+            _Measure(("C",), lambda outcome: (0, outcome[0]))]
     steps = [_Measure(("A",), lambda outcome: late, rot)]
     assert _frame_violations(steps, 2) == [("X2", "A"), ("X2", "A")]
 
@@ -830,11 +830,11 @@ def test_block_rows_keep_their_own_state_and_fidelity(kind):
     reg = rspsim.protocols._start([channel])
     for g in steps[:-1]:
         reg = reg.apply(g.gate, g.targets)
-    leaves = [((m, m), rspsim.protocols._Receive(m, m), [0]) for m in (5, 0, 3, 6)]
+    leaves = [((m, m), (m, m), [0]) for m in (5, 0, 3, 6)]
     rows = [(desc, bob, fidelity) for (desc,), (bob,), (fidelity,)
             in rspsim.protocols._finish(target.vector(), reg, (0,), leaves, None)]
     for (_, leaf, _), (desc, bob, fidelity) in zip(leaves, rows):
-        ref = reg.contract({"A": leaf.a, "C": leaf.c})
+        ref = reg.contract(dict(zip(("A", "C"), leaf)))
         ref = ref / np.linalg.norm(ref)
         assert desc == "none (failure branch)"
         np.testing.assert_allclose(bob, ref, rtol=0, atol=1e-12)
@@ -842,10 +842,66 @@ def test_block_rows_keep_their_own_state_and_fidelity(kind):
     assert len({round(f, 6) for _, _, f in rows}) == len(rows)
 
 
+# -- the register layout is read, not assumed -----------------------------------
+
+
+def _layout_cases():
+    """(protocol, channel, target, mode) of every protocol, with Schmidt phases where they exist."""
+    rng = np.random.default_rng(2024)
+    cases = [("deterministic", _random_channel(d, rng, True), random_target(d, rng), "repaired")
+             for d in (2, 3, 5)]
+    cases.append(("deterministic", _random_channel(2, rng, True), random_target(2, rng), "literal"))
+    for theta in (0.0, 0.4, np.pi / 4):
+        channel = ChannelSpec.of((np.sin(theta), np.cos(theta) * np.exp(1j * rng.uniform(0, 6))))
+        cases.append(("probabilistic", channel, random_target(2, rng), "repaired"))
+    cases.append(("nguyen", None, random_target(2, rng), "repaired"))
+    return cases
+
+
+def _assert_runs_agree(got, want):
+    assert (got.outcome, got.correction, got.success) == (
+        want.outcome, want.correction, want.success)
+    assert [(s.name, s.targets, s.non_unitary) for s in got.steps] == [
+        (s.name, s.targets, s.non_unitary) for s in want.steps]
+    assert [(m.subsystems, m.outcome) for m in got.measurements] == [
+        (m.subsystems, m.outcome) for m in want.measurements]
+    for g, w in zip(got.measurements, want.measurements):
+        assert abs(g.probability - w.probability) <= 1e-14
+    assert abs(got.fidelity - want.fidelity) <= 1e-14
+    assert (got.raw_norm is None) == (want.raw_norm is None)
+    assert abs((got.raw_norm or 0.0) - (want.raw_norm or 0.0)) <= 1e-14
+    np.testing.assert_allclose(got.bob_state, want.bob_state, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("order", ["".join(p) for p in itertools.permutations("ABC")
+                                   if p != ("A", "B", "C")])
+def test_every_axis_order_gives_the_same_tables_and_runs(monkeypatch, order):
+    """The start state, the receiver's gather, the leaves and the outcome space read _LAYOUT."""
+    cases = _layout_cases()
+    seeds = range(8)
+    tables = [exact_outcome_table(*case) for case in cases]
+    runs = [run_protocol(*case, rng=derive_rng(k, s))
+            for k, case in enumerate(cases) for s in seeds]
+    grid = [ChannelSpec.from_theta(t) for t in np.linspace(0.0, np.pi / 4, 6)]
+    grid_tables = exact_outcome_tables("probabilistic", grid, cases[-1][2])
+    layout = rspsim.protocols._LAYOUT
+    monkeypatch.setattr(rspsim.protocols, "_LAYOUT", layout._replace(labels=tuple(order)))
+    assert rspsim.protocols._start([ChannelSpec.of((0.6, 0.8))]).labels == tuple(order)
+    for case, want in zip(cases, tables):
+        assert_tables_agree(exact_outcome_table(*case), want, tol=1e-14)
+    for got, want in zip(exact_outcome_tables("probabilistic", grid, cases[-1][2]), grid_tables):
+        assert_tables_agree(got, want, tol=1e-14)
+    got = [run_protocol(*case, rng=derive_rng(k, s))
+           for k, case in enumerate(cases) for s in seeds]
+    for g, w in zip(got, runs):
+        _assert_runs_agree(g, w)
+    assert len({r.outcome for r in got}) > 4  # the seeds reach more than one branch
+
+
 # -- batched tables -------------------------------------------------------------
 
 
-def assert_tables_agree(batched, alone):
+def assert_tables_agree(batched, alone, tol=2e-15):
     """One channel's table from a batched walk against its own walk: rows, flags, space."""
     assert (batched.protocol, batched.mode, batched.channel, batched.target) == (
         alone.protocol, alone.mode, alone.channel, alone.target)
@@ -853,9 +909,9 @@ def assert_tables_agree(batched, alone):
     assert [r.outcome for r in batched.rows] == [r.outcome for r in alone.rows]
     for got, want in zip(batched.rows, alone.rows):
         assert got.corrected == want.corrected
-        assert abs(got.probability - want.probability) <= 2e-15
-        assert abs(got.fidelity - want.fidelity) <= 2e-15
-        np.testing.assert_allclose(got.bob_state, want.bob_state, rtol=0, atol=2e-15)
+        assert abs(got.probability - want.probability) <= tol
+        assert abs(got.fidelity - want.fidelity) <= tol
+        np.testing.assert_allclose(got.bob_state, want.bob_state, rtol=0, atol=tol)
 
 
 def _batch_cases():

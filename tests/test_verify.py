@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import rspsim.errors
+import rspsim.gates
 import rspsim.protocols
 import rspsim.verify
 from rspsim.cli import main
@@ -11,25 +13,25 @@ from rspsim.verify import _judged, format_report, run_suite
 
 
 def test_a_residual_passes_at_its_tolerance():
-    r = _judged("c", [("r", 1e-12, 1e-12), ("zero", [0.0, 0.0], 0.0)])
-    assert r.passed and r.measured == "r<=1e-12 zero<=0"
+    passed, measured = _judged([("r", 1e-12, 1e-12), ("zero", [0.0, 0.0], 0.0)])
+    assert passed and measured == "r<=1e-12 zero<=0"
 
 
 def test_a_residual_above_its_tolerance_fails_and_prints_its_value():
-    r = _judged("c", [("ok", 0.0, 1e-12), ("r", [0.0, np.nextafter(1e-12, 1.0)], 1e-12)])
-    assert not r.passed and r.measured == "ok<=1e-12 r=1.000e-12>1e-12"
+    passed, measured = _judged([("ok", 0.0, 1e-12), ("r", [0.0, np.nextafter(1e-12, 1.0)], 1e-12)])
+    assert not passed and measured == "ok<=1e-12 r=1.000e-12>1e-12"
 
 
 def test_a_nan_residual_fails_wherever_it_sits():
     for values in ([np.nan, 0.0], [0.0, np.nan]):
-        r = _judged("c", [("r", values, 1e-12)])
-        assert not r.passed and r.measured == "r=nan>1e-12"
+        passed, measured = _judged([("r", values, 1e-12)])
+        assert not passed and measured == "r=nan>1e-12"
 
 
 def test_figures_print_first_and_holds_decides_with_the_residuals():
-    r = _judged("c", [("r", 0.0, 1e-12)], "cases=3", holds=False)
-    assert not r.passed and r.measured == "cases=3 r<=1e-12"
-    assert _judged("c", (), "permutation=True").passed
+    passed, measured = _judged([("r", 0.0, 1e-12)], "cases=3", holds=False)
+    assert not passed and measured == "cases=3 r<=1e-12"
+    assert _judged((), "permutation=True") == (True, "permutation=True")
 
 
 def test_one_ulp_on_every_random_target_leaves_the_report_unchanged(monkeypatch):
@@ -64,3 +66,33 @@ def test_the_verify_all_report_is_pinned(capsys):
     assert out.endswith("16/16 checks passed\n")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d4840e226199694705beeb694472ef34d792aaf9a75652a2bb34e944f4381dce")
+
+
+def test_a_check_that_raises_fails_and_the_suite_goes_on(monkeypatch, capsys):
+    """CSUB replaced by CADD breaks the branch structure at d >= 3; every other verdict stays."""
+    monkeypatch.setattr(rspsim.protocols, "csub", rspsim.gates.cadd)
+    assert main(["verify", "all", "--seed", "0"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 17 and lines[-1] == "14/16 checks passed"
+    raised = "SimulationError: branch A=0, C=1 has weight; branch structure is corrupted"
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        f"[FAIL] protocols.deterministic_success_is_1: {raised}",
+        f"[FAIL] oracle.fast_vs_naive_agreement: {raised}",
+    ]
+
+
+def test_a_check_that_raises_is_named_and_other_errors_propagate(monkeypatch):
+    def raises(error):
+        def build(*args, **kwargs):
+            raise error
+        return build
+
+    monkeypatch.setattr(rspsim.verify, "exact_outcome_tables",
+                        raises(rspsim.errors.DegenerateState("no mass")))
+    results = run_suite("protocols", 0)
+    assert [r.passed for r in results] == [True, False, True, True, True]
+    assert results[1] == rspsim.verify.CheckResult(
+        "protocols.probabilistic_success_2sin2", False, "DegenerateState: no mass")
+    monkeypatch.setattr(rspsim.verify, "exact_outcome_tables", raises(ZeroDivisionError("bug")))
+    with pytest.raises(ZeroDivisionError):
+        run_suite("protocols", 0)
