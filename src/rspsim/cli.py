@@ -28,6 +28,7 @@ from .protocols import (
     ChannelSpec,
     TargetState,
     Transcript,
+    _LAYOUT,
     run_protocol,
 )
 from .register import StateRegister, derive_rng
@@ -192,8 +193,9 @@ def _validated(cfg: RunConfig) -> RunConfig:
         cfg.lambdas = _renormalized(cfg.lambdas, "lambda")
         if len(cfg.lambdas) != d:
             raise ConfigError(f"lambda has {len(cfg.lambdas)} entries but target has {d}")
-    if d < 2 or d**3 > MAX_DIM:
-        raise ConfigError(f"d = {d} is out of range; needs d >= 2 and d^3 <= {MAX_DIM}")
+    n = len(_LAYOUT.labels)  # subsystems of the register, each of dimension d
+    if d < 2 or d**n > MAX_DIM:
+        raise ConfigError(f"d = {d} is out of range; needs d >= 2 and d^{n} <= {MAX_DIM}")
     if cfg.protocol == "probabilistic" and d != 2:
         raise ConfigError("the probabilistic baseline needs d = 2")
     if cfg.protocol == "probabilistic" and cfg.lambdas is not None \

@@ -2,7 +2,7 @@
 
 The enumeration here is a second, deliberately naive code path: states
 and gates are built as full d^3-dimensional vectors and matrices with
-explicit numpy kron products, measurement branches are computed by
+explicit Kronecker products, measurement branches are computed by
 projector application, and the encoder completion uses Gram-Schmidt
 rather than the fast path's Householder convention.  Nothing from the
 register or gates modules is reused, so indexing bugs in the fast path
@@ -83,8 +83,16 @@ def _shift(d: int, k: int) -> np.ndarray:
     return m
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two vectors or two matrices: the same products, without its any-rank set-up."""
+    if a.ndim == 1 == b.ndim:
+        return np.multiply.outer(a, b).reshape(-1)
+    (m, n), (p, q) = a.shape, b.shape
+    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(m * p, n * q)
+
+
 def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.kron(np.kron(a, b), c)
+    return _kron(_kron(a, b), c)
 
 
 def _ctrl3(d: int, ctrl: int, tgt: int, table: list[int]) -> np.ndarray:

@@ -235,7 +235,6 @@ class OutcomeRow:
 
     outcome: tuple[int, ...]
     probability: float
-    bob_state: np.ndarray = field(repr=False)
     fidelity: float
     corrected: bool  # False where the protocol declares the branch failed
 
@@ -641,15 +640,15 @@ def _walk_tables(protocol: str, channels: Sequence[ChannelSpec | None], target: 
     mode, channels, root = _tree(protocol, channels, target, mode)
     groups: list[dict[tuple[int, ...], list]] = [{} for _ in channels]
     for path in root.leaves():
-        for j, p, bob, fidelity in zip(path.members, path.p, path.bob, path.fidelity):
-            groups[j].setdefault(path.label, []).append((p, bob, fidelity, path.corrected))
+        for j, p, fidelity in zip(path.members, path.p, path.fidelity):
+            groups[j].setdefault(path.label, []).append((p, fidelity, path.corrected))
     space = tuple(itertools.product(range(channels[0].d), repeat=len(path.label)))  # all one length
     tables = []
     for channel, group in zip(channels, groups):
         rows = []
         for label, entries in group.items():
-            ps, bobs, fidelities, corrected = zip(*entries)
-            rows.append(OutcomeRow(label, sum(ps), bobs[0], min(fidelities), all(corrected)))
+            ps, fidelities, corrected = zip(*entries)
+            rows.append(OutcomeRow(label, sum(ps), min(fidelities), all(corrected)))
         tables.append(OutcomeTable(protocol, mode, channel, target, tuple(rows), space))
     return tables
 

@@ -23,12 +23,14 @@ from .errors import SimulationError
 from .protocols import (
     ChannelSpec,
     TargetState,
+    _probabilistic_steps,
+    _start,
     exact_outcome_table,
     exact_outcome_tables,
     run_protocol,
     success_probability,
 )
-from .register import StateRegister, basis_register, channel_register, derive_rng
+from .register import StateRegister, derive_rng
 
 SUITES = ("gates", "protocols", "oracle", "tomo")
 
@@ -48,12 +50,16 @@ def _random_target(d: int, rng: np.random.Generator) -> TargetState:
     return TargetState.of(v / np.linalg.norm(v))
 
 
-def _random_channel(d: int, rng: np.random.Generator, positive: bool = False) -> ChannelSpec:
-    if positive:
-        v = rng.uniform(0.1, 1.0, size=d).astype(complex)
-    else:
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+def _random_channel(d: int, rng: np.random.Generator) -> ChannelSpec:
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)  # Schmidt phases
     return ChannelSpec.of(v / np.linalg.norm(v))
+
+
+def _concentrable_channel(rng: np.random.Generator) -> ChannelSpec:
+    """A phased qubit channel with 0.05 <= |lambda_0| <= 1/sqrt2 <= |lambda_1|."""
+    alpha = float(rng.uniform(0.05, 1.0 / np.sqrt(2.0)))
+    phases = np.exp(2j * np.pi * rng.uniform(size=2))
+    return ChannelSpec.of(phases * (alpha, np.sqrt(1.0 - alpha * alpha)))
 
 
 def _random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -116,7 +122,8 @@ def _check_literal_defect(seed: int) -> tuple[bool, str]:
         th = float(rng.uniform(-np.pi, np.pi))
         g = gates.encoding_unitary_literal(x0, x1, th)
         errs.append(abs(g.defect - 2.0 * np.sqrt(2.0) * x0 * x1 * abs(np.sin(th))))
-    return _judged([("max|defect-closed|", errs, 1e-10)])
+    zeros = [gates.encoding_unitary_literal(0.6, 0.8, th).defect for th in (0.0, np.pi)]
+    return _judged([("max|defect-closed|", errs, 1e-10), ("defect at 0,pi", zeros, 1e-10)])
 
 
 def _check_encoder_completion(seed: int) -> tuple[bool, str]:
@@ -146,20 +153,22 @@ def _check_correction_exactness(seed: int) -> tuple[bool, str]:
 
 
 def _check_concentration_structure(seed: int) -> tuple[bool, str]:
+    """The probabilistic step list's CADD(A->C) and controlled-U, run from its start state."""
     rng = derive_rng(seed, 105)
+    target = TargetState.of((0.6, 0.8j))  # read only by the steps after these two
     errs = []
     for _ in range(20):
-        alpha = float(rng.uniform(0.05, 1.0 / np.sqrt(2.0)))
-        beta = float(np.sqrt(1.0 - alpha * alpha))
-        reg = channel_register(ChannelSpec.of((alpha, beta)))
-        reg = reg.tensor(basis_register((2,), (0,), labels=("C",)))
-        reg = reg.apply(gates.cadd(2), ["A", "C"])
-        reg = reg.apply(gates.cu_concentration(alpha, beta), ["A", "C"])
-        expected = np.zeros(8, dtype=complex)
-        expected[0b000] = alpha
-        expected[0b111] = alpha
-        expected[0b110] = np.sqrt(beta * beta - alpha * alpha)
-        errs.append(np.abs(reg.amplitudes - expected).max())
+        channel = _concentrable_channel(rng)
+        reg = _start([channel])
+        for g in _probabilistic_steps([channel], target)[:2]:
+            reg = reg.apply(g.gate, g.targets)
+        lam0, lam1 = channel.lambdas
+        expected = np.zeros((2, 2, 2), dtype=complex)  # axes A, B, C
+        expected[0, 0, 0] = lam0
+        expected[1, 1, 1] = lam1 * abs(lam0) / abs(lam1)
+        expected[1, 1, 0] = lam1 * np.sqrt(1.0 - abs(lam0) ** 2 / abs(lam1) ** 2)
+        expected = expected.transpose(["ABC".index(label) for label in reg.labels])
+        errs.append(np.abs(reg.amplitudes.reshape(reg.dims) - expected).max())
     return _judged([("max amp error", errs, 1e-12)])
 
 
@@ -169,7 +178,7 @@ def _check_deterministic_exact(seed: int) -> tuple[bool, str]:
     for d in range(2, 9):
         for _ in range(3):
             table = exact_outcome_table(
-                "deterministic", _random_channel(d, rng, positive=True), _random_target(d, rng)
+                "deterministic", _random_channel(d, rng), _random_target(d, rng)
             )
             p_errs.append(abs(success_probability(table) - 1.0))
             f_errs += [1.0 - r.fidelity for r in table.rows]
@@ -191,33 +200,34 @@ def _check_probabilistic_curve(seed: int) -> tuple[bool, str]:
 def _check_nguyen_quarters(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 203)
     p_errs, f_errs, rows = [], [], set()
-    for _ in range(10):
+    for _ in range(20):
         table = exact_outcome_table("nguyen", None, _random_target(2, rng))
         p_errs += [abs(r.probability - 0.25) for r in table.rows]
         f_errs += [1.0 - r.fidelity for r in table.rows]
         rows.add(len(table.rows))
-    return _judged([("max|p-1/4|", p_errs, 1e-12), ("1-min fidelity", f_errs, 1e-10)],
+    return _judged([("max|p-1/4|", p_errs, 1e-12), ("1-min fidelity", f_errs, 1e-12)],
                    holds=rows == {4})
 
 
 def _check_literal_theta0(seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 204)
-    diffs = []
+    diffs, same_labels = [], True
     for _ in range(10):
         x0 = float(rng.uniform(0.0, 1.0))
         target = TargetState.of((x0, np.sqrt(1.0 - x0 * x0)))
-        channel = _random_channel(2, rng, positive=True)
+        channel = _random_channel(2, rng)
         lit = exact_outcome_table("deterministic", channel, target, mode="literal")
         rep = exact_outcome_table("deterministic", channel, target, mode="repaired")
+        same_labels = same_labels and [r.outcome for r in lit.rows] == [r.outcome for r in rep.rows]
         for a, b in zip(lit.rows, rep.rows):
             diffs += [abs(a.probability - b.probability), abs(a.fidelity - b.fidelity)]
-    return _judged([("max diff", diffs, 1e-12)])
+    return _judged([("max diff", diffs, 1e-12)], holds=same_labels)
 
 
 def _check_literal_flag(seed: int) -> tuple[bool, str]:
     target = TargetState.of((1 / np.sqrt(2), 1j / np.sqrt(2)))
     tr = run_protocol(
-        "deterministic", ChannelSpec.of((0.6, 0.8)), target, "literal", derive_rng(seed, 205)
+        "deterministic", ChannelSpec.of((0.6, 0.8j)), target, "literal", derive_rng(seed, 205)
     )
     defect = max(s.defect for s in tr.steps if s.non_unitary) if tr.has_non_unitary_step else 0.0
     # The printed operator acts norm-preservingly on the protocol states,
@@ -227,41 +237,32 @@ def _check_literal_flag(seed: int) -> tuple[bool, str]:
 
 
 def _check_oracle_exact(seed: int) -> tuple[bool, str]:
+    """Each fast table row's probability and fidelity against the naive path's."""
     rng = derive_rng(seed, 301)
-    reports = []
-    for d in (2, 3, 4):
-        for _ in range(_CONFIGS_PER_CASE):
-            channel = _random_channel(d, rng, positive=True)
-            target = _random_target(d, rng)
-            table = exact_outcome_table("deterministic", channel, target)
-            reports.append(oracle.compare_exact(
-                oracle.table_distribution(table),
-                oracle.enumerate_naive("deterministic", channel, target),
-            ))
-    for _ in range(_CONFIGS_PER_CASE):
-        alpha = float(rng.uniform(0.05, 1.0 / np.sqrt(2.0)))
-        channel = ChannelSpec.of((alpha, np.sqrt(1.0 - alpha * alpha)))
-        target = _random_target(2, rng)
-        reports.append(oracle.compare_exact(
-            oracle.table_distribution(exact_outcome_table("probabilistic", channel, target)),
-            oracle.enumerate_naive("probabilistic", channel, target),
-        ))
-    for _ in range(_CONFIGS_PER_CASE):
-        target = _random_target(2, rng)
-        reports.append(oracle.compare_exact(
-            oracle.table_distribution(exact_outcome_table("nguyen", None, target)),
-            oracle.enumerate_naive("nguyen", None, target),
-        ))
-    return _judged([("max|dp|", [rep.max_stat for rep in reports], oracle.EXACT_TOL)],
-                   f"cases={len(reports)}")
+    cases = [("deterministic", _random_channel(d, rng), _random_target(d, rng))
+             for d in (2, 3, 4) for _ in range(_CONFIGS_PER_CASE)]
+    cases += [("probabilistic", _concentrable_channel(rng), _random_target(2, rng))
+              for _ in range(_CONFIGS_PER_CASE)]
+    cases += [("nguyen", None, _random_target(2, rng)) for _ in range(_CONFIGS_PER_CASE)]
+    dp, df, loss = [], [], []
+    for protocol, channel, target in cases:
+        table = exact_outcome_table(protocol, channel, target)
+        dp.append(oracle.compare_exact(oracle.table_distribution(table),
+                                       oracle.enumerate_naive(protocol, channel, target)).max_stat)
+        naive = oracle.naive_branch_fidelities(protocol, channel, target)
+        df += [abs(row.fidelity - naive.get(row.outcome, np.nan)) for row in table.rows]
+        if protocol == "deterministic":
+            loss += [1.0 - f for f in naive.values()]
+    return _judged([("max|dp|", dp, oracle.EXACT_TOL), ("max|dF|", df, 1e-10),
+                    ("1-min naive deterministic F", loss, 1e-10)], f"cases={len(cases)}")
 
 
 def _check_oracle_sampled(seed: int, trials: int = 10_000) -> tuple[bool, str]:
     rng = derive_rng(seed, 302)
     reports = []
     specs = [
-        ("deterministic", ChannelSpec.of((0.6, 0.8))),
-        ("probabilistic", ChannelSpec.of((0.6, 0.8))),
+        ("deterministic", ChannelSpec.of((0.6, 0.8j))),
+        ("probabilistic", ChannelSpec.of((0.6, 0.8j))),
         ("nguyen", None),
     ]
     for k, (protocol, channel) in enumerate(specs):

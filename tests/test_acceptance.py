@@ -1,21 +1,16 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; every tolerance is pinned here, nothing is calibrated elsewhere.
+lines.  Criteria 4, 6 and 7 run the `rspsim verify` checks they restate,
+each at its own seed, and pin the verdict with the tolerances the check
+prints; every other criterion pins its tolerances here.
 """
 
 import time
 
 import numpy as np
 
-from rspsim.gates import encoding_unitary_literal
-from rspsim.oracle import (
-    compare_exact,
-    compare_sampled,
-    enumerate_naive,
-    naive_branch_fidelities,
-    table_distribution,
-)
+from rspsim.oracle import enumerate_naive
 from rspsim.protocols import (
     ChannelSpec,
     TargetState,
@@ -25,6 +20,13 @@ from rspsim.protocols import (
 from rspsim.register import DensityMatrix, StateRegister, derive_rng
 from rspsim.sweep import sweep_rows, theta_grid
 from rspsim.tomography import reconstruct_qubit, sample_pauli_expectations, trace_distance
+from rspsim.verify import (
+    _check_literal_defect,
+    _check_literal_theta0,
+    _check_nguyen_quarters,
+    _check_oracle_exact,
+    _check_oracle_sampled,
+)
 
 GRID_21 = theta_grid(0.0, np.pi / 4, 21)
 
@@ -104,18 +106,9 @@ def test_criterion_3_d_dimensional_determinism():
 
 def test_criterion_4_nguyen_baseline():
     """Four branches at exactly 25% with unit fidelity, 20 random targets."""
-    rng = np.random.default_rng(20243)
-    worst_p = 0.0
-    worst_fid = 1.0
-    for _ in range(20):
-        table = exact_outcome_table("nguyen", None, random_target(2, rng))
-        assert len(table.rows) == 4
-        for r in table.rows:
-            worst_p = max(worst_p, abs(r.probability - 0.25))
-            worst_fid = min(worst_fid, r.fidelity)
-            assert abs(r.probability - 0.25) <= 1e-12
-            assert r.fidelity >= 1.0 - 1e-12
-    report(4, f"20 targets, max|p-1/4|={worst_p:.2e}, min fidelity={worst_fid:.15f}")
+    measured = "max|p-1/4|<=1e-12 1-min fidelity<=1e-12"
+    assert _check_nguyen_quarters(20243) == (True, measured)
+    report(4, f"20 targets, {measured}")
 
 
 def test_criterion_5_probabilistic_branch_weights():
@@ -152,85 +145,19 @@ def test_criterion_5_probabilistic_branch_weights():
 
 def test_criterion_6_unitarity_audit():
     """Literal defect closed form, zeros at theta in {0, pi}, mode equivalence."""
-    rng = np.random.default_rng(20244)
-    worst = 0.0
-    for _ in range(100):
-        x0 = float(rng.uniform(0.0, 1.0))
-        x1 = float(np.sqrt(1.0 - x0 * x0))
-        th = float(rng.uniform(-np.pi, np.pi))
-        g = encoding_unitary_literal(x0, x1, th)
-        closed = 2.0 * np.sqrt(2.0) * x0 * x1 * abs(np.sin(th))
-        worst = max(worst, abs(g.defect - closed))
-        assert abs(g.defect - closed) <= 1e-10
-    for th in (0.0, np.pi):
-        assert encoding_unitary_literal(0.6, 0.8, th).defect <= 1e-10
-    worst_table = 0.0
-    for _ in range(10):
-        x0 = float(rng.uniform(0.0, 1.0))
-        target = TargetState.of((x0, np.sqrt(1.0 - x0 * x0)))
-        channel = random_positive_channel(2, rng)
-        lit = exact_outcome_table("deterministic", channel, target, mode="literal")
-        rep = exact_outcome_table("deterministic", channel, target, mode="repaired")
-        assert [r.outcome for r in lit.rows] == [r.outcome for r in rep.rows]
-        for a, b in zip(lit.rows, rep.rows):
-            worst_table = max(worst_table, abs(a.probability - b.probability),
-                              abs(a.fidelity - b.fidelity))
-            assert abs(a.probability - b.probability) <= 1e-12
-            assert abs(a.fidelity - b.fidelity) <= 1e-12
-    report(6, f"defect closed form max err={worst:.2e}, "
-              f"literal vs repaired tables max diff={worst_table:.2e}")
+    defect = "max|defect-closed|<=1e-10 defect at 0,pi<=1e-10"
+    assert _check_literal_defect(20244) == (True, defect)
+    assert _check_literal_theta0(20244) == (True, "max diff<=1e-12")
+    report(6, f"{defect}; literal vs repaired tables max diff<=1e-12")
 
 
 def test_criterion_7_oracle_equivalence():
     """Fast tables vs naive enumeration, then the 4-sigma sampling gate."""
-    rng = np.random.default_rng(20245)
-    worst_diff = 0.0
-    cases = 0
-    for d in (2, 3, 4):
-        for _ in range(30):
-            channel = random_positive_channel(d, rng)
-            target = random_target(d, rng)
-            rep = compare_exact(
-                table_distribution(exact_outcome_table("deterministic", channel, target)),
-                enumerate_naive("deterministic", channel, target),
-            )
-            assert rep.passed
-            worst_diff = max(worst_diff, rep.max_stat)
-            fids = naive_branch_fidelities("deterministic", channel, target)
-            assert all(f >= 1.0 - 1e-10 for f in fids.values())
-            cases += 1
-    for _ in range(30):
-        alpha = float(rng.uniform(0.05, 1 / np.sqrt(2)))
-        channel = ChannelSpec.of((alpha, np.sqrt(1 - alpha * alpha)))
-        target = random_target(2, rng)
-        rep = compare_exact(
-            table_distribution(exact_outcome_table("probabilistic", channel, target)),
-            enumerate_naive("probabilistic", channel, target),
-        )
-        assert rep.passed
-        worst_diff = max(worst_diff, rep.max_stat)
-        cases += 1
-    for _ in range(30):
-        target = random_target(2, rng)
-        rep = compare_exact(
-            table_distribution(exact_outcome_table("nguyen", None, target)),
-            enumerate_naive("nguyen", None, target),
-        )
-        assert rep.passed
-        worst_diff = max(worst_diff, rep.max_stat)
-        cases += 1
-    worst_z = 0.0
-    for k, (protocol, channel) in enumerate((
-        ("deterministic", ChannelSpec.of((0.6, 0.8))),
-        ("probabilistic", ChannelSpec.of((0.6, 0.8))),
-        ("nguyen", None),
-    )):
-        dist = enumerate_naive(protocol, channel, random_target(2, rng))
-        rep = compare_sampled(dist, trials=10_000, seed=31337 + k)
-        assert rep.passed, (protocol, rep.max_stat)
-        worst_z = max(worst_z, rep.max_stat)
-    report(7, f"{cases} exact configs max|dp|={worst_diff:.2e}; "
-              f"3x10^4 sampled trials max z={worst_z:.2f}")
+    exact = "cases=150 max|dp|<=1e-10 max|dF|<=1e-10 1-min naive deterministic F<=1e-10"
+    assert _check_oracle_exact(20245) == (True, exact)
+    passed, sampled = _check_oracle_sampled(20245, trials=10_000)
+    assert passed and sampled.startswith("trials=10000 max|z|="), sampled
+    report(7, f"{exact}; 3 sampled configs, {sampled}")
 
 
 def test_criterion_8_tomography_standin():

@@ -239,7 +239,7 @@ def test_verify_nguyen_quarters_checks_every_table(monkeypatch):
     assert rspsim.verify._check_nguyen_quarters(0)[0]
     monkeypatch.setattr(rspsim.verify, "exact_outcome_table", first_table_loses_a_row)
     assert not rspsim.verify._check_nguyen_quarters(0)[0]
-    assert len(calls) == 10
+    assert len(calls) == 20
 
 
 def test_verify_report_bytes_deterministic(capsys):

@@ -100,7 +100,9 @@ def test_deterministic_literal_real_target_both_branches():
     for r in rows.values():
         assert r.fidelity >= 1 - 1e-12
     # the sigma_z branch saw x0|0> - x1|1> before correction
-    pre = np.diag([1.0, -1.0]) @ rows[(1, 1)].bob_state
+    runs = (run_protocol("deterministic", channel, target, "literal", derive_rng(s))
+            for s in range(50))
+    pre = np.diag([1.0, -1.0]) @ next(tr for tr in runs if tr.outcome == (1, 1)).bob_state
     np.testing.assert_allclose(pre, [0.6, -0.8], atol=1e-12)
 
 
@@ -720,22 +722,25 @@ def _block_cases():
 def test_block_leaves_match_the_per_branch_reference(protocol, channel, target, mode):
     paths = _reference_paths(protocol, channel, target, mode)
     folded = {}
-    for label, p, corrected, final, fidelity, _ in paths:
+    for label, p, corrected, _, fidelity, _ in paths:
         if label in folded:
-            q, bob, f, c = folded[label]
-            folded[label] = (q + p, bob, min(f, fidelity), c and corrected)
+            q, f, c = folded[label]
+            folded[label] = (q + p, min(f, fidelity), c and corrected)
         else:
-            folded[label] = (p, final, fidelity, corrected)
+            folded[label] = (p, fidelity, corrected)
     rows = exact_outcome_table(protocol, channel, target, mode).rows
     assert [r.outcome for r in rows] == list(folded)
     for row in rows:
-        p, bob, fidelity, corrected = folded[row.outcome]
+        p, fidelity, corrected = folded[row.outcome]
         assert row.corrected == corrected
         assert abs(row.probability - p) <= 1e-12
         assert abs(row.fidelity - fidelity) <= 1e-12
-        np.testing.assert_allclose(row.bob_state, bob, rtol=0, atol=1e-12)
-        assert not row.bob_state.flags.writeable  # rows share no writable memory
     by_outcomes = {path[5]: path for path in paths}
+    states = _leaf_states(protocol, [channel], target, mode)[0]
+    assert states.keys() == by_outcomes.keys()
+    for outcomes, bob in states.items():
+        np.testing.assert_allclose(bob, by_outcomes[outcomes][3], rtol=0, atol=1e-12)
+        assert not bob.flags.writeable  # leaves share no writable memory
     for seed in range(6):
         tr = run_protocol(protocol, channel, target, mode, derive_rng(seed))
         label, p, corrected, final, fidelity, _ = by_outcomes[
@@ -884,11 +889,16 @@ def test_every_axis_order_gives_the_same_tables_and_runs(monkeypatch, order):
             for k, case in enumerate(cases) for s in seeds]
     grid = [ChannelSpec.from_theta(t) for t in np.linspace(0.0, np.pi / 4, 6)]
     grid_tables = exact_outcome_tables("probabilistic", grid, cases[-1][2])
+    leaves = [_leaf_states(protocol, [channel], target, mode)[0]
+              for protocol, channel, target, mode in cases]
     layout = rspsim.protocols._LAYOUT
     monkeypatch.setattr(rspsim.protocols, "_LAYOUT", layout._replace(labels=tuple(order)))
     assert rspsim.protocols._start([ChannelSpec.of((0.6, 0.8))]).labels == tuple(order)
-    for case, want in zip(cases, tables):
+    for case, want, want_leaves in zip(cases, tables, leaves):
         assert_tables_agree(exact_outcome_table(*case), want, tol=1e-14)
+        protocol, channel, target, mode = case
+        assert_leaf_states_agree(_leaf_states(protocol, [channel], target, mode)[0], want_leaves,
+                                 tol=1e-14)
     for got, want in zip(exact_outcome_tables("probabilistic", grid, cases[-1][2]), grid_tables):
         assert_tables_agree(got, want, tol=1e-14)
     got = [run_protocol(*case, rng=derive_rng(k, s))
@@ -911,7 +921,21 @@ def assert_tables_agree(batched, alone, tol=2e-15):
         assert got.corrected == want.corrected
         assert abs(got.probability - want.probability) <= tol
         assert abs(got.fidelity - want.fidelity) <= tol
-        np.testing.assert_allclose(got.bob_state, want.bob_state, rtol=0, atol=tol)
+
+
+def _leaf_states(protocol, channels, target, mode="repaired"):
+    """Per channel, B's state on each path of one branch tree, keyed by the path's outcomes."""
+    states = [{} for _ in channels]
+    for path in rspsim.protocols._tree(protocol, channels, target, mode)[2].leaves():
+        for j, bob in zip(path.members, path.bob):
+            states[j][tuple(outcome for _, outcome, _ in path.records)] = bob
+    return states
+
+
+def assert_leaf_states_agree(batched, alone, tol=2e-15):
+    assert batched.keys() == alone.keys()
+    for outcomes, bob in batched.items():
+        np.testing.assert_allclose(bob, alone[outcomes], rtol=0, atol=tol)
 
 
 def _batch_cases():
@@ -946,6 +970,8 @@ def test_batched_tables_equal_the_tables_of_one_channel():
         assert len(tables) == len(channels)
         for channel, table in zip(channels, tables):
             assert_tables_agree(table, exact_outcome_table(protocol, channel, target, mode))
+        for channel, states in zip(channels, _leaf_states(protocol, channels, target, mode)):
+            assert_leaf_states_agree(states, _leaf_states(protocol, [channel], target, mode)[0])
 
 
 def test_a_mixed_probabilistic_batch_has_no_nan_and_no_massless_row():
@@ -957,8 +983,11 @@ def test_a_mixed_probabilistic_batch_has_no_nan_and_no_massless_row():
     for channel, table in zip(channels, tables):
         for row in table.rows:
             assert row.probability >= rspsim.register.PROB_FLOOR
-            assert np.isfinite(row.fidelity) and np.all(np.isfinite(row.bob_state))
+            assert np.isfinite(row.fidelity)
         assert_tables_agree(table, exact_outcome_table("probabilistic", channel, target))
+    for channel, states in zip(channels, _leaf_states("probabilistic", channels, target)):
+        assert all(np.all(np.isfinite(bob)) for bob in states.values())
+        assert_leaf_states_agree(states, _leaf_states("probabilistic", [channel], target)[0])
     assert [r.outcome for r in tables[0].rows] == [(1,)]  # theta = 0 always fails
     assert [r.outcome for r in tables[4].rows] == [(0,)]  # theta = pi/4 always completes
     assert [r.outcome for r in tables[5].rows] == [(1,)]
