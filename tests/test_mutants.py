@@ -118,7 +118,7 @@ def pick_on_the_left(mp):
 # (patch, the checks that fail, further seeds for the protocols suite)
 MUTANTS = {
     "pauli_entries_swapped": (pauli_entries_swapped, {CURVE, QUARTERS, LITERAL, ORACLE}, ()),
-    "phase_diagonal_dropped": (phase_diagonal_dropped, {CURVE, ORACLE}, (1, 2, 3, 7)),
+    "phase_diagonal_dropped": (phase_diagonal_dropped, {CURVE, ORACLE}, ()),
     "completion_without_its_cadd": (completion_without_its_cadd, {CURVE, ORACLE}, ()),
     "csub_is_cadd": (csub_is_cadd, {DET_1, ORACLE}, ()),
     "leaf_reversed": (leaf_reversed, {CURVE, QUARTERS, ORACLE, SAMPLED}, ()),
