@@ -193,9 +193,9 @@ def _validated(cfg: RunConfig) -> RunConfig:
         cfg.lambdas = _renormalized(cfg.lambdas, "lambda")
         if len(cfg.lambdas) != d:
             raise ConfigError(f"lambda has {len(cfg.lambdas)} entries but target has {d}")
-    n = len(_LAYOUT.labels)  # subsystems of the register, each of dimension d
-    if d < 2 or d**n > MAX_DIM:
-        raise ConfigError(f"d = {d} is out of range; needs d >= 2 and d^{n} <= {MAX_DIM}")
+    if d < 2 or _LAYOUT.size(d) > MAX_DIM:
+        raise ConfigError(f"d = {d} is out of range; needs d >= 2 and a register of at most "
+                          f"{MAX_DIM} amplitudes")
     if cfg.protocol == "probabilistic" and d != 2:
         raise ConfigError("the probabilistic baseline needs d = 2")
     if cfg.protocol == "probabilistic" and cfg.lambdas is not None \

@@ -2,7 +2,7 @@
 
 The enumeration here is a second, deliberately naive code path: states
 and gates are built as full d^3-dimensional vectors and matrices with
-explicit Kronecker products, measurement branches are computed by
+explicit numpy kron products, measurement branches are computed by
 projector application, and the encoder completion uses Gram-Schmidt
 rather than the fast path's Householder convention.  Nothing from the
 register or gates modules is reused, so indexing bugs in the fast path
@@ -83,16 +83,8 @@ def _shift(d: int, k: int) -> np.ndarray:
     return m
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two vectors or two matrices: the same products, without its any-rank set-up."""
-    if a.ndim == 1 == b.ndim:
-        return np.multiply.outer(a, b).reshape(-1)
-    (m, n), (p, q) = a.shape, b.shape
-    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(m * p, n * q)
-
-
 def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return _kron(_kron(a, b), c)
+    return np.kron(np.kron(a, b), c)
 
 
 def _ctrl3(d: int, ctrl: int, tgt: int, table: list[int]) -> np.ndarray:
@@ -293,6 +285,14 @@ def _naive_branches(protocol, channel, target, mode):
     raise InvalidState(f"unknown protocol {protocol!r}")
 
 
+def _naive_pass(protocol, channel, target, mode) -> tuple[BranchDistribution, dict]:
+    """One naive enumeration: the branch distribution and each realizable branch's fidelity."""
+    branches = _naive_branches(protocol, channel, target, mode)
+    entries = tuple((out, p) for out, p, _ in branches)
+    fidelities = {out: fid for out, _p, fid in branches if fid is not None}
+    return BranchDistribution(entries, RunSpec(protocol, channel, target, mode)), fidelities
+
+
 def enumerate_naive(
     protocol: str,
     channel: ChannelSpec | None,
@@ -300,9 +300,7 @@ def enumerate_naive(
     mode: str = "repaired",
 ) -> BranchDistribution:
     """Exact branch distribution computed through the naive full-matrix path."""
-    branches = _naive_branches(protocol, channel, target, mode)
-    entries = tuple((out, p) for out, p, _ in branches)
-    return BranchDistribution(entries, RunSpec(protocol, channel, target, mode))
+    return _naive_pass(protocol, channel, target, mode)[0]
 
 
 def naive_branch_fidelities(
@@ -312,10 +310,7 @@ def naive_branch_fidelities(
     mode: str = "repaired",
 ) -> dict[Outcome, float]:
     """Post-correction fidelity per realizable branch, naive path."""
-    return {
-        out: fid for out, _p, fid in _naive_branches(protocol, channel, target, mode)
-        if fid is not None
-    }
+    return _naive_pass(protocol, channel, target, mode)[1]
 
 
 def table_distribution(table: OutcomeTable) -> BranchDistribution:

@@ -291,6 +291,10 @@ class _Layout(NamedTuple):
         """A receive leaf: the index of each subsystem but the receiver's, in axis order."""
         return tuple([indices[label] for label in self.labels if label != self.receiver])
 
+    def size(self, d: int) -> int:
+        """Amplitudes of one register: d per subsystem."""
+        return d ** len(self.labels)
+
 
 _LAYOUT = _Layout(("A", "B", "C"), ("A", "B"), "B")  # of every step list; A, C: the sender's
 
@@ -422,7 +426,7 @@ def _plan(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetS
         raise InvalidState(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     elif None in channels:
         raise InvalidState(f"the {protocol} protocol needs a channel")
-    size = len(channels) * channels[0].d ** len(_LAYOUT.labels)
+    size = len(channels) * _LAYOUT.size(channels[0].d)
     if size > MAX_DIM:
         raise CapacityExceeded(f"register dimension {size} exceeds cap {MAX_DIM}")
     if protocol == "nguyen":
@@ -438,7 +442,7 @@ def _start(channels: Sequence[ChannelSpec]) -> StateRegister:
     """Per channel, lambda_m at |m, m> on the channel pair, |0> elsewhere; cap checked by _plan."""
     d, labels = channels[0].d, _LAYOUT.labels
     step = sum(d ** (len(labels) - 1 - labels.index(label)) for label in _LAYOUT.channel)
-    amps = np.zeros((len(channels), d ** len(labels)), dtype=complex)
+    amps = np.zeros((len(channels), _LAYOUT.size(d)), dtype=complex)
     amps[:, : d * step : step] = [channel.lambdas for channel in channels]
     return StateRegister((d,) * len(labels), amps, labels, batch=len(channels))
 
@@ -662,7 +666,7 @@ def exact_outcome_tables(protocol: str, channels: Sequence[ChannelSpec | None],
     channel at least), so a longer batch is walked in chunks.
     """
     channels = list(channels)
-    chunk = max(1, _BATCH_AMPLITUDES // target.d ** len(_LAYOUT.labels))
+    chunk = max(1, _BATCH_AMPLITUDES // _LAYOUT.size(target.d))
     return [table for first in range(0, len(channels), chunk)
             for table in _walk_tables(protocol, channels[first:first + chunk], target, mode)]
 

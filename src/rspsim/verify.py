@@ -247,9 +247,8 @@ def _check_oracle_exact(seed: int) -> tuple[bool, str]:
     dp, df, loss = [], [], []
     for protocol, channel, target in cases:
         table = exact_outcome_table(protocol, channel, target)
-        dp.append(oracle.compare_exact(oracle.table_distribution(table),
-                                       oracle.enumerate_naive(protocol, channel, target)).max_stat)
-        naive = oracle.naive_branch_fidelities(protocol, channel, target)
+        dist, naive = oracle._naive_pass(protocol, channel, target, "repaired")
+        dp.append(oracle.compare_exact(oracle.table_distribution(table), dist).max_stat)
         df += [abs(row.fidelity - naive.get(row.outcome, np.nan)) for row in table.rows]
         if protocol == "deterministic":
             loss += [1.0 - f for f in naive.values()]

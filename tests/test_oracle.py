@@ -227,16 +227,6 @@ def test_oracle_module_shares_no_simulator_code():
     assert not any("register" in m or "gates" in m for m in modules), modules
 
 
-def test_the_naive_kron_is_np_kron_bit_for_bit():
-    rng = np.random.default_rng(3)
-    for shapes in (((2,), (3,)), ((4,), (4,)), ((2, 2), (3, 3)), ((2, 3), (4, 1))):
-        a, b = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes)
-        got, want = rspsim.oracle._kron(a, b), np.kron(a, b)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    with pytest.raises(ValueError):  # a vector and a matrix: no silent reshape
-        rspsim.oracle._kron(np.ones(2), np.eye(2))
-
-
 def _interval_measures(node, width=1.0):
     """(label, measure) of each leaf: the product of the CDF interval widths on its path.
 
@@ -255,12 +245,14 @@ def test_the_pick_rule_reaches_each_row_with_its_naive_probability(monkeypatch):
     """Exact audit of the draw over the 150 configurations of verify's fast-vs-naive check."""
     naive = []
 
-    def spy(*args):
-        dist = enumerate_naive(*args)
-        naive.append(dist)
-        return dist
+    naive_pass = rspsim.oracle._naive_pass
 
-    monkeypatch.setattr(rspsim.oracle, "enumerate_naive", spy)
+    def spy(*args):
+        dist, fidelities = naive_pass(*args)
+        naive.append(dist)
+        return dist, fidelities
+
+    monkeypatch.setattr(rspsim.oracle, "_naive_pass", spy)
     assert rspsim.verify._check_oracle_exact(0)[0]
     assert len(naive) == 150
     for dist in naive:
