@@ -27,7 +27,6 @@ from .gates import (
     cu_concentration,
     encoding_unitary,
     encoding_unitary_literal,
-    identity,
     make_gate,
     nguyen_bases,
     pauli_x,
@@ -64,8 +63,6 @@ from .register import (
     DensityMatrix,
     MeasurementRecord,
     StateRegister,
-    basis_register,
-    channel_register,
     derive_rng,
 )
 from .tomography import (
@@ -86,13 +83,12 @@ __all__ = [
     "InvalidState", "MeasurementRecord", "MismatchedOutcomeSpace",
     "NonUnitaryGate", "OutcomeRow", "OutcomeTable", "PauliEstimates",
     "RunSpec", "ShapeError", "SimulationError", "StateRegister", "TargetState",
-    "TomoResult", "Transcript", "Unsupported", "basis_register", "cadd",
-    "channel_register", "compare_exact", "compare_sampled",
-    "complete_to_unitary", "controlled_shift", "correction_unitary", "csub",
-    "cu_concentration", "dagger", "derive_rng", "encoding_unitary",
-    "encoding_unitary_literal", "enumerate_naive", "exact_outcome_table",
-    "exact_outcome_tables", "fidelity_mixed", "identity", "make_gate",
-    "naive_branch_fidelities", "nguyen_bases", "pauli_x",
+    "TomoResult", "Transcript", "Unsupported", "cadd", "compare_exact",
+    "compare_sampled", "complete_to_unitary", "controlled_shift",
+    "correction_unitary", "csub", "cu_concentration", "dagger", "derive_rng",
+    "encoding_unitary", "encoding_unitary_literal", "enumerate_naive",
+    "exact_outcome_table", "exact_outcome_tables", "fidelity_mixed",
+    "make_gate", "naive_branch_fidelities", "nguyen_bases", "pauli_x",
     "pauli_z", "reconstruct_qubit", "run_protocol", "sample_pauli_expectations",
     "success_probability", "table_distribution", "tomograph", "trace_distance",
     "transport_unitary", "unitarity_defect",

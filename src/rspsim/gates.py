@@ -10,7 +10,7 @@ Every constructor returns an immutable :class:`GateMatrix` whose
 unitarity defect is computed once at build time.  All constructors except
 :func:`encoding_unitary_literal` produce gates with defect <= 1e-10.
 
-Permutations (identity, shift, controlled shifts) are built as index
+Permutations (the shift and the controlled shifts) are built as index
 maps in O(d^2): output amplitude i is ``input[src[i]]``.  Their dense
 matrix is materialized only when asked for.  Every other gate, the clock
 gate included, is dense, built by :func:`make_gate`.
@@ -111,11 +111,6 @@ def index_gate(src: Sequence[int] | np.ndarray, dims: Sequence[int], name: str) 
         raise InvalidState(f"gate {name}: src is not a bijection of range({n})")
     idx.flags.writeable = False
     return GateMatrix(dims=dims, name=name, defect=0.0, src=idx)
-
-
-@functools.lru_cache(maxsize=None)
-def identity(d: int) -> GateMatrix:
-    return index_gate(np.arange(d), (d,), f"I{d}")
 
 
 @functools.lru_cache(maxsize=None)

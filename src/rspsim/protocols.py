@@ -102,6 +102,21 @@ PAULI_TABLE = np.array([[[[1, 0], [0, 1]], [[1, 0], [0, -1]]],
 PAULI_NAMES = (("I", "Z"), ("XZ", "X"))
 
 
+def _unit_vector(values: Sequence[complex], too_short: str, off_norm: str) -> tuple[complex, ...]:
+    """``values`` divided by their norm, which must be within STRUCT_TOL of 1.
+
+    Raises InvalidState with ``too_short`` below two entries and with
+    ``off_norm`` for a norm off 1.
+    """
+    v = as_cvec(values)
+    if v.size < 2:
+        raise InvalidState(too_short)
+    norm = np.linalg.norm(v)
+    if abs(norm - 1.0) > STRUCT_TOL:
+        raise InvalidState(off_norm)
+    return tuple(complex(x) for x in v / norm)
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Schmidt coefficients lambda_0..lambda_{d-1} of the A-B channel.
@@ -113,13 +128,9 @@ class ChannelSpec:
     lambdas: tuple[complex, ...]
 
     def __post_init__(self):
-        v = as_cvec(self.lambdas)
-        if v.size < 2:
-            raise InvalidState("channel needs dimension d >= 2")
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > STRUCT_TOL:
-            raise InvalidState("channel coefficients must satisfy sum |lambda_m|^2 = 1")
-        object.__setattr__(self, "lambdas", tuple(complex(x) for x in v / norm))
+        object.__setattr__(self, "lambdas", _unit_vector(
+            self.lambdas, "channel needs dimension d >= 2",
+            "channel coefficients must satisfy sum |lambda_m|^2 = 1"))
 
     @property
     def d(self) -> int:
@@ -152,13 +163,8 @@ class TargetState:
     amplitudes: tuple[complex, ...]
 
     def __post_init__(self):
-        v = as_cvec(self.amplitudes)
-        if v.size < 2:
-            raise InvalidState("target needs dimension d >= 2")
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > STRUCT_TOL:
-            raise InvalidState("target amplitudes must be normalized")
-        object.__setattr__(self, "amplitudes", tuple(complex(x) for x in v / norm))
+        object.__setattr__(self, "amplitudes", _unit_vector(
+            self.amplitudes, "target needs dimension d >= 2", "target amplitudes must be normalized"))
 
     @property
     def d(self) -> int:

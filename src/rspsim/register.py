@@ -62,19 +62,12 @@ def _cdf(probs: Sequence[float]) -> np.ndarray:
 def _pick(cdf: np.ndarray, u: float | np.ndarray) -> np.intp | np.ndarray:
     """Index of the outcome that each uniform in ``u`` picks: the first i with u < cdf[i].
 
-    The one branch-pick rule: ``_draw`` and the protocols' branch tree,
-    which caches each measurement's ``_cdf``, both pick through it.
+    The one branch-pick rule: ``StateRegister.measure`` and the protocols'
+    branch tree, which caches each measurement's ``_cdf``, both pick through
+    it.  ``_pick(_cdf(p), rng.random())`` picks what ``rng.choice`` would
+    pick from the truncated, renormalized p.
     """
     return np.searchsorted(cdf, u, side="right")
-
-
-def _draw(probs: Sequence[float], u: float | np.ndarray) -> np.intp | np.ndarray:
-    """Index of the outcome that each uniform in ``u`` picks from Born probabilities.
-
-    ``_draw(p, rng.random())`` picks what ``rng.choice`` would pick from the
-    truncated, renormalized p.
-    """
-    return _pick(_cdf(probs), u)
 
 
 def _basis_gates(basis: np.ndarray, d: int) -> GateMatrix:
@@ -150,8 +143,8 @@ class StateRegister:
     ``amplitudes[k * D:(k + 1) * D]`` for D the product of the dims; the cap
     counts all of them.  ``apply``, ``project`` and ``_marginal`` act on
     every element at once.  The methods that read the register as one
-    state (``norm``, ``tensor``, ``born_probabilities``, ``contract``,
-    ``reduced_density``) need ``batch == 1``.
+    state (``born_probabilities``, ``contract``, ``reduced_density``) need
+    ``batch == 1``.
     """
 
     __slots__ = ("dims", "labels", "amplitudes", "batch")
@@ -233,34 +226,11 @@ class StateRegister:
         sub = ", ".join(f"{s}:{d}" for s, d in zip(self.labels, self.dims))
         return f"StateRegister({sub})" if self.batch == 1 else f"StateRegister({sub}; x{self.batch})"
 
-    @property
-    def norm(self) -> float:
-        self._single("norm")
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateRegister":
-        n = self.norm
-        if n < PROB_FLOOR:
-            raise DegenerateState("cannot normalize a register with no amplitude mass")
-        return self._derived(self.amplitudes / n)
-
     def axis(self, label: str) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
             raise ShapeError(f"unknown subsystem {label!r}; register has {self.labels}") from None
-
-    def tensor(self, other: "StateRegister") -> "StateRegister":
-        """Product register; labels must not collide."""
-        self._single("tensor")
-        other._single("tensor")
-        if set(self.labels) & set(other.labels):
-            raise ShapeError("tensor operands share subsystem labels")
-        return StateRegister(
-            self.dims + other.dims,
-            np.kron(self.amplitudes, other.amplitudes),
-            self.labels + other.labels,
-        )
 
     # -- gates -----------------------------------------------------------
 
@@ -390,7 +360,7 @@ class StateRegister:
         sampling so roundoff can never realize an impossible branch.
         """
         dist = self.born_probabilities(targets)
-        outcome, exact_p = dist[_draw([p for _, p in dist], rng.random())]
+        outcome, exact_p = dist[_pick(_cdf([p for _, p in dist]), rng.random())]
         _, collapsed = self.project(targets, outcome)
         record = MeasurementRecord(tuple(targets), outcome, exact_p)
         return record, collapsed
@@ -450,35 +420,3 @@ class StateRegister:
                 raise ShapeError(f"contract vector for {label} has wrong dimension")
             psi = np.tensordot(vec.conj(), psi, axes=([0], [axis]))
         return psi.reshape(-1).copy()
-
-
-def basis_register(
-    dims: Sequence[int], index: Sequence[int], labels: Sequence[str] | None = None
-) -> StateRegister:
-    """Computational basis state |index> over the given subsystem dims."""
-    dims = tuple(int(d) for d in dims)
-    index = tuple(int(i) for i in index)
-    if len(index) != len(dims):
-        raise ShapeError("index length must match dims")
-    for i, d in zip(index, dims):
-        if not 0 <= i < d:
-            raise IndexOutOfRange(f"basis index {i} out of range for dim {d}")
-    amps = np.zeros(int(np.prod(dims)), dtype=complex)
-    amps[int(np.ravel_multi_index(index, dims))] = 1.0
-    return StateRegister(dims, amps, labels)
-
-
-def channel_register(spec) -> StateRegister:
-    """Two-party register sum_m lambda_m |mm> over subsystems A and B.
-
-    Accepts a ChannelSpec-like object (anything with .lambdas) or a plain
-    sequence of Schmidt coefficients.
-    """
-    lambdas = as_cvec(getattr(spec, "lambdas", spec))
-    if abs(np.linalg.norm(lambdas) - 1.0) > STRUCT_TOL:
-        raise InvalidState("Schmidt coefficients must satisfy sum |lambda_m|^2 = 1")
-    d = lambdas.size
-    amps = np.zeros(d * d, dtype=complex)
-    for m in range(d):
-        amps[m * d + m] = lambdas[m]
-    return StateRegister((d, d), amps, ("A", "B"))

@@ -111,8 +111,8 @@ def trial_uniforms(seed: int, point_index: int, trials: int, first: int = 0) -> 
 def _counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """How many of the uniforms ``u`` in [0, 1) pick each outcome of ``cdf``.
 
-    Equals ``np.bincount(_draw(p, u), minlength=len(p))`` for ``cdf = _cdf(p)``:
-    ``_draw`` picks an index <= i exactly when u < cdf[i], so counting the
+    Equals ``np.bincount(_pick(cdf, u), minlength=len(cdf))`` for ``cdf = _cdf(p)``:
+    ``_pick`` picks an index <= i exactly when u < cdf[i], so counting the
     uniforms below each entry and differencing gives every outcome's count
     without an index per trial.  The last entry is exactly 1, above every
     uniform, so its count is ``u.size`` without a pass.

@@ -11,7 +11,6 @@ from rspsim.gates import (
     cu_concentration,
     encoding_unitary,
     encoding_unitary_literal,
-    identity,
     index_gate,
     make_gate,
     nguyen_bases,
@@ -337,7 +336,8 @@ def test_index_gate_rejects_non_bijection():
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_permutation_gates_have_exact_zero_defect(d):
     negation = index_gate((d - 1 - np.arange(d)) % d, (d,), "N")
-    for g in (identity(d), pauli_x(d), cadd(d), csub(d), negation):
+    identity = index_gate(np.arange(d), (d,), "I")
+    for g in (identity, pauli_x(d), cadd(d), csub(d), negation):
         assert g.src is not None
         assert g.defect == 0.0
         assert unitarity_defect(g.matrix) == 0.0

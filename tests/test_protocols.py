@@ -600,10 +600,10 @@ def test_start_register_is_the_channel_times_the_ancilla(d):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     channel = ChannelSpec.of(v / np.linalg.norm(v))
     start = rspsim.protocols._start([channel])
-    ancilla = rspsim.register.basis_register((d,), (0,), labels=("C",))
-    expected = rspsim.register.channel_register(channel).tensor(ancilla)
-    assert (start.dims, start.labels) == (expected.dims, expected.labels)
-    np.testing.assert_array_equal(start.amplitudes, expected.amplitudes)
+    expected = np.zeros((d, d, d), dtype=complex)  # lambda_m |m, m, 0>
+    expected[np.arange(d), np.arange(d), 0] = channel.lambdas
+    assert (start.dims, start.labels) == ((d, d, d), ("A", "B", "C"))
+    np.testing.assert_array_equal(start.amplitudes, expected.reshape(-1))
 
 
 def test_start_register_checks_the_cap_before_allocating(monkeypatch):
@@ -649,9 +649,8 @@ def _reference_paths(protocol, channel, target, mode="repaired"):
         def fix(outcomes, bob):
             return chain(np.array([outcomes[-1][0]]), bob[None])[0]
     elif protocol == "deterministic":
-        def fix(outcomes, bob):
-            gate = rspsim.gates.identity(2) if outcomes[-1][0] == 0 else rspsim.gates.pauli_z(2)
-            return gate.matrix @ bob
+        def fix(outcomes, bob):  # I or sigma_z, keyed by C
+            return (np.eye(2) if outcomes[-1][0] == 0 else np.diag([1, -1])) @ bob
     else:
         x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
         pauli = {(0, 0): np.eye(2), (0, 1): z, (1, 0): x @ z, (1, 1): x}
@@ -664,8 +663,9 @@ def _reference_paths(protocol, channel, target, mode="repaired"):
         *gates, last = steps
         for g in gates:
             reg = reg.apply(g.gate, g.targets, strict=g.strict)
-            if abs(reg.norm - 1.0) > rspsim.linalg.STRUCT_TOL:
-                reg = reg.normalized()
+            norm = np.linalg.norm(reg.amplitudes)
+            if abs(norm - 1.0) > rspsim.linalg.STRUCT_TOL:
+                reg = rspsim.register.StateRegister(reg.dims, reg.amplitudes / norm, reg.labels)
         measured, back = reg, None
         if last.basis is not None:
             (target_label,) = last.targets
