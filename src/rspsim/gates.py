@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityExceeded, InvalidState, NonUnitaryGate
-from .linalg import MAX_DIM, STRUCT_TOL, as_cvec, complete_to_unitary, dagger, unitarity_defect
+from .linalg import MAX_DIM, STRUCT_TOL, as_cvec, complete_to_unitary, unitarity_defect
 
 # A gate is applied in strict mode only if its defect stays below this.
 UNITARY_TOL = 1e-8
@@ -232,7 +232,7 @@ def correction_chain(u: GateMatrix) -> Callable[[np.ndarray, np.ndarray], np.nda
     if u.defect > UNITARY_TOL:
         raise NonUnitaryGate(f"encoder defect {u.defect:.3e} exceeds {UNITARY_TOL:.0e}")
     d, enc = u.dim, u.matrix
-    enc_dag_t, enc_t = dagger(enc).T, enc.T  # rows times these: U^dag, then U, on every row
+    enc_dag_t, enc_t = enc.conj(), enc.T  # rows times these: U^dag, then U, on every row
     negate, swap = _chain_gathers(d)
 
     def fix(ms: np.ndarray, bs: np.ndarray) -> np.ndarray:

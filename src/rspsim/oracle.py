@@ -357,7 +357,8 @@ def compare_sampled(dist: BranchDistribution, trials: int, seed: int) -> Compari
     *_, tree = _tree(spec.protocol, [spec.channel], spec.target, spec.mode or "repaired")
     counts: dict[Outcome, int] = {out: 0 for out, _ in dist.entries}
     for t in range(trials):
-        out = tree.draw(np.random.default_rng(np.random.SeedSequence((int(seed), t)))).label
+        block, k = tree.draw(np.random.default_rng(np.random.SeedSequence((int(seed), t))))
+        out = block.labels[k]
         if out not in counts:
             raise MismatchedOutcomeSpace(f"sampled outcome {out} outside the outcome space")
         counts[out] += 1

@@ -40,15 +40,20 @@ Each protocol is written once, as a step list over the register of
 that share the step list and a target, one register element per
 channel: a measurement node applies the gates before it once, holds
 each element's Born probabilities, and expands each child on its first
-visit for the elements that take it, finishing the new branches that end
-at the receiver as one array block.  :func:`exact_outcome_tables` fully
-expands the tree of a grid of channels, one batch in chunks under the
-cap; :func:`exact_outcome_table` is its batch of one.  Every tree builds
-the gates of its target once, with its step list.  The immutable
-:class:`Transcript` of a run is one draw from a fresh tree of one
-channel, and the oracle's sampled comparison draws all its trials from
-one tree.  Draws pick a branch by the register's one rule, with one
-``rng.random()`` per measurement.
+visit for the elements that take it.  The new branches that end at the
+receiver are finished as one block of rows, one row per (leaf, element),
+and stay one block: labels, p, fidelities and B's states are held per
+row, and what the rows share (steps, records, raw norms) once.  A
+measurement's ``correct`` corrects a block's B states in one call; its
+``describe`` names one outcome's correction and only a transcript calls
+it.  :func:`exact_outcome_tables` fully expands the tree of a grid of
+channels, one batch in chunks under the cap, and folds each block into
+its channels' rows; :func:`exact_outcome_table` is its batch of one.
+Every tree builds the gates of its target once, with its step list.  The
+immutable :class:`Transcript` of a run is read from one row: one draw
+from a fresh tree of one channel.  The oracle's sampled comparison draws
+all its trials from one tree.  Draws pick a branch by the register's one
+rule, with one ``rng.random()`` per measurement.
 
 Success is one fixed rule, :func:`succeeded`, read by runs, tables and
 sweeps alike: a branch succeeds when the protocol corrects it and its
@@ -58,6 +63,7 @@ protocol declares failed never succeeds, whatever its fidelity.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -281,11 +287,12 @@ def success_probability(table: OutcomeTable) -> float:
 # |k> there, so no later gate may act on it.  A leaf is the index tuple, one
 # per subsystem but the receiver's, that B's state is conditioned on
 # (_Layout.leaf).  The measurement corrects the B states of all its leaves
-# as one block with
-# ``correct(outcomes, channels, bobs) -> (descriptions, corrected rows)``,
+# as one block with ``correct(outcomes, channels, bobs) -> corrected rows``,
 # given per row the picked outcomes as an int array of shape
 # (k, len(targets)), the index of its channel in the batch, and B's state,
-# as rows of shape (k, d).  None declares those branches failed.
+# as rows of shape (k, d).  None declares those branches failed.  Its
+# ``describe(outcome)`` names the correction of one outcome; only a
+# transcript reads it.
 
 
 class _Layout(NamedTuple):
@@ -311,12 +318,17 @@ class _Gate(NamedTuple):
     strict: bool = True
 
 
+def _uncorrected(_outcome: tuple[int, ...]) -> str:
+    return "none (failure branch)"
+
+
 class _Measure(NamedTuple):
     targets: tuple[str, ...]  # a single target when measured in a basis
     then: Callable[[tuple[int, ...]], list | tuple[int, ...]]  # steps, or a leaf
     basis: GateMatrix | None = None  # basis^dag, see _basis_gates
     labelled: bool = True
-    correct: Callable[..., tuple[list[str], np.ndarray]] | None = None  # see above
+    correct: Callable[..., np.ndarray] | None = None  # see above
+    describe: Callable[[tuple[int, ...]], str] = _uncorrected
 
 
 def _apply_rows(matrices: np.ndarray, bobs: np.ndarray) -> np.ndarray:
@@ -332,11 +344,10 @@ def _deterministic_steps(channels: Sequence[ChannelSpec], target: TargetState, m
     d = target.d
     if mode == "repaired":
         enc = encoding_unitary(target.amplitudes)
-        chain = correction_chain(enc)
+        fix = correction_chain(enc)
 
-        def fix(a, bobs):
-            return ([f"V[{m}] (encoder-derived, target-dependent)" for m in a.tolist()],
-                    chain(a, bobs))
+        def name(a):
+            return f"V[{a}] (encoder-derived, target-dependent)"
     elif mode == "literal":
         if d != 2:
             raise Unsupported("literal mode is defined only for d = 2")
@@ -344,7 +355,9 @@ def _deterministic_steps(channels: Sequence[ChannelSpec], target: TargetState, m
         printed = PAULI_TABLE[0]  # I on a = 0, sigma_z on 1
 
         def fix(a, bobs):
-            return [("identity", "sigma_z")[m] for m in a.tolist()], _apply_rows(printed[a], bobs)
+            return _apply_rows(printed[a], bobs)
+
+        name = ("identity", "sigma_z").__getitem__
     else:
         raise InvalidState(f"unknown mode {mode!r}; expected one of {MODES}")
 
@@ -358,7 +371,8 @@ def _deterministic_steps(channels: Sequence[ChannelSpec], target: TargetState, m
 
     return [_Gate(cadd(d), ("A", "C")), _Gate(enc, ("A",), strict=mode == "repaired"),
             _Gate(csub(d), ("A", "B")), _Gate(cadd(d), ("B", "A")),
-            _Measure(("A", "C"), lambda ac: _LAYOUT.leaf(A=ac[0], C=ac[1]), correct=correct)]
+            _Measure(("A", "C"), lambda ac: _LAYOUT.leaf(A=ac[0], C=ac[1]), correct=correct,
+                     describe=lambda ac: name(ac[0]))]
 
 
 def _nguyen_fixes(channels: Sequence[ChannelSpec]) -> np.ndarray:
@@ -383,12 +397,14 @@ def _nguyen_stage(channels: Sequence[ChannelSpec], target: TargetState, labelled
         (i,) = out_mu
 
         def correct(outcomes, channels, bobs):
-            j = outcomes[:, 0]
-            return ([f"{PAULI_NAMES[i][n]} (mu={i}, nu={n}) after channel-phase diagonal"
-                     for n in j.tolist()], _apply_rows(fixes[channels, i, j], bobs))
+            return _apply_rows(fixes[channels, i, outcomes[:, 0]], bobs)
+
+        def describe(out_nu):
+            (n,) = out_nu
+            return f"{PAULI_NAMES[i][n]} (mu={i}, nu={n}) after channel-phase diagonal"
 
         measure_nu = _Measure(("C",), lambda out_nu: _LAYOUT.leaf(A=i, C=out_nu[0]), nu_rot,
-                              labelled, correct)
+                              labelled, correct, describe)
         return [_Gate(phase, ("C",)), measure_nu] if i == 0 else [measure_nu]
 
     return [_Measure(("A",), after_mu, mu_rot, labelled)]
@@ -458,7 +474,7 @@ def _start(channels: Sequence[ChannelSpec]) -> StateRegister:
 
 
 class _Path(NamedTuple):
-    """One path from the root, for the batch elements that reach it with mass.
+    """What every branch below a node shares, for the batch elements that reach it with mass.
 
     ``members`` are those elements' indices in the batch, and every
     per-element field is a tuple aligned with them.  A record holds a
@@ -472,10 +488,37 @@ class _Path(NamedTuple):
     steps: tuple[GateStep, ...] = ()
     records: tuple[tuple[tuple[str, ...], tuple[int, ...], tuple[float, ...]], ...] = ()
     raw_norm: tuple[float, ...] | None = None
-    correction: tuple[str, ...] = ()
-    bob: tuple[np.ndarray, ...] = ()
-    fidelity: tuple[float, ...] = ()
-    corrected: bool = False
+
+
+class _Leaves(NamedTuple):
+    """The receive leaves that one expansion of a node finished, as one block of rows.
+
+    Leaf k is outcome ``outcomes[k]`` of the node's measurement ``last``,
+    with row label ``labels[k]``.  It has one row per element that reaches
+    it, in the node's element order, and the rows run leaf by leaf.  Per
+    row: its ``leaf``, the batch index of its element, the probability ``q``
+    of the last outcome and ``p`` of the whole path, and B's final state
+    and its fidelity to the target.  What every row shares is held once:
+    the node's ``path`` (steps, records, raw norms, label prefix) and
+    whether the protocol corrected it.
+    """
+
+    path: _Path
+    last: _Measure
+    outcomes: list[tuple[int, ...]]
+    labels: list[tuple[int, ...]]
+    leaf: list[int]  # ascending
+    elements: list[int]
+    q: list[float]
+    p: list[float]
+    fidelity: list[float]
+    bob: np.ndarray  # read-only, one row per row of the block
+    corrected: bool
+
+    def rows(self, leaves: range) -> slice:
+        """The rows of a run of consecutive leaves."""
+        return slice(bisect.bisect_left(self.leaf, leaves.start),
+                     bisect.bisect_left(self.leaf, leaves.stop))
 
 
 def _received(reg: StateRegister, rows: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -490,37 +533,37 @@ def _received(reg: StateRegister, rows: np.ndarray, others: np.ndarray) -> np.nd
     return psi.transpose([*range(last), *range(last + 1, psi.ndim), last])[(rows, *others)]
 
 
-def _finish(target: np.ndarray, reg: StateRegister, members: tuple[int, ...],
-            leaves: Sequence[tuple[tuple[int, ...], tuple[int, ...], list[int]]],
-            correct: Callable | None) -> list[tuple[tuple, tuple, tuple]]:
-    """(descriptions, corrected states, fidelities) of each (outcome, leaf, keep), as one block.
+def _finish(target: np.ndarray, reg: StateRegister, path: _Path, last: _Measure,
+            ends: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], qs: np.ndarray) -> _Leaves:
+    """The (outcome, leaf) pairs ``ends`` of one node, finished as one block.
 
-    ``keep`` lists the positions of the register's elements that reach the
-    leaf, whose batch indices ``members`` gives, and each triple holds one
-    entry per kept element.  Every corrected row must be finite and
-    normalized before its fidelity is taken.  The rows are views of one
-    read-only block, so no two share writable memory.
+    ``qs[j, k]`` is the probability that the register's element j takes
+    leaf k; the elements at or above PROB_FLOOR reach it.  B's states are
+    gathered, normalized and corrected together, and every corrected row
+    must be finite and normalized before its fidelity is taken.
     """
-    outcomes, receives, keeps = zip(*leaves)
-    # One row per kept (leaf, element): its element, the leaf's indices, then its batch index.
-    picks = np.array([(j, *leaf, members[j]) for leaf, keep in zip(receives, keeps)
-                      for j in keep]).T
-    bobs = _received(reg, picks[0], picks[1:-1])
+    outcomes = [outcome for outcome, _ in ends]
+    leaf, rows = (qs.T >= PROB_FLOOR).nonzero()  # leaf by leaf, each in element order
+    # Per row, its leaf's outcome, then the leaf's indices: one gather of a per-leaf table.
+    picks = np.fromiter(itertools.chain.from_iterable(o + r for o, r in ends),
+                        np.intp).reshape(len(ends), -1)[leaf]
+    bobs = _received(reg, rows, picks[:, len(outcomes[0]):].T)
     n = np.linalg.norm(bobs, axis=1)
     if n.min() < PROB_FLOOR:
         raise SimulationError("conditional state has no amplitude mass")
     bobs /= n[:, None]
-    descs, final = ["none (failure branch)"] * len(bobs), bobs
-    if correct is not None:
-        descs, final = correct(np.array([o for o, keep in zip(outcomes, keeps) for _ in keep]),
-                               picks[-1], bobs)
-        if not all(x <= STRUCT_TOL for x in _norm_defects(final, len(final))):
+    elements = np.array(path.members)[rows]
+    if last.correct is not None:
+        bobs = last.correct(picks[:, :len(outcomes[0])], elements, bobs)
+        if not all(x <= STRUCT_TOL for x in _norm_defects(bobs, len(bobs))):
             raise InvalidState("corrected states must be finite and normalized")  # NaN too
-    final.flags.writeable = False
-    fids = (np.abs(final @ target.conj()) ** 2).tolist()
-    states, ends = list(final), list(itertools.accumulate(map(len, keeps)))
-    return [(tuple(descs[a:b]), tuple(states[a:b]), tuple(fids[a:b]))
-            for a, b in zip([0, *ends], ends)]
+    bobs.flags.writeable = False
+    q = qs[rows, leaf]
+    labels = ([path.label + o for o in outcomes] if last.labelled
+              else [path.label] * len(outcomes))
+    return _Leaves(path, last, outcomes, labels, leaf.tolist(),
+                   elements.tolist(), q.tolist(), (np.array(path.p)[rows] * q).tolist(),
+                   (np.abs(bobs @ target.conj()) ** 2).tolist(), bobs, last.correct is not None)
 
 
 class _Node:
@@ -530,17 +573,17 @@ class _Node:
     with one element per batch member that reaches it, and their Born
     probabilities, one row per element, flat in row-major outcome order.
     ``children`` maps a flat outcome index to the subtree that follows or,
-    where the receiver gets B, to the finished leaf; an outcome is a child
-    when some element takes it with p >= PROB_FLOOR, and the elements below
-    the floor do not follow it.  A tree lives only as long as the call
-    that built it.
+    where the receiver gets B, to its leaf (block, k): leaf k of a finished
+    block.  An outcome is a child when some element takes it with p >=
+    PROB_FLOOR, and the elements below the floor do not follow it.  A tree
+    lives only as long as the call that built it.
     """
 
     def __init__(self, target: np.ndarray, reg: StateRegister, last: _Measure, path: _Path):
         marg = reg._marginal(last.targets)
         self.target, self.reg, self.last, self.path = target, reg, last, path
         self.shape, self.probs = marg.shape[1:], marg.reshape(reg.batch, -1)
-        self.children: dict[int, _Node | _Path] = {}
+        self.children: dict[int, _Node | tuple[_Leaves, int]] = {}
 
     @functools.cached_property
     def cdf(self) -> np.ndarray:
@@ -551,7 +594,7 @@ class _Node:
         """The children at flat outcome indices ``picks``, each expanded on its first visit.
 
         The new branches that end in a receive leaf are finished together
-        by ``_finish``.
+        by ``_finish``, as one block.
         """
         last, path = self.last, self.path
         new = [i for i in picks if i not in self.children]
@@ -559,43 +602,61 @@ class _Node:
             return [self.children[i] for i in picks]
         outcomes = list(zip(*(ix.tolist() for ix in np.unravel_index(new, self.shape))))
         nxts = [last.then(outcome) for outcome in outcomes]
-        qs = self.probs.T[new].tolist()  # per new outcome, each element's probability
-        keeps = [[j for j, q in enumerate(row) if q >= PROB_FLOOR] for row in qs]
-        ends = [(o, nxt, keep) for o, nxt, keep in zip(outcomes, nxts, keeps)
-                if isinstance(nxt, tuple)]
-        finished = iter(_finish(self.target, self.reg, path.members, ends, last.correct)
-                        if ends else ())
-        for i, outcome, nxt, row, keep in zip(new, outcomes, nxts, qs, keeps):
+        qs = self.probs[:, new]  # per element, each new outcome's probability
+        ends = [k for k, nxt in enumerate(nxts) if isinstance(nxt, tuple)]
+        if ends:
+            block = _finish(self.target, self.reg, path, last,
+                            [(outcomes[k], nxts[k]) for k in ends],
+                            qs if len(ends) == len(new) else qs[:, ends])
+            leaves = iter(range(len(ends)))
+        for i, outcome, nxt, row in zip(new, outcomes, nxts, qs.T.tolist()):
+            if isinstance(nxt, tuple):
+                self.children[i] = (block, next(leaves))
+                continue
+            keep = [j for j, q in enumerate(row) if q >= PROB_FLOOR]
             if len(keep) == len(row):  # every element takes it: nothing to pick out
                 members, p, q, raw_norm = path.members, path.p, tuple(row), path.raw_norm
             else:
                 members, p, q = (tuple(v[j] for j in keep) for v in (path.members, path.p, row))
                 raw_norm = path.raw_norm and tuple(path.raw_norm[j] for j in keep)
-            head = (members, tuple(map(operator.mul, p, q)),
-                    path.label + outcome if last.labelled else path.label, path.steps,
-                    path.records + ((last.targets, outcome, q),), raw_norm)
-            if isinstance(nxt, tuple):
-                self.children[i] = _Path(*head, *next(finished), last.correct is not None)
-                continue
             _, reg = self.reg.project(last.targets, outcome)
             if reg is None or reg.batch != len(keep):
                 raise SimulationError(f"outcome {outcome} of {last.targets} lost mass in projection")
-            self.children[i] = _node(self.target, reg, nxt, _Path(*head))
+            self.children[i] = _node(self.target, reg, nxt, _Path(
+                members, tuple(map(operator.mul, p, q)),
+                path.label + outcome if last.labelled else path.label, path.steps,
+                path.records + ((last.targets, outcome, q),), raw_norm))
         return [self.children[i] for i in picks]
 
-    def leaves(self) -> Iterator[_Path]:
-        """Every leaf, in outcome order.  Each element's unlabelled branches must sum to 1."""
+    def blocks(self) -> Iterator[tuple[_Leaves, range]]:
+        """Every leaf, in outcome order, as runs of consecutive leaves of one block.
+
+        Each element's unlabelled branches must sum to 1.
+        """
         live = self.probs >= PROB_FLOOR
         if not self.last.labelled:
             for total in np.where(live, self.probs, 0.0).sum(axis=1).tolist():
                 if abs(total - 1.0) > 1e-12:
                     raise SimulationError(
                         f"unlabelled branches of {self.last.targets} sum to {total}, not 1")
+        run = None  # [block, first leaf, last leaf + 1]
         for child in self.expand(np.flatnonzero(live.any(axis=0)).tolist()):
-            yield from child.leaves() if isinstance(child, _Node) else (child,)
+            if isinstance(child, _Node):
+                if run:
+                    yield run[0], range(run[1], run[2])
+                    run = None
+                yield from child.blocks()
+            elif run and child[0] is run[0] and child[1] == run[2]:
+                run[2] += 1
+            else:
+                if run:
+                    yield run[0], range(run[1], run[2])
+                run = [*child, child[1] + 1]
+        if run:
+            yield run[0], range(run[1], run[2])
 
-    def draw(self, rng: np.random.Generator) -> _Path:
-        """One leaf, picked with one ``rng.random()`` per measurement on its path."""
+    def draw(self, rng: np.random.Generator) -> tuple[_Leaves, int]:
+        """One leaf (block, k), picked with one ``rng.random()`` per measurement on its path."""
         node = self
         while isinstance(node, _Node):
             (node,) = node.expand([int(_pick(node.cdf, rng.random()))])
@@ -634,6 +695,12 @@ def _tree(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetS
                                  _Path(tuple(range(n)), (1.0,) * n))
 
 
+@functools.lru_cache(maxsize=8)
+def _outcome_space(d: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """Every label of ``length`` indices over range(d): a table's outcome space."""
+    return tuple(itertools.product(range(d), repeat=length))
+
+
 # A batched walk's register holds at most this many amplitudes, a quarter of the cap:
 # an apply on targets that are not a run of axes in order (the qubit controlled-U on A
 # and C) holds the register, its product and the transposed result, three arrays at once.
@@ -644,23 +711,26 @@ def _walk_tables(protocol: str, channels: Sequence[ChannelSpec | None], target: 
                  mode: str) -> list[OutcomeTable]:
     """The tables of a batch of channels, from one fully expanded tree.
 
-    Paths sharing a label fold into one row (summed p, min fidelity).  The
-    tree dies on return, so a chunk's registers never outlive its walk.
+    Each block's rows fold, in leaf order, into their channel's rows: rows
+    sharing a label become one (summed p, min fidelity).  The tree dies on
+    return, so a chunk's registers never outlive its walk.
     """
     mode, channels, root = _tree(protocol, channels, target, mode)
-    groups: list[dict[tuple[int, ...], list]] = [{} for _ in channels]
-    for path in root.leaves():
-        for j, p, fidelity in zip(path.members, path.p, path.fidelity):
-            groups[j].setdefault(path.label, []).append((p, fidelity, path.corrected))
-    space = tuple(itertools.product(range(channels[0].d), repeat=len(path.label)))  # all one length
-    tables = []
-    for channel, group in zip(channels, groups):
-        rows = []
-        for label, entries in group.items():
-            ps, fidelities, corrected = zip(*entries)
-            rows.append(OutcomeRow(label, sum(ps), min(fidelities), all(corrected)))
-        tables.append(OutcomeTable(protocol, mode, channel, target, tuple(rows), space))
-    return tables
+    groups: list[dict[tuple[int, ...], tuple[list, list, list]]] = [{} for _ in channels]
+    for block, leaves in root.blocks():
+        labels, corrected = block.labels, block.corrected
+        rows = block.rows(leaves)
+        for j, k, p, fidelity in zip(block.elements[rows], block.leaf[rows], block.p[rows],
+                                     block.fidelity[rows]):
+            ps, fidelities, flags = groups[j].setdefault(labels[k], ([], [], []))
+            ps.append(p)
+            fidelities.append(fidelity)
+            flags.append(corrected)
+    space = _outcome_space(channels[0].d, len(labels[0]))  # every label has one length
+    return [OutcomeTable(protocol, mode, channel, target,
+                         tuple(OutcomeRow(label, sum(ps), min(fidelities), all(flags))
+                               for label, (ps, fidelities, flags) in group.items()), space)
+            for channel, group in zip(channels, groups)]
 
 
 def exact_outcome_tables(protocol: str, channels: Sequence[ChannelSpec | None],
@@ -687,13 +757,15 @@ def run_protocol(protocol: str, channel: ChannelSpec | None, target: TargetState
                  mode: str = "repaired", rng: np.random.Generator | None = None) -> Transcript:
     """One sampled run of any protocol, with one draw per measurement."""
     mode, (channel,), root = _tree(protocol, [channel], target, mode)
-    path = root.draw(rng if rng is not None else np.random.default_rng())
+    block, k = root.draw(rng if rng is not None else np.random.default_rng())
+    r, path, last, outcome = block.leaf.index(k), block.path, block.last, block.outcomes[k]  # one row
     records = tuple(MeasurementRecord(t, o, q[0]) for t, o, q in path.records)
+    records += (MeasurementRecord(last.targets, outcome, block.q[r]),)
     return Transcript(
         protocol=protocol, mode=mode, channel=channel, target=target,
         steps=path.steps, measurements=records,
-        messages=tuple(ClassicalMessage(r.subsystems, r.outcome) for r in records),
-        outcome=path.label, correction=path.correction[0], bob_state=path.bob[0],
-        fidelity=path.fidelity[0], success=succeeded(path.corrected, path.fidelity[0]),
+        messages=tuple(ClassicalMessage(rec.subsystems, rec.outcome) for rec in records),
+        outcome=block.labels[k], correction=last.describe(outcome), bob_state=block.bob[r],
+        fidelity=block.fidelity[r], success=succeeded(block.corrected, block.fidelity[r]),
         raw_norm=None if path.raw_norm is None else path.raw_norm[0],
     )

@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
 )
 from .gates import UNITARY_TOL, GateMatrix, make_gate
-from .linalg import MAX_DIM, STRUCT_TOL, as_cvec, dagger
+from .linalg import MAX_DIM, STRUCT_TOL, as_cvec
 
 # Probabilities below this are treated as exact zeros before sampling, so
 # floating residue can never realize an impossible branch.
@@ -72,7 +72,10 @@ def _pick(cdf: np.ndarray, u: float | np.ndarray) -> np.intp | np.ndarray:
 
 def _basis_gates(basis: np.ndarray, d: int) -> GateMatrix:
     """basis^dag, which rotates column k onto |k>; rejected unless unitary."""
-    rot = make_gate(dagger(np.asarray(basis, dtype=complex)), (d,), "basis^dag")
+    m = np.asarray(basis, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+    rot = make_gate(m.conj().T, (d,), "basis^dag")  # make_gate's defect rejects non-finite entries
     if rot.defect > UNITARY_TOL:
         raise NonUnitaryGate(f"measurement basis defect {rot.defect:.3e}")
     return rot
@@ -136,6 +139,19 @@ def _norm_defects(amps: np.ndarray, batch: int) -> list[float]:
     return [abs(math.sqrt(s) - 1.0) for s in squares]
 
 
+def _check_elements(amps: np.ndarray, batch: int, check_norm: bool = True) -> None:
+    """Raise unless every entry is finite and (with ``check_norm``) every element's norm is 1.
+
+    One pass over the amplitudes: finite defects mean finite entries, so only
+    an overflow of huge ones needs the scan for non-finite entries.
+    """
+    defects = _norm_defects(amps, batch)
+    if not all(map(math.isfinite, defects)) and not np.isfinite(amps).all():
+        raise InvalidState("vector entries must be finite")
+    if check_norm and not all(x <= STRUCT_TOL for x in defects):
+        raise InvalidState(f"register norm is off 1 by {max(defects)}")
+
+
 class StateRegister:
     """Normalized pure state over an ordered list of labeled qudits, or a batch of them.
 
@@ -164,13 +180,15 @@ class StateRegister:
         total = int(np.prod(dims)) * int(batch)
         if total > MAX_DIM:
             raise CapacityExceeded(f"register dimension {total} exceeds cap {MAX_DIM}")
-        amps = as_cvec(amplitudes)
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        if amps.size < 1:
+            raise ShapeError("vector must have at least one entry")
         if amps.size != total:
+            if not np.isfinite(amps).all():  # non-finite entries are reported before the length
+                raise InvalidState("vector entries must be finite")
             raise ShapeError(f"amplitude length {amps.size} != product of dims {total}")
-        amps = amps.copy()
-        defects = _norm_defects(amps, batch)
-        if not all(x <= STRUCT_TOL for x in defects):
-            raise InvalidState(f"register norm is off 1 by {max(defects)}")
+        amps = amps.copy()  # the one copy, read once by the check below
+        _check_elements(amps, batch)
         if labels is None:
             labels = tuple(f"q{i}" for i in range(len(dims)))
         labels = tuple(str(s) for s in labels)
@@ -192,12 +210,7 @@ class StateRegister:
         here.
         """
         reg = self._unchecked(amps)
-        defects = _norm_defects(amps, reg.batch)
-        # Finite defects mean finite entries; only an overflow of huge ones needs the scan.
-        if not all(map(math.isfinite, defects)) and not np.all(np.isfinite(amps)):
-            raise InvalidState("vector entries must be finite")
-        if check_norm and not all(x <= STRUCT_TOL for x in defects):
-            raise InvalidState(f"register norm is off 1 by {max(defects)}")
+        _check_elements(amps, reg.batch, check_norm)
         return reg
 
     def _unchecked(self, amps: np.ndarray) -> "StateRegister":

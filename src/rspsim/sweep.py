@@ -74,13 +74,15 @@ _MASK64 = (1 << 64) - 1
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer; uint64 arithmetic wraps mod 2^64 by design."""
-    x = x.astype(np.uint64)
-    x ^= x >> np.uint64(30)
+    """splitmix64 finalizer, in place on a uint64 array, which it returns; it wraps mod 2^64."""
+    t = x >> np.uint64(30)
+    x ^= t
     x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=t)
+    x ^= t
     x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
     return x
 
 
@@ -103,9 +105,14 @@ def trial_uniforms(seed: int, point_index: int, trials: int, first: int = 0) -> 
     arrays.
     """
     base = _mix64_int(_mix64_int(int(seed)) + _GOLDEN * (int(point_index) + 1))
-    idx = np.arange(first + 1, first + trials + 1, dtype=np.uint64)
-    words = _mix64(np.uint64(base) + np.uint64(_GOLDEN) * idx)
-    return (words >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    words = np.arange(first + 1, first + trials + 1, dtype=np.uint64)
+    words *= np.uint64(_GOLDEN)
+    words += np.uint64(base)
+    _mix64(words)
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
+    u *= 2.0**-53  # exact: a power of two
+    return u
 
 
 def _counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -238,7 +238,8 @@ def _interval_measures(node, width=1.0):
         if isinstance(child, rspsim.protocols._Node):
             yield from _interval_measures(child, w)
         else:
-            yield child.label, w
+            block, k = child
+            yield block.labels[k], w
 
 
 def test_the_pick_rule_reaches_each_row_with_its_naive_probability(monkeypatch):
@@ -258,9 +259,9 @@ def test_the_pick_rule_reaches_each_row_with_its_naive_probability(monkeypatch):
     for dist in naive:
         spec = dist.provenance
         *_, tree = rspsim.protocols._tree(spec.protocol, [spec.channel], spec.target, spec.mode)
-        leaves = list(tree.leaves())  # the full expansion
+        labels = [block.labels[k] for block, leaves in tree.blocks() for k in leaves]  # the full expansion
         measured = list(_interval_measures(tree))
-        assert [label for label, _ in measured] == [leaf.label for leaf in leaves]
+        assert [label for label, _ in measured] == labels
         measures = dict.fromkeys(dist.as_dict(), 0.0)
         for label, w in measured:
             measures[label] += w

@@ -125,7 +125,7 @@ def test_sampled_run_lands_on_a_table_row_with_its_probability(config, seed):
 
 
 def nu_corrections(protocol, channel, target):
-    """Descriptions and matrix (applied to the rows of I) of each (mu, nu) message's correction."""
+    """Description and matrix (applied to the rows of I) of each (mu, nu) message's correction."""
     _mode, _channels, steps = _plan(protocol, [channel], target, "repaired")
     if protocol == "probabilistic":
         steps = steps[-1].then((0,))  # the completed branch
@@ -134,7 +134,8 @@ def nu_corrections(protocol, channel, target):
     for i in range(2):
         measure_nu = measure_mu.then((i,))[-1]
         for j in range(2):
-            out[i, j] = measure_nu.correct(np.full((2, 1), j), np.zeros(2, int), np.eye(2, dtype=complex))
+            out[i, j] = (measure_nu.describe((j,)),
+                         measure_nu.correct(np.full((2, 1), j), np.zeros(2, int), np.eye(2, dtype=complex)))
     return out
 
 
@@ -144,6 +145,6 @@ def test_correction_reads_only_the_message_and_the_channel(config, other):
     protocol, channel, target = config
     first = nu_corrections(protocol, channel, target)
     second = nu_corrections(protocol, channel, TargetState.of(other))
-    for message, (descs, matrix) in first.items():
-        assert second[message][0] == descs
+    for message, (desc, matrix) in first.items():
+        assert second[message][0] == desc
         np.testing.assert_array_equal(second[message][1], matrix)

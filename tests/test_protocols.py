@@ -835,16 +835,81 @@ def test_block_rows_keep_their_own_state_and_fidelity(kind):
     reg = rspsim.protocols._start([channel])
     for g in steps[:-1]:
         reg = reg.apply(g.gate, g.targets)
-    leaves = [((m, m), (m, m), [0]) for m in (5, 0, 3, 6)]
-    rows = [(desc, bob, fidelity) for (desc,), (bob,), (fidelity,)
-            in rspsim.protocols._finish(target.vector(), reg, (0,), leaves, None)]
-    for (_, leaf, _), (desc, bob, fidelity) in zip(leaves, rows):
+    leaves = [((m, m), (m, m)) for m in (5, 0, 3, 6)]
+    path = rspsim.protocols._Path((0,), (1.0,))
+    uncorrected = steps[-1]._replace(correct=None, describe=rspsim.protocols._uncorrected)
+    block = rspsim.protocols._finish(target.vector(), reg, path, uncorrected, leaves,
+                                     np.ones((1, len(leaves))))
+    assert block.leaf == list(range(len(leaves)))  # one row per leaf
+    rows = [(uncorrected.describe(block.outcomes[k]), block.bob[r], block.fidelity[r])
+            for r, k in enumerate(block.leaf)]
+    for (_, leaf), (desc, bob, fidelity) in zip(leaves, rows):
         ref = reg.contract(dict(zip(("A", "C"), leaf)))
         ref = ref / np.linalg.norm(ref)
         assert desc == "none (failure branch)"
         np.testing.assert_allclose(bob, ref, rtol=0, atol=1e-12)
         assert abs(fidelity - abs(np.vdot(ref, target.vector())) ** 2) <= 1e-12
     assert len({round(f, 6) for _, _, f in rows}) == len(rows)
+
+
+# -- corrections and their descriptions -------------------------------------------
+
+
+def _leaf_measures(protocol, channel, target, mode="repaired"):
+    """Every (measurement, outcome) whose outcome is a receive leaf, over every branch."""
+    _, (channel,), steps = rspsim.protocols._plan(protocol, [channel], target, mode)
+    d = channel.d
+    pending = [steps]
+    while pending:
+        last = pending.pop()[-1]
+        for outcome in itertools.product(range(d), repeat=len(last.targets)):
+            nxt = last.then(outcome)
+            if isinstance(nxt, tuple):
+                yield last, outcome
+            else:
+                pending.append(nxt)
+
+
+def test_each_measurement_describes_its_corrections():
+    target = TargetState.of((0.6, 0.8j))
+    repaired = list(_leaf_measures("deterministic", ChannelSpec.of((0.6, 0.48, 0.64)),
+                                   TargetState.of((0.6, 0.48j, 0.64))))
+    assert [m.describe(o) for m, o in repaired if o[0] == o[1]] == [
+        f"V[{a}] (encoder-derived, target-dependent)" for a in range(3)]
+    literal = list(_leaf_measures("deterministic", ChannelSpec.of((0.6, 0.8)), target, "literal"))
+    assert [m.describe(o) for m, o in literal] == ["identity", "identity", "sigma_z", "sigma_z"]
+    nguyen = sorted((m.describe(o) for m, o in _leaf_measures("nguyen", None, target)))
+    assert nguyen == sorted(f"{name} (mu={i}, nu={j}) after channel-phase diagonal"
+                            for i, names in enumerate(rspsim.protocols.PAULI_NAMES)
+                            for j, name in enumerate(names))
+    described = {o: m.describe(o) for m, o in _leaf_measures(
+        "probabilistic", ChannelSpec.of((0.6, 0.8)), target) if m.correct is None}
+    assert described == {(1,): "none (failure branch)"}
+
+
+def test_only_a_transcript_describes_its_correction(monkeypatch):
+    """An exact table corrects every leaf and describes none; a run describes its one leaf."""
+    calls = []
+    measure = rspsim.protocols._Measure
+
+    def counted(*args, **kwargs):
+        m = measure(*args, **kwargs)
+        describe = m.describe
+        return m._replace(describe=lambda outcome: calls.append(outcome) or describe(outcome))
+
+    monkeypatch.setattr(rspsim.protocols, "_Measure", counted)
+    rng = np.random.default_rng(8)
+    cases = [("deterministic", random_positive_channel(8, rng), random_target(8, rng)),
+             ("probabilistic", ChannelSpec.of((0.6, 0.8)), TargetState.of((0.6, 0.8j))),
+             ("nguyen", None, TargetState.of((0.6, 0.8j)))]
+    for protocol, channel, target in cases:
+        assert exact_outcome_table(protocol, channel, target).rows
+        assert calls == []
+    for k, (protocol, channel, target) in enumerate(cases):
+        tr = run_protocol(protocol, channel, target, rng=derive_rng(9, k))
+        last = [rec.outcome for rec in tr.measurements][-1]
+        assert calls == [last]
+        calls.clear()
 
 
 # -- the register layout is read, not assumed -----------------------------------
@@ -926,9 +991,11 @@ def assert_tables_agree(batched, alone, tol=2e-15):
 def _leaf_states(protocol, channels, target, mode="repaired"):
     """Per channel, B's state on each path of one branch tree, keyed by the path's outcomes."""
     states = [{} for _ in channels]
-    for path in rspsim.protocols._tree(protocol, channels, target, mode)[2].leaves():
-        for j, bob in zip(path.members, path.bob):
-            states[j][tuple(outcome for _, outcome, _ in path.records)] = bob
+    for block, leaves in rspsim.protocols._tree(protocol, channels, target, mode)[2].blocks():
+        prefix = tuple(outcome for _, outcome, _ in block.path.records)
+        rows = block.rows(leaves)
+        for j, k, bob in zip(block.elements[rows], block.leaf[rows], block.bob[rows]):
+            states[j][prefix + (block.outcomes[k],)] = bob
     return states
 
 

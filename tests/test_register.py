@@ -423,6 +423,20 @@ def test_derived_register_rejects_non_finite_amplitudes():
             once.apply(gate, ["q0"], strict=False)  # 1e400 overflows to inf
 
 
+@pytest.mark.parametrize("amplitudes, error, message", [
+    ([], ShapeError, "at least one entry"),
+    ([np.nan, 0.0, 0.0], InvalidState, "finite"),  # the wrong length as well
+    ([1.0, 0.0, 0.0], ShapeError, "amplitude length 3"),
+    ([np.inf, 0.0], InvalidState, "finite"),
+    ([np.nan, 1.0], InvalidState, "finite"),
+    ([1e200, 1e200], InvalidState, "norm is off"),  # finite, but its squares overflow
+    ([0.6, 0.6], InvalidState, "norm is off"),
+], ids=["empty", "nan-and-length", "length", "inf", "nan", "overflow", "norm"])
+def test_a_new_register_reports_the_first_fault_of_its_amplitudes(amplitudes, error, message):
+    with np.errstate(over="ignore"), pytest.raises(error, match=message):
+        StateRegister((2,), amplitudes)
+
+
 # -- batches --------------------------------------------------------------------
 
 

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from rspsim.cli import main
-from rspsim.protocols import ChannelSpec, TargetState, run_protocol
+from rspsim.protocols import (ChannelSpec, TargetState, exact_outcome_table, exact_outcome_tables,
+                              run_protocol)
 from rspsim.register import derive_rng
 from rspsim.sweep import rows_to_csv, sweep_rows, theta_grid
 
@@ -148,3 +149,41 @@ def test_a_three_protocol_sweep_writes_the_pinned_csv_bytes():
     rows = sweep_rows(["deterministic", "probabilistic", "nguyen"], TargetState.of((0.6, 0.8j)),
                       theta_grid(0.0, np.pi / 4, 5), 70_000, -20)
     assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == PINNED_THREE_PROTOCOL_DIGEST
+
+
+def _digest_tables():
+    """Exact tables of every protocol: deterministic at d = 2, 3, 5, 8, 32, literal, a grid, nguyen."""
+    rng = np.random.default_rng(4401)
+    tables = []
+    for d in (2, 3, 5, 8, 32):
+        channel = ChannelSpec.of(_phased(rng.uniform(0.1, 1.0, size=d), rng))
+        target = TargetState.of(_phased(rng.uniform(0.1, 1.0, size=d), rng))
+        tables.append(exact_outcome_table("deterministic", channel, target))
+    channel = ChannelSpec.of(_phased(rng.uniform(0.1, 1.0, size=2), rng))
+    target = TargetState.of(_phased(rng.uniform(0.1, 1.0, size=2), rng))
+    tables.append(exact_outcome_table("deterministic", channel, target, "literal"))
+    grid = [ChannelSpec.from_theta(t) for t in theta_grid(0.0, np.pi / 4, 21)]
+    tables += exact_outcome_tables("probabilistic", grid, target)
+    tables.append(exact_outcome_table("nguyen", None, target))
+    return tables
+
+
+# SHA-256 over the tables of _digest_tables (every row as float.hex, the row order and the
+# outcome space) and over every seeded run of _configs (its repr, correction and B's bytes).
+PINNED_TABLES_AND_RUNS_DIGEST = "6c2575429dc1f10986487134cee287beb388a43b04b1714947c980f207730a54"
+
+
+def test_tables_and_transcripts_hash_to_the_pinned_digest():
+    h = hashlib.sha256()
+    for table in _digest_tables():
+        h.update(repr((table.protocol, table.mode, table.outcome_space)).encode())
+        for row in table.rows:
+            h.update(repr((row.outcome, row.probability.hex(), row.fidelity.hex(),
+                           row.corrected)).encode())
+    for _name, protocol, channel, target, mode, stream in _configs():
+        for s in SEEDS:
+            tr = run_protocol(protocol, channel, target, mode, derive_rng(s, stream))
+            h.update(repr(tr).encode())
+            h.update(repr((tr.correction, tr.fidelity.hex())).encode())
+            h.update(tr.bob_state.tobytes())
+    assert h.hexdigest() == PINNED_TABLES_AND_RUNS_DIGEST
