@@ -45,7 +45,6 @@ from .oracle import (
     compare_exact,
     compare_sampled,
     enumerate_naive,
-    naive_branch_fidelities,
     table_distribution,
 )
 from .protocols import (
@@ -88,8 +87,8 @@ __all__ = [
     "correction_unitary", "csub", "cu_concentration", "dagger", "derive_rng",
     "encoding_unitary", "encoding_unitary_literal", "enumerate_naive",
     "exact_outcome_table", "exact_outcome_tables", "fidelity_mixed",
-    "make_gate", "naive_branch_fidelities", "nguyen_bases", "pauli_x",
-    "pauli_z", "reconstruct_qubit", "run_protocol", "sample_pauli_expectations",
-    "success_probability", "table_distribution", "tomograph", "trace_distance",
-    "transport_unitary", "unitarity_defect",
+    "make_gate", "nguyen_bases", "pauli_x", "pauli_z", "reconstruct_qubit",
+    "run_protocol", "sample_pauli_expectations", "success_probability",
+    "table_distribution", "tomograph", "trace_distance", "transport_unitary",
+    "unitarity_defect",
 ]

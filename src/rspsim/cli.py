@@ -21,14 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .linalg import MAX_DIM, STRUCT_TOL
+from .linalg import MAX_DIM
 from .protocols import (
     MODES,
     PROTOCOLS,
+    SPECS,
     ChannelSpec,
     TargetState,
     Transcript,
     _LAYOUT,
+    mode_error,
     run_protocol,
 )
 from .register import StateRegister, derive_rng
@@ -165,11 +167,13 @@ def parse_config(argv: list[str]) -> RunConfig:
         i = argv.index(ns.command) + 1
         ns = parser.parse_args(argv[:i] + _config_args(ns.config, ns.command) + argv[i:])
     given = {k: v for k, v in vars(ns).items() if v is not None and k != "config"}
-    protocol = given.get("protocol")
-    if protocol == "nguyen" and "lambdas" in given:
-        raise ConfigError("lambda does not apply to nguyen, which always uses the maximal channel")
-    if protocol in ("probabilistic", "nguyen") and "mode" in given:
-        raise ConfigError(f"mode applies only to the deterministic protocol, not {protocol}")
+    spec = SPECS.get(given.get("protocol"))
+    if spec and spec.fixed_channel and "lambdas" in given:
+        raise ConfigError(f"lambda does not apply to {spec.name}, which always uses the maximal "
+                          "channel")
+    if spec and not spec.modes and "mode" in given:
+        moded = " or ".join(s.name for s in SPECS.values() if s.modes)
+        raise ConfigError(f"mode applies only to the {moded} protocol, not {spec.name}")
     return _validated(RunConfig(**given))
 
 
@@ -196,18 +200,12 @@ def _validated(cfg: RunConfig) -> RunConfig:
     if d < 2 or _LAYOUT.size(d) > MAX_DIM:
         raise ConfigError(f"d = {d} is out of range; needs d >= 2 and a register of at most "
                           f"{MAX_DIM} amplitudes")
-    if cfg.protocol == "probabilistic" and d != 2:
-        raise ConfigError("the probabilistic baseline needs d = 2")
-    if cfg.protocol == "probabilistic" and cfg.lambdas is not None \
-            and abs(cfg.lambdas[0]) > abs(cfg.lambdas[1]) + STRUCT_TOL:
-        raise ConfigError("the probabilistic baseline needs |alpha| <= |beta| in lambda")
-    if cfg.protocol == "nguyen" and d != 2:
-        raise ConfigError("the nguyen baseline needs d = 2")
-    if cfg.mode == "literal" and d != 2:
-        raise ConfigError("literal mode is defined only for d = 2")
-    if cfg.command == "run" and cfg.protocol in ("deterministic", "probabilistic") \
-            and cfg.lambdas is None:
-        raise ConfigError("missing required field: lambda")
+    # A sweep's channels are its grid's, which cmd_sweep checks; run's is lambda, if given.
+    channels = () if cfg.command != "run" else \
+        (None if cfg.lambdas is None else ChannelSpec.of(cfg.lambdas),)
+    message = mode_error(cfg.mode, d) or (cfg.protocol and SPECS[cfg.protocol].problem(d, channels))
+    if message:
+        raise ConfigError(message)
     if cfg.command in ("sweep", "tomo") and d != 2:
         raise ConfigError(f"{cfg.command} parametrizes qubit channels; needs d = 2")
     if cfg.command == "sweep" and cfg.trials < 1:
@@ -272,10 +270,11 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     grid = theta_grid(cfg.theta_min, cfg.theta_max, cfg.points)
-    if cfg.protocol == "probabilistic" and any(
-            abs(np.sin(t)) > abs(np.cos(t)) + STRUCT_TOL for t in grid.tolist()):
-        raise ConfigError("the probabilistic baseline needs |sin theta| <= |cos theta| "
-                          "at every grid point from theta-min to theta-max")
+    message = SPECS[cfg.protocol].problem(
+        2, (ChannelSpec.from_theta(t) for t in grid.tolist()), alpha="sin theta",
+        beta="cos theta", where="at every grid point from theta-min to theta-max")
+    if message:
+        raise ConfigError(message)
     rows = sweep_rows([cfg.protocol], TargetState.of(cfg.target), grid, cfg.trials, cfg.seed,
                       cfg.mode)
     if cfg.out:
@@ -316,25 +315,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         cfg = parse_config(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if cfg.command == "run":
-            return cmd_run(cfg)
-        if cfg.command == "sweep":
-            return cmd_sweep(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "tomo":
-            return cmd_tomo(cfg)
+        commands = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify, "tomo": cmd_tomo}
+        return commands[cfg.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SimulationError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def entrypoint() -> None:

@@ -303,16 +303,6 @@ def enumerate_naive(
     return _naive_pass(protocol, channel, target, mode)[0]
 
 
-def naive_branch_fidelities(
-    protocol: str,
-    channel: ChannelSpec | None,
-    target: TargetState,
-    mode: str = "repaired",
-) -> dict[Outcome, float]:
-    """Post-correction fidelity per realizable branch, naive path."""
-    return _naive_pass(protocol, channel, target, mode)[1]
-
-
 def table_distribution(table: OutcomeTable) -> BranchDistribution:
     """Fast-path outcome table as a distribution over its full outcome space."""
     probs = {row.outcome: row.probability for row in table.rows}

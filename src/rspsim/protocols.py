@@ -35,25 +35,20 @@ Encoding modes for the deterministic protocol:
   flagged in the transcript, the pre-measurement norm is recorded, and
   the receiver applies identity or sigma_z exactly as prescribed.
 
-Each protocol is written once, as a step list over the register of
-``_LAYOUT``.  A branch tree is grown from it lazily for a batch of channels
-that share the step list and a target, one register element per
-channel: a measurement node applies the gates before it once, holds
-each element's Born probabilities, and expands each child on its first
-visit for the elements that take it.  The new branches that end at the
-receiver are finished as one block of rows, one row per (leaf, element),
-and stay one block: labels, p, fidelities and B's states are held per
-row, and what the rows share (steps, records, raw norms) once.  A
-measurement's ``correct`` corrects a block's B states in one call; its
-``describe`` names one outcome's correction and only a transcript calls
-it.  :func:`exact_outcome_tables` fully expands the tree of a grid of
-channels, one batch in chunks under the cap, and folds each block into
-its channels' rows; :func:`exact_outcome_table` is its batch of one.
-Every tree builds the gates of its target once, with its step list.  The
-immutable :class:`Transcript` of a run is read from one row: one draw
-from a fresh tree of one channel.  The oracle's sampled comparison draws
-all its trials from one tree.  Draws pick a branch by the register's one
-rule, with one ``rng.random()`` per measurement.
+Each protocol is declared once, as a :class:`ProtocolSpec` in ``SPECS``:
+its name, the builder of its step list over the register of ``_LAYOUT``,
+the target dimensions it accepts, whether it takes a channel or fixes
+the maximal one, its modes and its channel rule.  ``_plan`` checks a
+batch against the record before it builds the step list, and the CLI
+and the sweep read the same record, so each rule has one message.
+
+A branch tree is grown from a step list lazily, for a batch of channels
+that share it and a target: a measurement node applies the gates before
+it once and expands each child on its first visit, and the branches that
+end at the receiver are finished as one block of rows.
+:func:`exact_outcome_tables` expands the whole tree of a grid of
+channels; a run's :class:`Transcript` is read from one draw from a fresh
+tree of one channel, with one ``rng.random()`` per measurement.
 
 Success is one fixed rule, :func:`succeeded`, read by runs, tables and
 sweeps alike: a branch succeeds when the protocol corrects it and its
@@ -67,7 +62,7 @@ import bisect
 import functools
 import itertools
 import operator
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -95,9 +90,6 @@ from .register import (
     _norm_defects,
     _pick,
 )
-
-PROTOCOLS = ("deterministic", "probabilistic", "nguyen")
-MODES = ("repaired", "literal")
 
 # A branch succeeds when the protocol corrects it and its fidelity reaches 1 - SUCCESS_TOL.
 SUCCESS_TOL = 1e-9
@@ -336,11 +328,13 @@ def _apply_rows(matrices: np.ndarray, bobs: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kj->ki", matrices, bobs)
 
 
+def mode_error(mode: str, d: int) -> str | None:
+    """The message of the rule that ``mode`` breaks at dimension d, or None."""
+    return "literal mode is defined only for d = 2" if mode == "literal" and d != 2 else None
+
+
 def _deterministic_steps(channels: Sequence[ChannelSpec], target: TargetState, mode: str) -> list:
     """The one step list of every channel: it reads the target, never the channel."""
-    for channel in channels:
-        if channel.d != target.d:
-            raise InvalidState(f"channel d={channel.d} does not match target d={target.d}")
     d = target.d
     if mode == "repaired":
         enc = encoding_unitary(target.amplitudes)
@@ -348,9 +342,9 @@ def _deterministic_steps(channels: Sequence[ChannelSpec], target: TargetState, m
 
         def name(a):
             return f"V[{a}] (encoder-derived, target-dependent)"
-    elif mode == "literal":
-        if d != 2:
-            raise Unsupported("literal mode is defined only for d = 2")
+    elif message := mode_error(mode, d):
+        raise Unsupported(message)
+    else:
         enc = encoding_unitary_literal(*target.qubit_params())
         printed = PAULI_TABLE[0]  # I on a = 0, sigma_z on 1
 
@@ -358,8 +352,6 @@ def _deterministic_steps(channels: Sequence[ChannelSpec], target: TargetState, m
             return _apply_rows(printed[a], bobs)
 
         name = ("identity", "sigma_z").__getitem__
-    else:
-        raise InvalidState(f"unknown mode {mode!r}; expected one of {MODES}")
 
     def correct(outcomes, _channels, bobs):
         a, c = outcomes.T
@@ -410,6 +402,14 @@ def _nguyen_stage(channels: Sequence[ChannelSpec], target: TargetState, labelled
     return [_Measure(("A",), after_mu, mu_rot, labelled)]
 
 
+def _concentrable(channel: ChannelSpec, alpha: str = "alpha", beta: str = "beta",
+                  where: str = "in lambda") -> str | None:
+    """The probabilistic baseline's channel rule, worded for lambda unless a caller rewords it."""
+    if abs(channel.lambdas[0]) > abs(channel.lambdas[1]) + STRUCT_TOL:
+        return f"the probabilistic baseline needs |{alpha}| <= |{beta}| {where}"
+    return None
+
+
 def _probabilistic_steps(channels: Sequence[ChannelSpec], target: TargetState) -> list:
     """Concentrate, then measure C: 1 abandons the run, 0 completes it in unlabelled steps.
 
@@ -417,11 +417,7 @@ def _probabilistic_steps(channels: Sequence[ChannelSpec], target: TargetState) -
     the controlled-U of the whole batch.  At alpha = 0 its block is exact,
     so the run ends at C = 1 with all the mass, as it must.
     """
-    if target.d != 2 or any(c.d != 2 for c in channels):
-        raise InvalidState("the probabilistic baseline is defined for d = 2")
     pairs = [(abs(c.lambdas[0]), abs(c.lambdas[1])) for c in channels]
-    if any(alpha > beta + STRUCT_TOL for alpha, beta in pairs):
-        raise InvalidState("the probabilistic baseline needs |alpha| <= |beta|")
     cu = cu_concentration(*np.array(pairs).T)
     steps = [_Gate(cadd(2), ("A", "C")), _Gate(cu, ("A", "C")), _Gate(cadd(2), ("A", "C"))]
 
@@ -433,31 +429,73 @@ def _probabilistic_steps(channels: Sequence[ChannelSpec], target: TargetState) -
     return steps + [_Measure(("C",), after_ancilla)]
 
 
+class ProtocolSpec(NamedTuple):
+    """One protocol, declared once: everything a caller reads of it by its name."""
+
+    name: str
+    steps: Callable[..., list]  # (channels, target, mode) -> the batch's one step list
+    dims: tuple[int, ...] | None = None  # the target dimensions it prepares; None: every d
+    fixed_channel: bool = False  # runs over the maximal channel, whatever it is given
+    modes: tuple[str, ...] = ()  # without modes, its runs and tables carry mode None
+    check: Callable[..., str | None] | None = None  # (channel, **wording) -> message or None
+
+    def problem(self, d: int, channels: Iterable[ChannelSpec | None], **wording: str) -> str | None:
+        """The first rule that a target of dimension d or ``channels`` (None: not given) break."""
+        if self.dims is not None and d not in self.dims:
+            return f"the {self.name} baseline needs d = {' or '.join(map(str, self.dims))}"
+        for channel in () if self.fixed_channel else channels:
+            if channel is None:
+                return "missing required field: lambda"
+            if channel.d != d:
+                return f"channel d={channel.d} does not match target d={d}"
+            message = self.check and self.check(channel, **wording)
+            if message:
+                return message
+        return None
+
+
+# The builders are looked up by name on each call, as every other name a step list reads.
+SPECS = {spec.name: spec for spec in (
+    ProtocolSpec("deterministic", lambda channels, target, mode:
+                 _deterministic_steps(channels, target, mode), modes=("repaired", "literal")),
+    ProtocolSpec("probabilistic", lambda channels, target, _mode:
+                 _probabilistic_steps(channels, target), dims=(2,), check=_concentrable),
+    ProtocolSpec("nguyen", lambda channels, target, _mode:
+                 [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(channels, target, labelled=True)],
+                 dims=(2,), fixed_channel=True),
+)}
+PROTOCOLS = tuple(SPECS)
+MODES = tuple(dict.fromkeys(mode for spec in SPECS.values() for mode in spec.modes))
+
+
+def protocol_spec(protocol: str) -> ProtocolSpec:
+    """The declaration of ``protocol``; InvalidState names the known ones."""
+    if protocol not in SPECS:
+        raise InvalidState(f"unknown protocol {protocol!r}; expected one of {tuple(SPECS)}")
+    return SPECS[protocol]
+
+
 def _plan(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetState,
           mode: str) -> tuple:
     """Mode, channels and the one step list of a batch of channels.
 
-    The register cap is checked first, on the whole batch, so a d over it
-    fails before any gate is built.
+    The protocol's rules are checked first, then the register cap on the
+    whole batch, so a d over it fails before any gate is built.
     """
-    if protocol == "nguyen":
-        if target.d != 2:
-            raise InvalidState("this baseline prepares qubit targets only")
-        channels, mode = (ChannelSpec.maximal(2),) * len(channels), None
-    elif protocol not in PROTOCOLS:
-        raise InvalidState(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    elif None in channels:
-        raise InvalidState(f"the {protocol} protocol needs a channel")
-    size = len(channels) * _LAYOUT.size(channels[0].d)
+    spec = protocol_spec(protocol)
+    message = spec.problem(target.d, channels)
+    if message is not None:
+        raise InvalidState(message)
+    if spec.fixed_channel:
+        channels = (ChannelSpec.maximal(target.d),) * len(channels)
+    if not spec.modes:
+        mode = None
+    elif mode not in spec.modes:
+        raise InvalidState(f"unknown mode {mode!r}; expected one of {spec.modes}")
+    size = len(channels) * _LAYOUT.size(target.d)
     if size > MAX_DIM:
         raise CapacityExceeded(f"register dimension {size} exceeds cap {MAX_DIM}")
-    if protocol == "nguyen":
-        steps = [_Gate(cadd(2), ("A", "C")), *_nguyen_stage(channels, target, labelled=True)]
-    elif protocol == "deterministic":
-        steps = _deterministic_steps(channels, target, mode)
-    else:
-        mode, steps = None, _probabilistic_steps(channels, target)
-    return mode, tuple(channels), steps
+    return mode, tuple(channels), spec.steps(channels, target, mode)
 
 
 def _start(channels: Sequence[ChannelSpec]) -> StateRegister:

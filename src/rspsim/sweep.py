@@ -1,23 +1,19 @@
 """Deterministic Monte Carlo sweeps over the channel angle grid.
 
 Each grid point parametrizes a qubit channel by alpha = sin(theta),
-beta = cos(theta).  The branch outcomes and per-branch fidelities of each
-distinct (protocol, channel) are enumerated exactly once per sweep, the
-tables of a protocol's whole grid in one batched call; each
-trial then draws its branch from that exact distribution with a uniform
-derived by hashing (seed, point, trial), in blocks of a fixed size.  Each
-point's hash base is computed once in Python integers; only the trial
-words are hashed as arrays.  A block is scored by how many of its
-uniforms fall to each branch, counted against the CDF ``register._cdf``
-builds; that is the CDF ``register._pick`` searches, the one rule that
-also picks every measurement outcome of a run, so each trial lands on the
-branch a run's draw would pick.  The CDF's last entry is exactly 1, above
-every uniform, so it is counted as the whole block without a pass.  All
-of a protocol's randomness lives in its measurements, so this is
+beta = cos(theta); a protocol whose record fixes the maximal channel
+runs over that one channel at every point.  Each distinct (protocol,
+channel) table is enumerated exactly once per sweep, a protocol's whole
+grid in one batched call.  Each trial then draws its branch from that
+exact distribution with a uniform hashed from (seed, point, trial), in
+blocks of a fixed size.  A block is scored by how many of its uniforms
+fall to each branch (``_counts``), against the CDF that ``register._pick``
+searches, the one rule that also picks every measurement outcome of a
+run, so each trial lands on the branch a run's draw would pick.  All of
+a protocol's randomness lives in its measurements, so this is
 distribution-identical to re-running the full evolution per trial while
-staying schedule-independent and byte-reproducible.  The
-full per-run sampling path is validated separately by the oracle's
-sampled comparison.
+staying schedule-independent and byte-reproducible.  The full per-run
+sampling path is validated separately by the oracle's sampled comparison.
 
 A trial succeeds by the protocols' one rule, ``protocols.succeeded``, so
 ``successes`` and ``exact_prob`` count exactly the branches a run would
@@ -36,6 +32,7 @@ from .protocols import (
     ChannelSpec,
     TargetState,
     exact_outcome_tables,
+    protocol_spec,
     succeeded,
     success_probability,
 )
@@ -146,8 +143,7 @@ def sweep_rows(
     mode: str = "repaired",
 ) -> list[SweepRow]:
     """One row per (protocol, grid point), sorted by (protocol, theta)."""
-    if target.d != 2:
-        raise InvalidState("sweeps parametrize qubit channels; the target must have d = 2")
+    specs = {protocol: protocol_spec(protocol) for protocol in protocols}
     if trials < 1:
         raise InvalidState("sweeps need trials >= 1")
     channels = [ChannelSpec.from_theta(float(theta)) for theta in grid]
@@ -155,8 +151,8 @@ def sweep_rows(
     # One batched call per protocol builds each distinct table once, then the
     # arrays that count and score its trials.
     scored: dict[tuple[str, ChannelSpec], tuple] = {}
-    for protocol in dict.fromkeys(protocols):
-        distinct = [maximal] if protocol == "nguyen" else list(dict.fromkeys(channels))
+    for protocol, spec in specs.items():
+        distinct = [maximal] if spec.fixed_channel else list(dict.fromkeys(channels))
         for channel, table in zip(distinct, exact_outcome_tables(protocol, distinct, target, mode)):
             scored[protocol, channel] = (
                 success_probability(table),
@@ -168,12 +164,11 @@ def sweep_rows(
     for k, (theta, channel) in enumerate(zip(grid, channels)):
         samplers = []
         for protocol in protocols:
-            if protocol == "nguyen":
-                alpha = beta = float(1.0 / np.sqrt(2.0))
-                samplers.append((protocol, alpha, beta, *scored[protocol, maximal]))
-            else:
-                alpha, beta = float(np.sin(theta)), float(np.cos(theta))
-                samplers.append((protocol, alpha, beta, *scored[protocol, channel]))
+            fixed = specs[protocol].fixed_channel
+            alpha, beta = ((float(1.0 / np.sqrt(2.0)),) * 2 if fixed
+                           else (float(np.sin(theta)), float(np.cos(theta))))
+            point = maximal if fixed else channel
+            samplers.append((protocol, alpha, beta, *scored[protocol, point]))
         successes = [0] * len(samplers)
         fid_sums = [0.0] * len(samplers)
         for first in range(0, trials, _TRIAL_BLOCK):
@@ -183,22 +178,10 @@ def sweep_rows(
                 successes[i] += int(counts[ok_rows].sum())
                 fid_sums[i] += float(counts @ fids)
         for (protocol, alpha, beta, exact, *_), ok, fid_sum in zip(samplers, successes, fid_sums):
-            rows.append(
-                SweepRow(
-                    theta=float(theta),
-                    alpha=alpha,
-                    beta=beta,
-                    protocol=protocol,
-                    mode=mode if protocol == "deterministic" else "-",
-                    d=2,
-                    trials=trials,
-                    successes=ok,
-                    est_prob=ok / trials,
-                    exact_prob=exact,
-                    mean_fidelity=fid_sum / trials,
-                    seed=seed,
-                )
-            )
+            rows.append(SweepRow(
+                theta=float(theta), alpha=alpha, beta=beta, protocol=protocol,
+                mode=mode if specs[protocol].modes else "-", d=2, trials=trials, successes=ok,
+                est_prob=ok / trials, exact_prob=exact, mean_fidelity=fid_sum / trials, seed=seed))
     rows.sort(key=lambda r: (r.protocol, r.theta))
     return rows
 

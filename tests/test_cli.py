@@ -528,3 +528,38 @@ def test_tomo_shots_beyond_int64_is_config_error(capsys, shots):
     assert out == ""
     assert parse_config(["tomo", "--target", "0.6:0.8", "--shots", str(2**63 - 1)]).shots \
         == 2**63 - 1
+
+
+_QUTRIT = "1:0:0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run", "--protocol", "nguyen", "--target", "1:0", "--lambda", "0.6:0.8"),
+     "lambda does not apply to nguyen, which always uses the maximal channel"),
+    (("run", "--protocol", "probabilistic", "--target", "1:0", "--lambda", "0.6:0.8",
+      "--mode", "repaired"), "mode applies only to the deterministic protocol, not probabilistic"),
+    (("run", "--protocol", "nguyen", "--target", "1:0", "--mode", "literal"),
+     "mode applies only to the deterministic protocol, not nguyen"),
+    (("run", "--protocol", "probabilistic", "--target", _QUTRIT, "--lambda", "0.6:0.8:0"),
+     "the probabilistic baseline needs d = 2"),
+    (("run", "--protocol", "probabilistic", "--target", _QUTRIT),
+     "the probabilistic baseline needs d = 2"),
+    (("run", "--protocol", "nguyen", "--target", _QUTRIT), "the nguyen baseline needs d = 2"),
+    (("sweep", "--protocol", "probabilistic", "--target", _QUTRIT),
+     "the probabilistic baseline needs d = 2"),
+    (("sweep", "--protocol", "nguyen", "--target", _QUTRIT), "the nguyen baseline needs d = 2"),
+    (("run", "--protocol", "probabilistic", "--target", "1:0", "--lambda", "0.8:0.6"),
+     "the probabilistic baseline needs |alpha| <= |beta| in lambda"),
+    (("run", "--protocol", "deterministic", "--target", "1:0"), "missing required field: lambda"),
+    (("run", "--protocol", "probabilistic", "--target", "1:0"), "missing required field: lambda"),
+    (("run", "--protocol", "deterministic", "--mode", "literal", "--target", _QUTRIT),
+     "literal mode is defined only for d = 2"),
+    (("tomo", "--mode", "literal", "--target", _QUTRIT), "literal mode is defined only for d = 2"),
+    (("sweep", "--protocol", "probabilistic", "--target", "1:0", "--theta-max", "1.0"),
+     "the probabilistic baseline needs |sin theta| <= |cos theta| at every grid point from "
+     "theta-min to theta-max"),
+])
+def test_protocol_rule_errors_print_one_pinned_line(capsys, argv, message):
+    """Each protocol rule the CLI enforces exits 1 with its one line, before any output."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -10,8 +10,8 @@ from rspsim.oracle import (
     RunSpec,
     compare_exact,
     compare_sampled,
+    _naive_pass,
     enumerate_naive,
-    naive_branch_fidelities,
     table_distribution,
 )
 from rspsim.protocols import (
@@ -50,7 +50,7 @@ def test_naive_deterministic_uniform_qutrit():
     probs = dist.as_dict()
     for m in range(3):
         assert abs(probs[(m, m)] - 1 / 3) <= 1e-12
-    fids = naive_branch_fidelities("deterministic", channel, target)
+    fids = _naive_pass("deterministic", channel, target, "repaired")[1]
     assert set(fids) == {(0, 0), (1, 1), (2, 2)}
     assert all(f >= 1 - 1e-10 for f in fids.values())
 
@@ -168,7 +168,7 @@ def test_fast_vs_naive_probabilistic_at_the_ends_of_the_curve(lambdas):
         table = exact_outcome_table("probabilistic", channel, target)
         naive = enumerate_naive("probabilistic", channel, target)
         assert compare_exact(table_distribution(table), naive).max_stat <= 1e-15
-        fidelities = naive_branch_fidelities("probabilistic", channel, target)
+        fidelities = _naive_pass("probabilistic", channel, target, "repaired")[1]
         assert sorted(fidelities) == [row.outcome for row in table.rows]
         for row in table.rows:
             assert abs(row.fidelity - fidelities[row.outcome]) <= 1e-12

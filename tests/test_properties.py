@@ -12,9 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rspsim.oracle import (
+    _naive_pass,
     compare_exact,
     enumerate_naive,
-    naive_branch_fidelities,
     table_distribution,
 )
 from rspsim.protocols import (
@@ -75,7 +75,7 @@ def check_table(protocol, channel, target):
     assert report.passed, report
     assert abs(sum(r.probability for r in table.rows) - 1.0) <= 1e-12
     # A folded row's naive fidelity is already the minimum over its paths.
-    naive = naive_branch_fidelities(protocol, channel, target)
+    naive = _naive_pass(protocol, channel, target, "repaired")[1]
     for row in table.rows:
         assert row.fidelity >= 1.0 - 1e-10 or not row.corrected
         assert abs(row.fidelity - naive[row.outcome]) <= 1e-10

@@ -1,14 +1,18 @@
+import ast
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rspsim.cli
 import rspsim.gates
 import rspsim.linalg
 import rspsim.oracle
 import rspsim.protocols
 import rspsim.register
+import rspsim.sweep
 from rspsim.errors import CapacityExceeded, InvalidState, Unsupported
 from rspsim.protocols import (
     ChannelSpec,
@@ -487,7 +491,7 @@ def test_no_protocol_or_oracle_path_calls_transport_unitary(monkeypatch):
         for seed in range(20):
             run_protocol(protocol, channel, target, rng=derive_rng(seed))
         rspsim.oracle.enumerate_naive(protocol, channel, target)
-        rspsim.oracle.naive_branch_fidelities(protocol, channel, target)
+        rspsim.oracle._naive_pass(protocol, channel, target, "repaired")[1]
     assert calls == []
     assert not hasattr(rspsim.protocols, "transport_unitary")
     assert not hasattr(rspsim.oracle, "_transport")
@@ -1111,3 +1115,86 @@ def test_a_batch_over_the_cap_is_walked_in_chunks(monkeypatch):
     assert peak < held + 2**20 * 16  # 2^20 complex amplitudes beyond the tables themselves
     for table, want in zip(tables, alone):
         assert_tables_agree(table, want)
+
+
+# -- protocol records ---------------------------------------------------------
+
+_QUTRIT_CHANNEL = ChannelSpec.maximal(3)
+_QUTRIT_TARGET = TargetState.of((0.6, 0.8, 0.0))
+_QUBIT_TARGET = TargetState.of((0.6, 0.8j))
+
+
+@pytest.mark.parametrize("protocol, channel, target, message", [
+    ("probabilistic", _QUTRIT_CHANNEL, _QUTRIT_TARGET, "the probabilistic baseline needs d = 2"),
+    ("nguyen", None, _QUTRIT_TARGET, "the nguyen baseline needs d = 2"),
+    ("probabilistic", ChannelSpec.of((0.8, 0.6)), _QUBIT_TARGET,
+     "the probabilistic baseline needs |alpha| <= |beta| in lambda"),
+    ("deterministic", None, _QUBIT_TARGET, "missing required field: lambda"),
+    ("probabilistic", None, _QUBIT_TARGET, "missing required field: lambda"),
+], ids=["probabilistic-d3", "nguyen-d3", "alpha-above-beta", "deterministic-no-channel",
+        "probabilistic-no-channel"])
+def test_the_library_raises_the_record_message_the_cli_prints(protocol, channel, target, message):
+    """run_protocol, a batched table and a sweep say what the CLI says for each protocol rule."""
+    assert rspsim.protocols.SPECS[protocol].problem(target.d, [channel]) == message
+    with pytest.raises(InvalidState) as run:
+        run_protocol(protocol, channel, target, "repaired", derive_rng(0))
+    with pytest.raises(InvalidState) as tables:
+        exact_outcome_tables(protocol, [ChannelSpec.maximal(target.d), channel], target)
+    assert str(run.value) == str(tables.value) == message
+    if channel is not None:  # a sweep makes its own channels, from its grid of angles
+        grid = rspsim.sweep.theta_grid(0.0, 1.0, 5)  # past pi/4, |sin theta| > |cos theta|
+        with pytest.raises(InvalidState) as sweep:
+            rspsim.sweep.sweep_rows([protocol], target, grid, trials=10, seed=0)
+        assert str(sweep.value) == message
+
+
+@pytest.mark.parametrize("protocol, channel", [("probabilistic", ChannelSpec.of((0.6, 0.8))),
+                                               ("nguyen", None), ("nguyen", ChannelSpec.of((0.6, 0.8)))])
+def test_a_protocol_without_modes_accepts_the_default_mode_and_reports_none(protocol, channel):
+    """perfbench passes "repaired" to every protocol; a fixed-channel protocol ignores a channel."""
+    tr = run_protocol(protocol, channel, _QUBIT_TARGET, "repaired", derive_rng(0))
+    assert tr.mode is None
+    assert tr.channel == (channel if protocol == "probabilistic" else ChannelSpec.maximal(2))
+
+
+def _scratch_steps(channels, target, mode):
+    """Measure A and C and hand B over uncorrected: B is |a>, so success is |lambda_0|^2 at |0>."""
+    return [rspsim.protocols._Measure(
+        ("A", "C"), lambda ac: rspsim.protocols._LAYOUT.leaf(A=ac[0], C=ac[1]),
+        correct=lambda _outcomes, _channels, bobs: bobs, describe=lambda ac: "identity")]
+
+
+def test_one_record_runs_a_scratch_protocol_end_to_end(monkeypatch):
+    """A new protocol is one record: a run, a batched table and a sweep read nothing else."""
+    spec = rspsim.protocols.ProtocolSpec("scratch", _scratch_steps)
+    monkeypatch.setitem(rspsim.protocols.SPECS, "scratch", spec)
+    target = TargetState.of((1.0, 0.0))
+    channel = ChannelSpec.of((0.6, 0.8))
+    tr = run_protocol("scratch", channel, target, "repaired", derive_rng(3))
+    assert (tr.protocol, tr.mode, tr.correction) == ("scratch", None, "identity")
+    assert tr.outcome in {(0, 0), (1, 0)} and tr.success == (tr.outcome == (0, 0))
+    thetas = np.linspace(0.1, 1.2, 4)
+    tables = exact_outcome_tables("scratch", [ChannelSpec.from_theta(t) for t in thetas], target)
+    for theta, table in zip(thetas, tables):
+        assert [row.outcome for row in table.rows] == [(0, 0), (1, 0)]
+        assert abs(success_probability(table) - np.sin(theta) ** 2) <= 1e-12
+    rows = rspsim.sweep.sweep_rows(["scratch"], target, thetas, trials=50, seed=0)
+    assert [(r.protocol, r.mode) for r in rows] == [("scratch", "-")] * len(thetas)
+    assert all(abs(r.exact_prob - np.sin(r.theta) ** 2) <= 1e-12 for r in rows)
+    monkeypatch.setitem(rspsim.protocols.SPECS, "scratch", spec._replace(dims=(2,)))
+    with pytest.raises(InvalidState, match="^the scratch baseline needs d = 2$"):
+        run_protocol("scratch", ChannelSpec.maximal(3), TargetState.of((1, 0, 0)))
+
+
+def test_no_rule_in_the_cli_or_the_sweep_names_a_protocol():
+    """Every protocol rule is read from its record; only tomo names the protocol it always runs."""
+    names = set(rspsim.protocols.SPECS)
+    for module in (rspsim.cli, rspsim.sweep):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        exempt = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "cmd_tomo"
+                  for node in ast.walk(fn)}
+        named = [(node.lineno, node.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and node.value in names
+                 and id(node) not in exempt]
+        assert named == [], module.__name__
