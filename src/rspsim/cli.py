@@ -9,19 +9,19 @@ Complex lists are colon-separated entries, each "re" or "re,im", e.g.
 whose keys are the subcommand's long flags; explicit flags win on conflict.
 Flags, like keys, must be spelled in full: a prefix is not accepted.
 The dimension d is the length of ``--target``; ``--lambda`` must match it.
+Input rules live in the library: the CLI calls its checks and prints their message.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SimulationError
-from .linalg import MAX_DIM
+from .oracle import check_trials
 from .protocols import (
     MODES,
     PROTOCOLS,
@@ -29,19 +29,22 @@ from .protocols import (
     ChannelSpec,
     TargetState,
     Transcript,
-    _LAYOUT,
-    mode_error,
+    check_dimension,
+    check_mode,
     run_protocol,
 )
 from .register import StateRegister, derive_rng
-from .sweep import rows_to_csv, sweep_rows, theta_grid, write_csv
-from .tomography import exact_bloch, fidelity_mixed, tomograph
+from .sweep import (
+    check_angles,
+    check_sweep,
+    grid_channels,
+    rows_to_csv,
+    sweep_rows,
+    theta_grid,
+    write_csv,
+)
+from .tomography import check_shots, exact_bloch, fidelity_mixed, tomograph
 from .verify import SUITES, format_report, run_suite
-
-# A sweep holds one row and up to three exact tables per grid point.
-MAX_POINTS = 10_000
-# The largest count numpy's binomial sampler takes (int64).
-MAX_SHOTS = 2**63 - 1
 
 
 class ConfigError(Exception):
@@ -178,44 +181,38 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 def _validated(cfg: RunConfig) -> RunConfig:
+    """The command line's own rules and the library's checks, in one order, first broken first;
+    a library check's SimulationError becomes a ConfigError."""
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    for name in ("theta_min", "theta_max"):
-        if not math.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"{name.replace('_', '-')} must be finite")
-    if cfg.command == "verify":
-        if cfg.trials < 100:
-            raise ConfigError("verify needs trials >= 100 for the sampled oracle gate")
-        return cfg
-    if cfg.protocol is None and cfg.command != "tomo":
-        raise ConfigError("missing required field: protocol")
-    if cfg.target is None:
-        raise ConfigError("missing required field: target")
-    cfg.target = _renormalized(cfg.target, "target")
-    d = len(cfg.target)
-    if cfg.lambdas is not None:
-        cfg.lambdas = _renormalized(cfg.lambdas, "lambda")
-        if len(cfg.lambdas) != d:
-            raise ConfigError(f"lambda has {len(cfg.lambdas)} entries but target has {d}")
-    if d < 2 or _LAYOUT.size(d) > MAX_DIM:
-        raise ConfigError(f"d = {d} is out of range; needs d >= 2 and a register of at most "
-                          f"{MAX_DIM} amplitudes")
-    # A sweep's channels are its grid's, which cmd_sweep checks; run's is lambda, if given.
-    channels = () if cfg.command != "run" else \
-        (None if cfg.lambdas is None else ChannelSpec.of(cfg.lambdas),)
-    message = mode_error(cfg.mode, d) or (cfg.protocol and SPECS[cfg.protocol].problem(d, channels))
-    if message:
-        raise ConfigError(message)
-    if cfg.command in ("sweep", "tomo") and d != 2:
-        raise ConfigError(f"{cfg.command} parametrizes qubit channels; needs d = 2")
-    if cfg.command == "sweep" and cfg.trials < 1:
-        raise ConfigError("sweep needs trials >= 1")
-    if cfg.command == "sweep" and not 1 <= cfg.points <= MAX_POINTS:
-        raise ConfigError(f"sweep needs 1 <= points <= {MAX_POINTS}")
-    if cfg.command == "sweep" and cfg.theta_max < cfg.theta_min:
-        raise ConfigError("theta-max must not be below theta-min")
-    if cfg.command == "tomo" and not 3 <= cfg.shots <= MAX_SHOTS:
-        raise ConfigError(f"tomo needs 3 <= shots <= {MAX_SHOTS}")
+    try:
+        check_angles(cfg.theta_min, cfg.theta_max)
+        if cfg.command == "verify":
+            check_trials(cfg.trials)
+            return cfg
+        if cfg.protocol is None and cfg.command != "tomo":
+            raise ConfigError("missing required field: protocol")
+        if cfg.target is None:
+            raise ConfigError("missing required field: target")
+        cfg.target = _renormalized(cfg.target, "target")
+        if cfg.lambdas is not None:
+            cfg.lambdas = _renormalized(cfg.lambdas, "lambda")
+        d = len(cfg.target)
+        check_dimension(d, () if cfg.lambdas is None else (len(cfg.lambdas),))
+        if cfg.command == "run":
+            channel = None if cfg.lambdas is None else ChannelSpec.of(cfg.lambdas)
+            SPECS[cfg.protocol].validate(d, (channel,), cfg.mode)
+        elif cfg.command == "sweep":
+            specs = (SPECS[cfg.protocol],)
+            check_sweep(specs, d, cfg.trials, cfg.mode)
+            grid_channels(specs, theta_grid(cfg.theta_min, cfg.theta_max, cfg.points))
+        else:  # tomo runs the deterministic protocol on a qubit
+            check_mode(cfg.mode, d)
+            if d != 2:
+                raise ConfigError("tomo parametrizes qubit channels; needs d = 2")
+            check_shots(cfg.shots)
+    except SimulationError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -270,11 +267,6 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     grid = theta_grid(cfg.theta_min, cfg.theta_max, cfg.points)
-    message = SPECS[cfg.protocol].problem(
-        2, (ChannelSpec.from_theta(t) for t in grid.tolist()), alpha="sin theta",
-        beta="cos theta", where="at every grid point from theta-min to theta-max")
-    if message:
-        raise ConfigError(message)
     rows = sweep_rows([cfg.protocol], TargetState.of(cfg.target), grid, cfg.trials, cfg.seed,
                       cfg.mode)
     if cfg.out:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, InvalidState, MismatchedOutcomeSpace
-from .protocols import ChannelSpec, OutcomeTable, TargetState, Transcript, _tree
+from .protocols import ChannelSpec, OutcomeTable, TargetState, Transcript, _tree, protocol_spec
 
 _FLOOR = 1e-15
 MAX_NAIVE_D = 8
@@ -186,8 +186,6 @@ def _naive_deterministic(channel: ChannelSpec, target: TargetState, mode: str):
     t = np.array(target.amplitudes, dtype=complex)
     psi = sum(lam[m] * _kron3(_e(d, m), _e(d, m), _e(d, 0)) for m in range(d))
     if mode == "literal":
-        if d != 2:
-            raise InvalidState("literal mode is defined only for d = 2")
         c = _canonical(t)
         x0, x1 = c[0].real, c[1]
         enc = np.array([[x0, -x1], [x1, x0]], dtype=complex)
@@ -228,8 +226,6 @@ def _naive_probabilistic(channel: ChannelSpec, target: TargetState):
     lam = np.array(channel.lambdas, dtype=complex)
     t = np.array(target.amplitudes, dtype=complex)
     alpha, beta = abs(lam[0]), abs(lam[1])
-    if alpha > beta + 1e-10:
-        raise InvalidState("the probabilistic baseline needs |alpha| <= |beta|")
     eye = np.eye(2, dtype=complex)
     cnot = _ctrl3(2, 0, 2, [0, 1])
     psi = lam[0] * _kron3(_e(2, 0), _e(2, 0), _e(2, 0)) + lam[1] * _kron3(
@@ -270,19 +266,15 @@ def _naive_nguyen(target: TargetState):
 
 
 def _naive_branches(protocol, channel, target, mode):
+    """The naive branches; the inputs pass the protocol's record and the naive cap first."""
+    protocol_spec(protocol).validate(target.d, [channel], mode)
+    if target.d > MAX_NAIVE_D:
+        raise CapacityExceeded(f"naive enumeration is capped at d = {MAX_NAIVE_D}")
     if protocol == "deterministic":
-        if channel is None:
-            raise InvalidState("the deterministic protocol needs a channel")
-        if channel.d > MAX_NAIVE_D:
-            raise CapacityExceeded(f"naive enumeration is capped at d = {MAX_NAIVE_D}")
         return list(_naive_deterministic(channel, target, mode or "repaired"))
     if protocol == "probabilistic":
-        if channel is None:
-            raise InvalidState("the probabilistic baseline needs a channel")
         return list(_naive_probabilistic(channel, target))
-    if protocol == "nguyen":
-        return list(_naive_nguyen(target))
-    raise InvalidState(f"unknown protocol {protocol!r}")
+    return list(_naive_nguyen(target))
 
 
 def _naive_pass(protocol, channel, target, mode) -> tuple[BranchDistribution, dict]:
@@ -333,6 +325,12 @@ def transcript_outcome(transcript: Transcript) -> Outcome:
     return transcript.outcome
 
 
+def check_trials(trials: int) -> None:
+    """Raise unless ``trials`` is enough for compare_sampled's 4-sigma gate."""
+    if trials < 100:
+        raise InvalidState("verify needs trials >= 100 for the sampled oracle gate")
+
+
 def compare_sampled(dist: BranchDistribution, trials: int, seed: int) -> ComparisonReport:
     """Monte Carlo frequencies of real protocol runs against exact probabilities.
 
@@ -341,8 +339,7 @@ def compare_sampled(dist: BranchDistribution, trials: int, seed: int) -> Compari
     Per-outcome z-scores must stay within 4; zero-probability outcomes must
     never be observed.
     """
-    if trials < 100:
-        raise InvalidState("compare_sampled needs at least 100 trials")
+    check_trials(trials)
     spec = dist.provenance
     *_, tree = _tree(spec.protocol, [spec.channel], spec.target, spec.mode or "repaired")
     counts: dict[Outcome, int] = {out: 0 for out, _ in dist.entries}

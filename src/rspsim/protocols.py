@@ -39,8 +39,9 @@ Each protocol is declared once, as a :class:`ProtocolSpec` in ``SPECS``:
 its name, the builder of its step list over the register of ``_LAYOUT``,
 the target dimensions it accepts, whether it takes a channel or fixes
 the maximal one, its modes and its channel rule.  ``_plan`` checks a
-batch against the record before it builds the step list, and the CLI
-and the sweep read the same record, so each rule has one message.
+batch with the record's ``validate`` before it builds the step list, and
+the CLI, the sweep and the oracle call the same checks, so each rule has
+one message.
 
 A branch tree is grown from a step list lazily, for a batch of channels
 that share it and a target: a measurement node applies the gates before
@@ -328,9 +329,23 @@ def _apply_rows(matrices: np.ndarray, bobs: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kj->ki", matrices, bobs)
 
 
-def mode_error(mode: str, d: int) -> str | None:
-    """The message of the rule that ``mode`` breaks at dimension d, or None."""
-    return "literal mode is defined only for d = 2" if mode == "literal" and d != 2 else None
+def check_mode(mode: str | None, d: int) -> None:
+    """Raise Unsupported unless ``mode`` is defined at dimension d."""
+    if mode == "literal" and d != 2:
+        raise Unsupported("literal mode is defined only for d = 2")
+
+
+def check_dimension(d: int, lengths: Iterable[int] = ()) -> None:
+    """Raise unless each channel length is d and one register at d fits the cap.
+
+    InvalidState for a length or a d below 2, CapacityExceeded over the cap.
+    """
+    for n in lengths:
+        if n != d:
+            raise InvalidState(f"lambda has {n} entries but target has {d}")
+    if d < 2 or _LAYOUT.size(d) > MAX_DIM:
+        raise (InvalidState if d < 2 else CapacityExceeded)(
+            f"d = {d} is out of range; needs d >= 2 and a register of at most {MAX_DIM} amplitudes")
 
 
 def _deterministic_steps(channels: Sequence[ChannelSpec], target: TargetState, mode: str) -> list:
@@ -342,9 +357,7 @@ def _deterministic_steps(channels: Sequence[ChannelSpec], target: TargetState, m
 
         def name(a):
             return f"V[{a}] (encoder-derived, target-dependent)"
-    elif message := mode_error(mode, d):
-        raise Unsupported(message)
-    else:
+    else:  # literal, which _plan allows at d = 2 only
         enc = encoding_unitary_literal(*target.qubit_params())
         printed = PAULI_TABLE[0]  # I on a = 0, sigma_z on 1
 
@@ -446,12 +459,19 @@ class ProtocolSpec(NamedTuple):
         for channel in () if self.fixed_channel else channels:
             if channel is None:
                 return "missing required field: lambda"
-            if channel.d != d:
-                return f"channel d={channel.d} does not match target d={d}"
             message = self.check and self.check(channel, **wording)
             if message:
                 return message
         return None
+
+    def validate(self, d: int, channels: Sequence[ChannelSpec | None], mode: str | None) -> None:
+        """Raise the first rule that a target of dimension d, ``channels`` and ``mode`` break, in
+        the CLI's order: ``check_dimension``, ``check_mode``, then ``problem``."""
+        check_dimension(d, () if self.fixed_channel else [c.d for c in channels if c is not None])
+        if self.modes:
+            check_mode(mode, d)
+        if message := self.problem(d, channels):
+            raise InvalidState(message)
 
 
 # The builders are looked up by name on each call, as every other name a step list reads.
@@ -479,27 +499,22 @@ def _plan(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetS
           mode: str) -> tuple:
     """Mode, channels and the one step list of a batch of channels.
 
-    The protocol's rules are checked first, then the register cap on the
-    whole batch, so a d over it fails before any gate is built.
+    The protocol's rules, the register cap among them, are checked first,
+    so a d over the cap fails before any gate is built.
     """
     spec = protocol_spec(protocol)
-    message = spec.problem(target.d, channels)
-    if message is not None:
-        raise InvalidState(message)
+    spec.validate(target.d, channels, mode)
     if spec.fixed_channel:
         channels = (ChannelSpec.maximal(target.d),) * len(channels)
     if not spec.modes:
         mode = None
     elif mode not in spec.modes:
         raise InvalidState(f"unknown mode {mode!r}; expected one of {spec.modes}")
-    size = len(channels) * _LAYOUT.size(target.d)
-    if size > MAX_DIM:
-        raise CapacityExceeded(f"register dimension {size} exceeds cap {MAX_DIM}")
     return mode, tuple(channels), spec.steps(channels, target, mode)
 
 
 def _start(channels: Sequence[ChannelSpec]) -> StateRegister:
-    """Per channel, lambda_m at |m, m> on the channel pair, |0> elsewhere; cap checked by _plan."""
+    """Per channel, lambda_m at |m, m> on the channel pair, |0> elsewhere; _plan checks the cap."""
     d, labels = channels[0].d, _LAYOUT.labels
     step = sum(d ** (len(labels) - 1 - labels.index(label)) for label in _LAYOUT.channel)
     amps = np.zeros((len(channels), _LAYOUT.size(d)), dtype=complex)

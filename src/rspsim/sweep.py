@@ -2,18 +2,21 @@
 
 Each grid point parametrizes a qubit channel by alpha = sin(theta),
 beta = cos(theta); a protocol whose record fixes the maximal channel
-runs over that one channel at every point.  Each distinct (protocol,
-channel) table is enumerated exactly once per sweep, a protocol's whole
-grid in one batched call.  Each trial then draws its branch from that
-exact distribution with a uniform hashed from (seed, point, trial), in
-blocks of a fixed size.  A block is scored by how many of its uniforms
-fall to each branch (``_counts``), against the CDF that ``register._pick``
-searches, the one rule that also picks every measurement outcome of a
-run, so each trial lands on the branch a run's draw would pick.  All of
-a protocol's randomness lives in its measurements, so this is
-distribution-identical to re-running the full evolution per trial while
-staying schedule-independent and byte-reproducible.  The full per-run
-sampling path is validated separately by the oracle's sampled comparison.
+runs over that one channel at every point.  ``theta_grid`` and
+``sweep_rows`` check their inputs before any work, each rule once and
+with the message the CLI prints, since the CLI calls the same checks.
+Each distinct (protocol, channel) table is enumerated exactly once per
+sweep, a protocol's whole grid in one batched call.  Each trial then
+draws its branch from that exact distribution with a uniform hashed
+from (seed, point, trial), in blocks of a fixed size.  A block is scored
+by how many of its uniforms fall to each branch (``_counts``), against
+the CDF that ``register._pick`` searches, the one rule that also picks
+every measurement outcome of a run, so each trial lands on the branch a
+run's draw would pick.  All of a protocol's randomness lives in its
+measurements, so this is distribution-identical to re-running the full
+evolution per trial while staying schedule-independent and
+byte-reproducible.  The full per-run sampling path is validated
+separately by the oracle's sampled comparison.
 
 A trial succeeds by the protocols' one rule, ``protocols.succeeded``, so
 ``successes`` and ``exact_prob`` count exactly the branches a run would
@@ -23,6 +26,8 @@ report as ``success``.
 from __future__ import annotations
 
 import io
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +35,7 @@ import numpy as np
 from .errors import InvalidState
 from .protocols import (
     ChannelSpec,
+    ProtocolSpec,
     TargetState,
     exact_outcome_tables,
     protocol_spec,
@@ -38,6 +44,8 @@ from .protocols import (
 )
 from .register import _cdf
 
+# A sweep holds one row and up to three exact tables per grid point.
+MAX_POINTS = 10_000
 # Trials are drawn in blocks of this many, so a sweep's memory does not grow
 # with --trials; the uniforms are hashed per trial, so blocking changes no draw.
 _TRIAL_BLOCK = 1 << 16
@@ -126,12 +134,40 @@ def _counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.array([n - m for m, n in zip([0, *below], below)])
 
 
+def check_angles(theta_min: float, theta_max: float) -> None:
+    """Raise unless both ends of a grid are finite."""
+    for name, theta in (("theta-min", theta_min), ("theta-max", theta_max)):
+        if not math.isfinite(theta):
+            raise InvalidState(f"{name} must be finite")
+
+
 def theta_grid(theta_min: float, theta_max: float, points: int) -> np.ndarray:
-    if points < 1:
-        raise InvalidState("sweep grid needs at least one point")
+    check_angles(theta_min, theta_max)
+    if not 1 <= points <= MAX_POINTS:
+        raise InvalidState(f"sweep needs 1 <= points <= {MAX_POINTS}")
     if theta_max < theta_min:
         raise InvalidState("theta-max must not be below theta-min")
     return np.linspace(theta_min, theta_max, points)
+
+
+def check_sweep(specs: Iterable[ProtocolSpec], d: int, trials: int, mode: str) -> None:
+    """Raise the first rule, but the grid's, that a sweep of ``specs`` over a d-dim target breaks."""
+    for spec in specs:
+        spec.validate(d, (), mode)
+    if d != 2:
+        raise InvalidState("sweep parametrizes qubit channels; needs d = 2")
+    if trials < 1:
+        raise InvalidState("sweep needs trials >= 1")
+
+
+def grid_channels(specs: Iterable[ProtocolSpec], grid: np.ndarray) -> list[ChannelSpec]:
+    """The channel of each angle of ``grid``; InvalidState if one breaks a spec's channel rule."""
+    channels = [ChannelSpec.from_theta(float(theta)) for theta in grid]
+    for spec in specs:
+        if message := spec.problem(2, channels, alpha="sin theta", beta="cos theta",
+                                   where="at every grid point from theta-min to theta-max"):
+            raise InvalidState(message)
+    return channels
 
 
 def sweep_rows(
@@ -142,11 +178,10 @@ def sweep_rows(
     seed: int,
     mode: str = "repaired",
 ) -> list[SweepRow]:
-    """One row per (protocol, grid point), sorted by (protocol, theta)."""
+    """One row per (protocol, grid point), sorted by (protocol, theta); inputs checked first."""
     specs = {protocol: protocol_spec(protocol) for protocol in protocols}
-    if trials < 1:
-        raise InvalidState("sweeps need trials >= 1")
-    channels = [ChannelSpec.from_theta(float(theta)) for theta in grid]
+    check_sweep(specs.values(), target.d, trials, mode)
+    channels = grid_channels(specs.values(), grid)
     maximal = ChannelSpec.maximal(2)
     # One batched call per protocol builds each distinct table once, then the
     # arrays that count and score its trials.

@@ -21,6 +21,9 @@ _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
+# The largest count numpy's binomial sampler takes (int64).
+MAX_SHOTS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class PauliEstimates:
@@ -60,6 +63,12 @@ def exact_bloch(state: StateRegister | DensityMatrix) -> tuple[float, float, flo
     return tuple(float(np.trace(rho @ s).real) for s in (_SX, _SY, _SZ))
 
 
+def check_shots(shots: int) -> None:
+    """Raise unless every axis gets a shot and numpy can sample the count."""
+    if not 3 <= shots <= MAX_SHOTS:
+        raise InvalidState(f"tomo needs 3 <= shots <= {MAX_SHOTS}")
+
+
 def sample_pauli_expectations(
     state: StateRegister | DensityMatrix, shots: int, rng: np.random.Generator
 ) -> PauliEstimates:
@@ -68,8 +77,7 @@ def sample_pauli_expectations(
     Shots are split equally across the three axes; remainder shots go to Z.
     """
     shots = int(shots)
-    if shots < 3:
-        raise InvalidState("need at least one shot per measurement axis")
+    check_shots(shots)
     per_axis = shots // 3
     counts = (per_axis, per_axis, per_axis + shots % 3)
     r_true = exact_bloch(state)

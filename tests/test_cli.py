@@ -563,3 +563,49 @@ def test_protocol_rule_errors_print_one_pinned_line(capsys, argv, message):
     """Each protocol rule the CLI enforces exits 1 with its one line, before any output."""
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+_SWEEP = ("sweep", "--protocol", "deterministic", "--target", "1:0")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run", "--protocol", "nguyen", "--target", "1:0", "--seed", "-1"),
+     "seed must be non-negative, got -1"),
+    ((*_SWEEP, "--theta-min", "nan"), "theta-min must be finite"),
+    (("verify", "--trials", "99"), "verify needs trials >= 100 for the sampled oracle gate"),
+    (("run", "--target", "1:0"), "missing required field: protocol"),
+    (("run", "--protocol", "nguyen"), "missing required field: target"),
+    (("run", "--protocol", "nguyen", "--target", "1:1"),
+     "target: norm 1.414213562 deviates from 1 by more than 1e-6"),
+    (("run", "--protocol", "deterministic", "--target", "1:0", "--lambda", "0.6:0.8:0"),
+     "lambda has 3 entries but target has 2"),
+    (("tomo", "--target", "1:0", "--lambda", "0.6:0.8:0"), "lambda has 3 entries but target has 2"),
+    (("run", "--protocol", "nguyen", "--target", "1"),
+     "d = 1 is out of range; needs d >= 2 and a register of at most 1048576 amplitudes"),
+    (("run", "--protocol", "deterministic", "--target", "1", "--lambda", "0.6:0.8"),
+     "lambda has 2 entries but target has 1"),
+    (("run", "--protocol", "probabilistic", "--target", _QUTRIT, "--lambda", "0.6:0.8"),
+     "lambda has 2 entries but target has 3"),
+    (("sweep", "--protocol", "deterministic", "--target", _QUTRIT),
+     "sweep parametrizes qubit channels; needs d = 2"),
+    (("tomo", "--target", _QUTRIT), "tomo parametrizes qubit channels; needs d = 2"),
+    ((*_SWEEP, "--trials", "0"), "sweep needs trials >= 1"),
+    ((*_SWEEP, "--points", "0"), "sweep needs 1 <= points <= 10000"),
+    ((*_SWEEP, "--points", "10001"), "sweep needs 1 <= points <= 10000"),
+    ((*_SWEEP, "--theta-min", "0.5", "--theta-max", "0.25"),
+     "theta-max must not be below theta-min"),
+    (("tomo", "--target", "1:0", "--shots", "2"), "tomo needs 3 <= shots <= 9223372036854775807"),
+    (("tomo", "--target", "1:0", "--shots", str(2**63)),
+     "tomo needs 3 <= shots <= 9223372036854775807"),
+    (("sweep", "--protocol", "probabilistic", "--target", "1:0", "--theta-max", "1.0",
+      "--points", "0"), "sweep needs 1 <= points <= 10000"),
+    (("sweep", "--protocol", "deterministic", "--target", _QUTRIT, "--trials", "0"),
+     "sweep parametrizes qubit channels; needs d = 2"),
+], ids=["seed", "theta-nan", "verify-trials", "no-protocol", "no-target", "target-norm",
+        "run-lambda-length", "tomo-lambda-length", "d1", "lambda-before-d",
+        "lambda-before-protocol-d", "sweep-d3", "tomo-d3", "trials", "points-0", "points-10001",
+        "theta-order", "shots-2", "shots-2**63", "points-before-grid", "d-before-trials"])
+def test_input_errors_print_one_pinned_line(capsys, argv, message):
+    """Each remaining input rule exits 1 with its one line; with two broken, the first wins."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -203,6 +203,21 @@ def test_compare_sampled_needs_trials():
         compare_sampled(dist, trials=50, seed=0)
 
 
+@pytest.mark.parametrize("protocol, channel, target", [
+    ("nguyen", None, TargetState.of((0.6, 0.8, 0))),
+    ("probabilistic", ChannelSpec.maximal(3), TargetState.of((0.6, 0.8))),
+    ("probabilistic", ChannelSpec.maximal(3), TargetState.of((0.6, 0.8, 0))),
+    ("deterministic", ChannelSpec.of((0.6, 0.8)), TargetState.of((0.6, 0.8, 0))),
+], ids=["nguyen-d3", "probabilistic-qutrit-channel", "probabilistic-d3", "deterministic-d2-on-d3"])
+def test_the_oracle_refuses_what_a_run_refuses(protocol, channel, target):
+    """The naive path checks its inputs by the protocol's record: the run's error, not numpy's."""
+    with pytest.raises(InvalidState) as naive:
+        enumerate_naive(protocol, channel, target)
+    with pytest.raises(InvalidState) as run:
+        run_protocol(protocol, channel, target, rng=derive_rng(0))
+    assert str(naive.value) == str(run.value)
+
+
 def test_provenance_round_trip():
     channel = ChannelSpec.of((0.6, 0.8))
     target = TargetState.of((0.6, 0.8j))

@@ -13,6 +13,7 @@ import rspsim.oracle
 import rspsim.protocols
 import rspsim.register
 import rspsim.sweep
+import rspsim.tomography
 from rspsim.errors import CapacityExceeded, InvalidState, Unsupported
 from rspsim.protocols import (
     ChannelSpec,
@@ -1145,7 +1146,72 @@ def test_the_library_raises_the_record_message_the_cli_prints(protocol, channel,
         grid = rspsim.sweep.theta_grid(0.0, 1.0, 5)  # past pi/4, |sin theta| > |cos theta|
         with pytest.raises(InvalidState) as sweep:
             rspsim.sweep.sweep_rows([protocol], target, grid, trials=10, seed=0)
-        assert str(sweep.value) == message
+        assert str(sweep.value) == message.replace(  # the grid's words, as the CLI prints them
+            "|alpha| <= |beta| in lambda",
+            "|sin theta| <= |cos theta| at every grid point from theta-min to theta-max")
+
+
+_GRID = np.linspace(0.0, np.pi / 4, 3)
+_SHOTS_LINE = "tomo needs 3 <= shots <= 9223372036854775807"
+_POINTS_LINE = "sweep needs 1 <= points <= 10000"
+_RANGE_LINE = "d = {} is out of range; needs d >= 2 and a register of at most 1048576 amplitudes"
+
+
+def _sampled_tomography(shots):
+    rspsim.tomography.sample_pauli_expectations(
+        rspsim.register.StateRegister((2,), (0.6, 0.8)), shots, derive_rng(0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: rspsim.sweep.sweep_rows(["deterministic"], _QUBIT_TARGET, _GRID, 0, 0),
+     InvalidState, "sweep needs trials >= 1"),
+    (lambda: rspsim.sweep.theta_grid(0.0, 1.0, 0), InvalidState, _POINTS_LINE),
+    (lambda: rspsim.sweep.theta_grid(0.0, 1.0, 10_001), InvalidState, _POINTS_LINE),
+    (lambda: rspsim.sweep.theta_grid(0.5, 0.25, 3), InvalidState,
+     "theta-max must not be below theta-min"),
+    (lambda: rspsim.sweep.theta_grid(float("nan"), 1.0, 3), InvalidState,
+     "theta-min must be finite"),
+    (lambda: rspsim.sweep.theta_grid(0.0, float("inf"), 3), InvalidState,
+     "theta-max must be finite"),
+    (lambda: rspsim.sweep.sweep_rows(["probabilistic"], _QUBIT_TARGET, np.array([0.0, 1.0]), 10, 0),
+     InvalidState, "the probabilistic baseline needs |sin theta| <= |cos theta| at every grid "
+     "point from theta-min to theta-max"),
+    (lambda: rspsim.sweep.sweep_rows(["deterministic"], _QUTRIT_TARGET, _GRID, 0, 0),
+     InvalidState, "sweep parametrizes qubit channels; needs d = 2"),
+    (lambda: run_protocol("deterministic", ChannelSpec.of((0.6, 0.8)), _QUTRIT_TARGET),
+     InvalidState, "lambda has 2 entries but target has 3"),
+    (lambda: run_protocol("probabilistic", ChannelSpec.of((0.6, 0.8)), _QUTRIT_TARGET),
+     InvalidState, "lambda has 2 entries but target has 3"),
+    (lambda: rspsim.protocols.check_dimension(1), InvalidState, _RANGE_LINE.format(1)),
+    (lambda: run_protocol("deterministic", ChannelSpec.maximal(102),
+                          TargetState.of(ChannelSpec.maximal(102).lambdas)),
+     CapacityExceeded, _RANGE_LINE.format(102)),
+    (lambda: _sampled_tomography(2), InvalidState, _SHOTS_LINE),
+    (lambda: _sampled_tomography(2**63), InvalidState, _SHOTS_LINE),
+    (lambda: _sampled_tomography(10**20), InvalidState, _SHOTS_LINE),
+    (lambda: rspsim.oracle.compare_sampled(
+        rspsim.oracle.enumerate_naive("nguyen", None, _QUBIT_TARGET), 99, 0),
+     InvalidState, "verify needs trials >= 100 for the sampled oracle gate"),
+], ids=["sweep-trials", "points-0", "points-10001", "theta-order", "theta-min-nan",
+        "theta-max-inf", "grid", "sweep-d3", "lambda-length", "lambda-before-protocol-d", "d1",
+        "d102", "shots-2", "shots-2**63", "shots-10**20", "verify-trials"])
+def test_the_library_raises_the_input_message_the_cli_prints(call, error, message):
+    """Each input rule the CLI shares is raised by the library, with the CLI's line and type."""
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_an_unbounded_grid_is_refused_before_it_is_allocated():
+    """10^10 points would take 74.5 GiB; the points rule raises first."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidState, match="^sweep needs 1 <= points <= 10000$"):
+            rspsim.sweep.theta_grid(0.0, 1.0, 10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("protocol, channel", [("probabilistic", ChannelSpec.of((0.6, 0.8))),
