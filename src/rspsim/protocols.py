@@ -514,12 +514,16 @@ def _plan(protocol: str, channels: Sequence[ChannelSpec | None], target: TargetS
 
 
 def _start(channels: Sequence[ChannelSpec]) -> StateRegister:
-    """Per channel, lambda_m at |m, m> on the channel pair, |0> elsewhere; _plan checks the cap."""
+    """Per channel, lambda_m at |m, m> on the channel pair, |0> elsewhere; _plan checks the cap.
+
+    The register keeps the array written here, checked over the lambdas alone.
+    """
     d, labels = channels[0].d, _LAYOUT.labels
     step = sum(d ** (len(labels) - 1 - labels.index(label)) for label in _LAYOUT.channel)
+    lambdas = np.array([channel.lambdas for channel in channels], dtype=complex)
     amps = np.zeros((len(channels), _LAYOUT.size(d)), dtype=complex)
-    amps[:, : d * step : step] = [channel.lambdas for channel in channels]
-    return StateRegister((d,) * len(labels), amps, labels, batch=len(channels))
+    amps[:, : d * step : step] = lambdas
+    return StateRegister._adopt((d,) * len(labels), labels, amps.reshape(-1), lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -719,17 +723,23 @@ class _Node:
 def _node(target: np.ndarray, reg: StateRegister, steps: list, path: _Path) -> _Node:
     """The node of the measurement that ends ``steps``, its gates applied to ``reg`` once.
 
-    A measurement in a basis rotates its target into that basis first, and
-    its branches stay there.  Not the node's constructor: a constructor's
-    caller holds ``reg`` until it returns (a d = 32 start register, 512 KiB
-    more peak), while CPython 3.11 lets a function drop it after one gate.
+    Each run of consecutive index-map gates is one gather, and each gate
+    still adds its own step.  A measurement in a basis rotates its target
+    into that basis first, and its branches stay there.  Not the node's
+    constructor: a constructor's caller holds ``reg`` until it returns (a
+    d = 32 start register, 512 KiB more peak), while CPython 3.11 lets a
+    function drop it after one gate.
     """
     *gates, last = steps
-    for g in gates:
-        reg = reg.apply(g.gate, g.targets, strict=g.strict)
-        if not g.strict:  # each element's norm by ``norm``'s own formula, so a run's bits stay
-            path = path._replace(raw_norm=tuple(
-                float(np.linalg.norm(e)) for e in reg.amplitudes.reshape(reg.batch, -1)))
+    for gathered, run in itertools.groupby(gates, lambda g: g.gate.src is not None and g.strict):
+        if gathered:  # consecutive index maps: one gather through their composed table
+            reg = reg._permute([(g.gate, g.targets) for g in run])
+            continue
+        for g in run:
+            reg = reg.apply(g.gate, g.targets, strict=g.strict)
+            if not g.strict:  # each element's norm by ``norm``'s own formula, so a run's bits stay
+                path = path._replace(raw_norm=tuple(
+                    float(np.linalg.norm(e)) for e in reg.amplitudes.reshape(reg.batch, -1)))
     if gates:
         path = path._replace(steps=path.steps + tuple(
             GateStep(g.gate.name, g.targets, g.gate.defect, g.gate.defect > UNITARY_TOL)

@@ -81,18 +81,30 @@ def _basis_gates(basis: np.ndarray, d: int) -> GateMatrix:
     return rot
 
 
-@functools.lru_cache(maxsize=8)
-def _gather_table(gate: GateMatrix, dims: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
-    """Whole-register gather of an index-map gate on ``axes``: out = amplitudes[table].
-
-    Built once per (gate, dims, axes); an entry holds one index per
-    amplitude, at most 8 MiB under the register cap.
-    """
+def _table(gate: GateMatrix, dims: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
+    """Whole-register gather of one index-map gate on ``axes``: out = amplitudes[table]."""
     perm = list(axes) + [i for i in range(len(dims)) if i not in axes]
     idx = np.arange(math.prod(dims)).reshape(dims).transpose(perm)
     gathered = idx.reshape(gate.dim, -1)[gate.src]
     table = np.empty(idx.size, dtype=np.intp)
     table.reshape(dims).transpose(perm)[...] = gathered.reshape(idx.shape)
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _gather_table(run: tuple[tuple[GateMatrix, tuple[int, ...]], ...],
+                  dims: tuple[int, ...]) -> np.ndarray:
+    """Whole-register gather of a run of index-map gates, each on its axes, applied in order.
+
+    Gate g1 then g2 reads ``amplitudes[t1][t2]``, so the run's table is the
+    composition ``t1[t2]``.  Built once per (run, dims); an entry holds one
+    index per amplitude, at most 8 MiB under the register cap, and the
+    gates' own tables are dropped once composed.
+    """
+    (gate, axes), *rest = run
+    table = _table(gate, dims, axes)
+    for gate, axes in rest:
+        table = table[_table(gate, dims, axes)]
     table.flags.writeable = False
     return table
 
@@ -209,19 +221,35 @@ class StateRegister:
         finiteness and (with ``check_norm``) each element's norm are checked
         here.
         """
-        reg = self._unchecked(amps)
+        reg = StateRegister._unchecked(self.dims, self.labels, amps)
         _check_elements(amps, reg.batch, check_norm)
         return reg
 
-    def _unchecked(self, amps: np.ndarray) -> "StateRegister":
-        """``_derived`` without its checks, for amplitudes that are already known good."""
+    @staticmethod
+    def _unchecked(dims: tuple[int, ...], labels: tuple[str, ...],
+                   amps: np.ndarray) -> "StateRegister":
+        """Register that keeps ``amps`` as it is, frozen in place; nothing is checked."""
         amps.flags.writeable = False
         reg = object.__new__(StateRegister)
-        object.__setattr__(reg, "dims", self.dims)
-        object.__setattr__(reg, "labels", self.labels)
+        object.__setattr__(reg, "dims", dims)
+        object.__setattr__(reg, "labels", labels)
         object.__setattr__(reg, "amplitudes", amps)
-        object.__setattr__(reg, "batch", amps.size // math.prod(self.dims))
+        object.__setattr__(reg, "batch", amps.size // math.prod(dims))
         return reg
+
+    @staticmethod
+    def _adopt(dims: tuple[int, ...], labels: tuple[str, ...], amps: np.ndarray,
+               support: np.ndarray) -> "StateRegister":
+        """Register that keeps the fresh array ``amps`` instead of copying it.
+
+        ``support`` holds, one contiguous row per element, the only entries
+        of ``amps`` that may be nonzero; every other entry is a zero the
+        caller just wrote.  So finiteness and each element's norm are
+        checked over ``support`` alone.  The caller guarantees the rest:
+        distinct labels matching ``dims``, whole elements, and the cap.
+        """
+        _check_elements(support, len(support))
+        return StateRegister._unchecked(dims, labels, amps)
 
     def _single(self, what: str) -> None:
         if self.batch != 1:
@@ -261,14 +289,37 @@ class StateRegister:
         product.  Other targets are transposed to the front, multiplied and
         written back through a transposed view of a fresh result, which holds
         a third array while it runs.  An index-map gate is one gather of each
-        element, through a table built once per (gate, dims, axes); it only
-        permutes amplitudes this register already checked, so its result
-        skips the finiteness and norm checks that a product gets.  In strict
-        mode a gate whose cached defect exceeds the unitarity tolerance is
-        rejected; audit callers pass strict=False and deal with the norm
-        themselves.
+        element (see ``_permute``).  In strict mode a gate whose cached
+        defect exceeds the unitarity tolerance is rejected; audit callers
+        pass strict=False and deal with the norm themselves.
         """
-        axes = [self.axis(t) for t in targets]
+        if gate.src is not None:
+            return self._permute([(gate, targets)])
+        axes = self._axes(gate, targets, strict)
+        if gate.matrix.ndim == 3 and len(gate.matrix) != self.batch:
+            raise ShapeError(f"gate {gate.name} stacks {len(gate.matrix)} matrices "
+                             f"for a batch of {self.batch}")
+        if axes and axes == tuple(range(axes[0], axes[0] + len(axes))):
+            # A run of axes in order: the product is already in the register's layout.
+            matrix = gate.matrix if gate.matrix.ndim == 2 else gate.matrix[:, None]
+            left = math.prod(self.dims[:axes[0]])
+            psi = matrix @ self.amplitudes.reshape(self.batch, left, gate.dim, -1)
+            return self._derived(psi.reshape(-1), check_norm=strict)
+        rest = [i for i in range(len(self.dims)) if i not in axes]
+        perm = [0] + [1 + i for i in (*axes, *rest)]
+        psi = self.amplitudes.reshape(self._shape).transpose(perm)
+        shape = psi.shape
+        psi = gate.matrix @ psi.reshape(self.batch, gate.dim, -1)
+        # Written straight into the result's own layout: the register keeps
+        # this array, so no transposed temporary and no defensive copy.
+        out = np.empty(self.amplitudes.size, dtype=complex)
+        out.reshape(self._shape).transpose(perm)[...] = psi.reshape(shape)
+        return self._derived(out, check_norm=strict)
+
+    def _axes(self, gate: GateMatrix, targets: Sequence[str], strict: bool) -> tuple[int, ...]:
+        """The axes of ``targets``, which must be distinct and of the gate's dims; in strict
+        mode the gate must be unitary."""
+        axes = tuple(self.axis(t) for t in targets)
         if len(set(axes)) != len(axes):
             raise ShapeError("gate targets must be distinct")
         if tuple(self.dims[a] for a in axes) != gate.dims:
@@ -281,29 +332,25 @@ class StateRegister:
                 f"gate {gate.name} has defect {gate.defect:.3e}; "
                 "apply with strict=False to audit it"
             )
-        if gate.src is not None:
-            table = _gather_table(gate, self.dims, tuple(axes))
-            return self._unchecked(
-                self.amplitudes.reshape(self.batch, -1).take(table, axis=1).reshape(-1))
-        if gate.matrix.ndim == 3 and len(gate.matrix) != self.batch:
-            raise ShapeError(f"gate {gate.name} stacks {len(gate.matrix)} matrices "
-                             f"for a batch of {self.batch}")
-        if axes and axes == list(range(axes[0], axes[0] + len(axes))):
-            # A run of axes in order: the product is already in the register's layout.
-            matrix = gate.matrix if gate.matrix.ndim == 2 else gate.matrix[:, None]
-            left = math.prod(self.dims[:axes[0]])
-            psi = matrix @ self.amplitudes.reshape(self.batch, left, gate.dim, -1)
-            return self._derived(psi.reshape(-1), check_norm=strict)
-        rest = [i for i in range(len(self.dims)) if i not in axes]
-        perm = [0] + [1 + i for i in axes + rest]
-        psi = self.amplitudes.reshape(self._shape).transpose(perm)
-        shape = psi.shape
-        psi = gate.matrix @ psi.reshape(self.batch, gate.dim, -1)
-        # Written straight into the result's own layout: the register keeps
-        # this array, so no transposed temporary and no defensive copy.
-        out = np.empty(self.amplitudes.size, dtype=complex)
-        out.reshape(self._shape).transpose(perm)[...] = psi.reshape(shape)
-        return self._derived(out, check_norm=strict)
+        return axes
+
+    def _permute(self, gates: Sequence[tuple[GateMatrix, Sequence[str]]]) -> "StateRegister":
+        """Apply a run of index-map gates, each on its targets and in order, as one gather.
+
+        Each element is gathered once, through the run's composed table (see
+        ``_gather_table``), so the result has the bits of the gates applied
+        one at a time.  It only permutes amplitudes this register already
+        checked, so it skips the finiteness and norm checks that a product
+        gets.
+        """
+        run = []
+        for gate, targets in gates:
+            if gate.src is None:
+                raise ShapeError(f"gate {gate.name} is not an index map")
+            run.append((gate, self._axes(gate, targets, True)))
+        table = _gather_table(tuple(run), self.dims)
+        amps = self.amplitudes.reshape(self.batch, -1).take(table, axis=1).reshape(-1)
+        return StateRegister._unchecked(self.dims, self.labels, amps)
 
     # -- measurement -----------------------------------------------------
 
@@ -313,7 +360,8 @@ class StateRegister:
         axes = [self.axis(t) for t in targets]
         if len(set(axes)) != len(axes):
             raise ShapeError("measurement targets must be distinct")
-        weights = np.abs(self.amplitudes.reshape(self._shape)) ** 2
+        weights = np.abs(self.amplitudes.reshape(self._shape))
+        np.square(weights, out=weights)  # the bits of ``** 2``, without a second array
         summed = tuple(1 + i for i in range(len(self.dims)) if i not in axes)
         marg = weights.sum(axis=summed) if summed else weights
         ranked = sorted(axes)

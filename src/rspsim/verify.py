@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, oracle, tomography
-from .errors import SimulationError
+from .errors import InvalidState, SimulationError
 from .protocols import (
     ChannelSpec,
     TargetState,
@@ -356,7 +356,7 @@ def run_suite(suite: str, seed: int = 0, oracle_trials: int = 10_000) -> list[Ch
     elif suite in _SUITE_CHECKS:
         names = (suite,)
     else:
-        raise ValueError(f"unknown suite {suite!r}; expected all or one of {SUITES}")
+        raise InvalidState(f"unknown suite {suite!r}; expected all or one of {SUITES}")
     results = []
     for name in names:
         for check_name, check in _SUITE_CHECKS[name].items():

@@ -556,19 +556,26 @@ def test_deterministic_run_measures_a_and_c_jointly():
 
 
 def _count_constructions(monkeypatch):
-    """Count validated StateRegister constructions and make_gate calls."""
+    """Count validated StateRegister constructions (``__init__`` and the start register's
+    ``_adopt``) and make_gate calls."""
     registers, gates = [], []
     init, make = rspsim.register.StateRegister.__init__, rspsim.gates.make_gate
+    adopt = rspsim.register.StateRegister._adopt
 
     def counted_init(self, *args, **kwargs):
         registers.append(args[0] if args else kwargs["dims"])
         init(self, *args, **kwargs)
+
+    def counted_adopt(dims, *args):
+        registers.append(dims)
+        return adopt(dims, *args)
 
     def counted_make(*args, **kwargs):
         gates.append(args[2] if len(args) > 2 else kwargs["name"])
         return make(*args, **kwargs)
 
     monkeypatch.setattr(rspsim.register.StateRegister, "__init__", counted_init)
+    monkeypatch.setattr(rspsim.register.StateRegister, "_adopt", staticmethod(counted_adopt))
     for module in (rspsim.gates, rspsim.register, rspsim.protocols):
         if getattr(module, "make_gate", None) is make:
             monkeypatch.setattr(module, "make_gate", counted_make)
@@ -597,6 +604,58 @@ def test_a_table_validates_one_register_and_builds_each_basis_once(
     # A probabilistic run that fails at C = 1 never builds the nguyen stage's 3 gates.
     skipped = sum(3 for tr in runs if protocol == "probabilistic" and tr.outcome == (1,))
     assert len(gates) == 5 * make_gates - skipped, gates
+
+
+def test_a_warm_d32_table_gathers_twice_and_keeps_its_start_array(monkeypatch):
+    """CSUB(A->B) and CADD(B->A) are one gather through their composed table, so a warm
+    d = 32 table makes 2 whole-register gathers (3 when each index map was its own), and
+    its start register keeps the array ``_start`` wrote instead of copying it."""
+    rng = np.random.default_rng(3201)
+    channel, target = random_positive_channel(32, rng), random_target(32, rng)
+    exact_outcome_table("deterministic", channel, target)  # warm: gates and tables cached
+    gathers, kept, inits = [], [], []
+    table, adopt = rspsim.register._gather_table, rspsim.register.StateRegister._adopt
+
+    def counted_table(run, dims):
+        gathers.append([(gate.name, axes) for gate, axes in run])
+        return table(run, dims)
+
+    def counted_adopt(dims, labels, amps, support):
+        reg = adopt(dims, labels, amps, support)
+        kept.append(reg.amplitudes is amps)
+        return reg
+
+    monkeypatch.setattr(rspsim.register, "_gather_table", counted_table)
+    monkeypatch.setattr(rspsim.register.StateRegister, "_adopt", staticmethod(counted_adopt))
+    monkeypatch.setattr(rspsim.register.StateRegister, "__init__",
+                        lambda *args, **kwargs: inits.append(args))
+    table32 = exact_outcome_table("deterministic", channel, target)
+    assert gathers == [[("CADD32", (0, 2))], [("CSUB32", (0, 1)), ("CADD32", (1, 0))]]
+    assert kept == [True] and inits == []
+    assert [r.outcome for r in table32.rows] == [(m, m) for m in range(32)]
+    tracemalloc.start()
+    try:
+        start = rspsim.protocols._start([channel])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert start.amplitudes.nbytes == 32**3 * 16 and peak < 1.25 * 32**3 * 16  # one array
+    run = run_protocol("deterministic", channel, target, rng=derive_rng(1))
+    assert [step.name for step in run.steps] == ["CADD32", "U_enc(d=32)", "CSUB32", "CADD32"]
+
+
+def test_a_d101_table_meets_the_closed_form():
+    """At d = 101, the largest d under the register cap and past the naive oracle's d <= 8:
+    only the rows (m, m), each with p = |lambda_m|^2, every one at fidelity 1."""
+    rng = np.random.default_rng(10101)
+    v = rng.uniform(0.5, 1.0, size=101) * np.exp(2j * np.pi * rng.uniform(size=101))
+    channel, target = ChannelSpec.of(v / np.linalg.norm(v)), random_target(101, rng)
+    table = exact_outcome_table("deterministic", channel, target)
+    assert [row.outcome for row in table.rows] == [(m, m) for m in range(101)]
+    for row in table.rows:
+        m = row.outcome[0]
+        assert abs(row.probability - abs(channel.lambdas[m]) ** 2) <= 1e-12
+        assert row.fidelity >= 1.0 - 1e-10 and row.corrected
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -502,6 +503,42 @@ def test_a_product_is_rechecked_and_a_gather_is_not():
             loose.apply(spin, ["B"])
     moved = loose.apply(cadd(2), ["A", "C"])
     np.testing.assert_array_equal(np.sort(np.abs(moved.amplitudes)), np.sort(np.abs(loose.amplitudes)))
+
+
+def random_index_gates(dims, labels, rng):
+    """A Pauli X on each subsystem and, on each ordered pair, a random controlled shift
+    where the two dims agree and a random permutation where they do not."""
+    out = [(pauli_x(d), (label,)) for d, label in zip(dims, labels)]
+    for (i, a), (j, b) in itertools.permutations(enumerate(labels), 2):
+        if dims[i] == dims[j]:
+            gate = controlled_shift(dims[i], rng.integers(0, dims[i], size=dims[i]))
+        else:
+            gate = index_gate(rng.permutation(dims[i] * dims[j]), (dims[i], dims[j]), "P")
+        out.append((gate, (a, b)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 3, 3)])
+def test_a_run_of_index_maps_is_one_gather_with_the_bits_of_its_gates(dims, n):
+    """Runs of 2 and 3 index maps, targets in any order: one gather through the composed
+    table gives, byte for byte, the gates applied one at a time."""
+    rng = np.random.default_rng(sum(dims) * 10 + n)
+    labels = ("A", "B", "C")
+    _, batch = random_batch(dims, labels, rng, n)
+    gates = random_index_gates(dims, labels, rng)
+    for length in (2, 3, 2, 3, 2, 3):
+        run = [gates[k] for k in rng.choice(len(gates), size=length)]
+        out = batch._permute(run)
+        want = batch
+        for gate, targets in run:
+            want = want.apply(gate, targets)
+        assert out.amplitudes.tobytes() == want.amplitudes.tobytes(), run
+        assert (out.dims, out.labels, out.batch) == (batch.dims, batch.labels, n)
+        assert not out.amplitudes.flags.writeable
+        assert not np.shares_memory(out.amplitudes, batch.amplitudes)
+    with pytest.raises(ShapeError):
+        batch._permute([gates[0], (make_gate(np.eye(dims[0]), (dims[0],), "I"), ("A",))])
 
 
 # -- dense layouts -------------------------------------------------------------

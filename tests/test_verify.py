@@ -96,3 +96,11 @@ def test_a_check_that_raises_is_named_and_other_errors_propagate(monkeypatch):
     monkeypatch.setattr(rspsim.verify, "exact_outcome_tables", raises(ZeroDivisionError("bug")))
     with pytest.raises(ZeroDivisionError):
         run_suite("protocols", 0)
+
+
+def test_an_unknown_suite_is_an_input_error():
+    """A library caller gets an rspsim error, with the text the CLI's choices imply."""
+    with pytest.raises(rspsim.errors.InvalidState) as raised:
+        run_suite("bogus")
+    assert str(raised.value) == (
+        f"unknown suite 'bogus'; expected all or one of {rspsim.verify.SUITES}")
